@@ -113,20 +113,19 @@ def _out_path(args, suffix: str) -> str:
 def _solve_pipeline(cfg: ModelConfig, args):
     model = cfg.build()
     roots = unit_disk_roots(model, **_root_kwargs(args))
-    init = solve_linear(build_system(model, roots))
-    return model, roots, init
+    system = build_system(model, roots)
+    return model, roots, system, solve_linear(system)
 
 
 def _cmd_solve(args) -> int:
     cfg = load_model_config(args.model)
-    model, roots, init = _solve_pipeline(cfg, args)
+    model, roots, sysm, init = _solve_pipeline(cfg, args)
     table = ultimate_survival(model, init, args.u_max, roots,
                               fallback_t_cap=args.t_max)
     path = _out_path(args, "_phi.csv")
     _write_csv(path, "u,phi",
                ((str(u), _fmt(table.phis[u])) for u in range(args.u_max + 1)))
     if args.dump_system:
-        sysm = build_system(model, roots)
         n = sysm.size
         header = "row_kind," + ",".join(
             f"a{i}_re,a{i}_im" for i in range(n)) + ",rhs_re,rhs_im"

@@ -7,6 +7,13 @@ amplifies any seed error by 1/|alpha_min| per step, so a stability horizon
 is estimated up front and values beyond it come from the finite-horizon
 convolution, iterated until successive doublings of the horizon agree.
 Bounds and monotonicity are checked, never clamped.
+
+Finite-horizon tables come from the first-step convolution recursion. One
+pass to horizon T produces every level t = 1..T exactly, so a grid over
+T = 1..t_max is a single pass of t_max levels, and the number of
+convolutions is linear in t_max. The per-u work past the recurrence (the
+bounds scan, the fallback's survival rows and the re-substitution
+residual) runs as whole-array operations.
 """
 
 from __future__ import annotations
@@ -59,14 +66,18 @@ def _cdf_lookup(model: RiskModel):
     return F
 
 
-def _finite_table(model: RiskModel, u_max: int, T: int) -> np.ndarray:
-    """phi(u, T) for u = 0..u_max by the first-step convolution recursion.
+def _finite_table(model: RiskModel, u_max: int, T: int):
+    """Yield phi(0..u_max, t) for t = 1..T from one pass of the first-step
+    convolution recursion: T levels, one convolution each.
 
     Level t is stored only up to width_t = min(u_max + (T-t)m, t*max_up)
     because phi(u, t) = 1 exactly once u exceeds t times the maximal
     upward step; reads past the stored width substitute the cdf tail in
     closed form. (With a truncated infinite-support claim the implicit 1
     is off by the stored tail mass, well below every tolerance used here.)
+    Every level of the pass is therefore exact for u <= u_max, not only
+    the last. Each yielded level is a fresh array of length u_max + 1, so
+    a caller that keeps it does not keep the wider working level alive.
     """
     m = model.max_drop
     max_up = max(model.step.support_max, 0)
@@ -76,9 +87,8 @@ def _finite_table(model: RiskModel, u_max: int, T: int) -> np.ndarray:
     def width(t: int) -> int:
         return max(0, min(u_max + (T - t) * m, t * max_up))
 
-    w1 = width(1)
-    lvl = F(np.arange(w1 + 1) - 1)
-    for t in range(2, T + 1):
+    lvl = np.ones(1)               # phi(., 0) = 1: nothing has happened yet
+    for t in range(1, T + 1):
         wp = len(lvl) - 1
         wt = width(t)
         u = np.arange(wt + 1)
@@ -89,9 +99,10 @@ def _finite_table(model: RiskModel, u_max: int, T: int) -> np.ndarray:
             ok = (j >= 0) & (j < len(conv))
             new[ok] += conv[j[ok]]
         lvl = new
-    if len(lvl) <= u_max:
-        lvl = np.concatenate([lvl, np.ones(u_max + 1 - len(lvl))])
-    return lvl[: u_max + 1]
+        out = np.ones(u_max + 1)
+        n = min(len(lvl), u_max + 1)
+        out[:n] = lvl[:n]
+        yield out
 
 
 def finite_survival(model: RiskModel, u_max: int, T: int) -> SurvivalTable:
@@ -105,14 +116,16 @@ def finite_survival(model: RiskModel, u_max: int, T: int) -> SurvivalTable:
         raise ModelError(f"horizon T={T} must be >= 1")
     if u_max < 0:
         raise ModelError(f"u_max={u_max} must be >= 0")
-    return SurvivalTable(phis=_finite_table(model, u_max, T), kind="finite",
-                         horizon=T)
+    for lvl in _finite_table(model, u_max, T):
+        pass
+    return SurvivalTable(phis=lvl, kind="finite", horizon=T)
 
 
 def finite_grid(model: RiskModel, u_max: int, t_max: int):
-    """Yield (t, phi(0..u_max, t)) for t = 1..t_max in one DP pass."""
-    for t in range(1, t_max + 1):
-        yield t, _finite_table(model, u_max, t)
+    """Yield (t, phi(0..u_max, t)) for t = 1..t_max from one DP pass to
+    horizon t_max: t_max levels, one convolution each, so the number of
+    convolutions is linear in t_max."""
+    yield from enumerate(_finite_table(model, u_max, t_max), start=1)
 
 
 def _converged_finite(model: RiskModel, u_max: int,
@@ -140,10 +153,7 @@ def _converged_finite(model: RiskModel, u_max: int,
 
     def survival_row(wv: np.ndarray) -> np.ndarray:
         cum = np.concatenate([[0.0], np.cumsum(wv)])
-        out = np.empty(u_max + 1)
-        for u in range(u_max + 1):
-            out[u] = cum[min(u, len(cum) - 1)]
-        return out
+        return cum[np.minimum(np.arange(u_max + 1), len(cum) - 1)]
 
     t = 0
     while True:
@@ -207,13 +217,19 @@ def _stability_horizon(model: RiskModel, init: InitialValues,
 
 
 def _recurrence_residual(model: RiskModel, phi: np.ndarray) -> float:
+    """max |phi(u) - sum_{i>=1} phi(i) f(u-i)| over u = 0..len(phi)-m-1.
+
+    step.weights[k] = f(k - m), so entry u + m of the convolution of phi
+    (with phi(0) zeroed) and the weights is the sum on the right.
+    """
     m = model.max_drop
-    worst = 0.0
-    for u in range(len(phi) - m):
-        lo = max(1, u - model.step.support_max)
-        s = math.fsum(phi[i] * model.f(u - i) for i in range(lo, u + m + 1))
-        worst = max(worst, abs(phi[u] - s))
-    return worst
+    n = len(phi) - m
+    if n <= 0:
+        return 0.0
+    head = phi.copy()
+    head[0] = 0.0
+    conv = np.convolve(head, model.step.weights)
+    return float(np.max(np.abs(phi[:n] - conv[m : m + n])))
 
 
 def ultimate_survival(model: RiskModel, init: InitialValues, u_max: int,
@@ -266,16 +282,20 @@ def ultimate_survival(model: RiskModel, init: InitialValues, u_max: int,
                 "past that point")
 
     phi = phi[: u_max + 1]
-    for u in range(u_max + 1):
-        if not (-monotone_tol <= phi[u] <= 1.0 + monotone_tol):
+    escaped = ~((phi >= -monotone_tol) & (phi <= 1.0 + monotone_tol))
+    dropped = np.zeros_like(escaped)
+    dropped[1:] = phi[1:] < phi[:-1] - monotone_tol
+    bad = np.flatnonzero(escaped | dropped)
+    if bad.size:
+        u = int(bad[0])
+        if escaped[u]:
             raise NumericalBlowupError(
                 f"phi({u}) = {phi[u]!r} escaped [0, 1]; the recurrence "
                 "amplified initial-value error (check roots and residuals)",
                 u=u)
-        if u > 0 and phi[u] < phi[u - 1] - monotone_tol:
-            raise NumericalBlowupError(
-                f"phi({u}) = {phi[u]!r} < phi({u - 1}) = {phi[u - 1]!r}; "
-                "monotonicity broke beyond tolerance", u=u)
+        raise NumericalBlowupError(
+            f"phi({u}) = {phi[u]!r} < phi({u - 1}) = {phi[u - 1]!r}; "
+            "monotonicity broke beyond tolerance", u=u)
     return SurvivalTable(phis=phi, kind="ultimate",
                          residual=_recurrence_residual(model, phi),
                          warnings=tuple(warnings))

@@ -7,10 +7,23 @@ import pytest
 
 import ruinwalk as rw
 
-from conftest import (make_example1, make_example3, make_example4,
-                      poisson_sf_series, solve_pipeline)
+from conftest import (make_example1, make_example2, make_example3,
+                      make_example4, poisson_sf_series,
+                      random_admissible_model, solve_pipeline)
 
 SQ2 = math.sqrt(2.0)
+
+
+def recurrence_residual_loop(model, phi) -> float:
+    """Reference residual: max over u of |phi(u) - sum_{i>=1} phi(i) f(u-i)|
+    by one exactly rounded sum per u."""
+    m = model.max_drop
+    worst = 0.0
+    for u in range(len(phi) - m):
+        lo = max(1, u - model.step.support_max)
+        s = math.fsum(phi[i] * model.f(u - i) for i in range(lo, u + m + 1))
+        worst = max(worst, abs(phi[u] - s))
+    return worst
 
 
 class TestUltimate:
@@ -65,6 +78,17 @@ class TestUltimate:
                                  error_budget=1.0)
         assert exc.value.u is not None
 
+    def test_blowup_reports_first_failing_u(self, ex1):
+        with pytest.raises(rw.NumericalBlowupError) as exc:
+            rw.ultimate_survival(ex1.model, ex1.init, 80, ex1.roots,
+                                 error_budget=1.0)
+        u = exc.value.u
+        assert f"phi({u})" in str(exc.value)
+        # every u before the reported one passes the same checks
+        table = rw.ultimate_survival(ex1.model, ex1.init, u - 1, ex1.roots,
+                                     error_budget=1.0)
+        assert table.u_max == u - 1
+
     def test_pi_partial_sums_match_recurrence_route(self, ex1, ex2, ex4):
         # phi(m) from the cumulative pi equals the recurrence value
         for solved in (ex1, ex2, ex4[10]):
@@ -83,6 +107,19 @@ class TestUltimate:
                                 residual=0.0)
         with pytest.raises(rw.NetProfitError):
             rw.ultimate_survival(model, init, 5)
+
+
+class TestRecurrenceResidual:
+    @pytest.mark.parametrize("make", [
+        make_example1, make_example2, lambda: make_example3(0.5),
+        lambda: random_admissible_model(np.random.default_rng(1)),
+        lambda: random_admissible_model(np.random.default_rng(4)),
+    ], ids=["ex1", "ex2", "ex3_p05", "random1", "random4"])
+    def test_matches_loop_reference(self, make):
+        model = make()
+        table = solve_pipeline(model, 2000).table
+        ref = recurrence_residual_loop(model, table.phis)
+        assert table.residual == pytest.approx(ref, abs=1e-15)
 
 
 class TestFiniteHorizon:
@@ -120,6 +157,22 @@ class TestFiniteHorizon:
         for t in (1, 2, 3, 4):
             np.testing.assert_allclose(
                 rows[t], rw.finite_survival(ex1.model, 5, t).phis, atol=0)
+
+    @pytest.mark.parametrize("make", [
+        make_example2, lambda: make_example4(10).build(),
+    ], ids=["ex2", "ex4_cap10"])
+    def test_grid_levels_match_single_horizons(self, make):
+        model = make()
+        u_max, t_max = 10, 60
+        grid = list(rw.finite_grid(model, u_max, t_max))
+        assert [t for t, _ in grid] == list(range(1, t_max + 1))
+        for t, lvl in grid:
+            assert len(lvl) == u_max + 1
+            # an owned array: a kept level must not pin the wide DP level
+            assert lvl.base is None
+            np.testing.assert_allclose(
+                lvl, rw.finite_survival(model, u_max, t).phis, rtol=0,
+                atol=1e-15)
 
     def test_domain_errors(self, ex1):
         with pytest.raises(rw.ModelError):
