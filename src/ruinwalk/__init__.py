@@ -4,9 +4,9 @@ The walk sum(X_i - c*theta_i) with independent non-negative integer claim
 amounts X and premium-scaled interarrival times c*theta of finite support
 admits closed-form survival probabilities through the unit-disk roots of
 its step generating function. This package finds those roots, solves the
-initial-value system they induce, extends the table by recurrence or
-convolution, and verifies everything against independent simulation and
-enumeration oracles.
+initial-value system they induce, extends the table through the ascending
+ladder-height factor those roots split off, and verifies everything
+against independent simulation and enumeration oracles.
 """
 
 from .errors import (

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import ModelError, NumericalBlowupError, NumericalError
+from .errors import ModelError, NumericalError
 from .initial_values import InitialValues, build_system, determinant_identity, \
     solve_closed_form, solve_linear
 from .model import ModelConfig, Pmf, RiskModel, load_model_config
@@ -81,8 +81,6 @@ class RunReport:
         lines.append("phi: " + ", ".join(f"{x:.3f}" for x in shown)
                      + (", ..." if self.table.u_max + 1 > len(shown) else ""))
         lines.append(f"recurrence residual: {self.table.residual:.2e}")
-        for w in self.table.warnings:
-            lines.append(f"warning: {w}")
         return "\n".join(lines)
 
 
@@ -120,8 +118,7 @@ def _solve_pipeline(cfg: ModelConfig, args):
 def _cmd_solve(args) -> int:
     cfg = load_model_config(args.model)
     model, roots, sysm, init = _solve_pipeline(cfg, args)
-    table = ultimate_survival(model, init, args.u_max, roots,
-                              fallback_t_cap=args.t_max)
+    table = ultimate_survival(model, init, args.u_max, roots)
     path = _out_path(args, "_phi.csv")
     _write_csv(path, "u,phi",
                ((str(u), _fmt(table.phis[u])) for u in range(args.u_max + 1)))
@@ -156,6 +153,15 @@ def _verification_block(model, roots, init, table) -> str:
         lines.append(f"  determinant identity: relative gap {rel:.2e}")
     else:
         lines.append("  closed form skipped (multiple roots)")
+    # the paper's route to phi(1..m) against the ladder table; its gap is
+    # the forward error of the trailing pi, which the solve residual misses
+    m = model.max_drop
+    ladder = table if table.u_max >= m else \
+        ultimate_survival(model, init, m, roots)
+    gap = float(np.max(np.abs(np.cumsum(init.pi) - ladder.phis[1 : m + 1])))
+    lines.append(f"  linear solve vs ladder table: max |cumsum(pi) - "
+                 f"phi(1..{m})| = {gap:.2e} (solve error gauge "
+                 f"{init.error_gauge:.1e})")
     k = min(20, table.u_max)
     if k > 0:
         xs = xi_coeffs(model, init, k, roots)
@@ -268,19 +274,8 @@ def _cmd_truncate(args) -> int:
     if model.net_profit_holds:
         roots = unit_disk_roots(model)
         init = solve_linear(build_system(model, roots))
-        try:
-            # the bounds multiply phi(m+1) by the (tiny) tail, so a relaxed
-            # recurrence budget is ample
-            table = ultimate_survival(model, init, model.m + 1, roots,
-                                      error_budget=1e-6)
-            lower, upper = truncation_bounds(model, tail, table)
-        except NumericalBlowupError:
-            # phi(m+1) is out of reach when f(-m) is tiny; phi(m) is exact
-            # from the initial values and still underestimates the infimum
-            table = ultimate_survival(model, init, model.m, roots)
-            lower, upper = float(table.phis[model.m]) * tail, tail
-            print("note: lower bound uses phi(m) <= phi(m+1); one "
-                  "recurrence step past m is unreliable for this model")
+        table = ultimate_survival(model, init, model.m + 1, roots)
+        lower, upper = truncation_bounds(model, tail, table)
         print(f"defect bounds on phi(0): [{lower:.6e}, {upper:.6e}]")
     else:
         print("net profit condition fails for the capped model; "
@@ -306,16 +301,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="ultimate-time survival table")
     p.add_argument("model", help="model JSON file")
     p.add_argument("--u-max", type=int, default=10)
-    p.add_argument("--t-max", type=int, default=1 << 16,
-                   help="horizon cap for the convolution fallback beyond "
-                        "the recurrence's stability range "
-                        "(default %(default)s)")
     p.add_argument("--out", help="CSV output path (default <model>_phi.csv)")
     p.add_argument("--dump-system", metavar="CSV",
                    help="also write the assembled matrix/rhs")
     p.add_argument("--verify", action="store_true",
-                   help="run the closed-form, determinant, and "
-                        "generating-function cross-checks")
+                   help="run the closed-form, determinant, "
+                        "linear-solve-vs-ladder and generating-function "
+                        "cross-checks")
     _add_tolerance_flags(p)
     p.set_defaults(func=_cmd_solve)
 

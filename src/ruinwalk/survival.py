@@ -1,19 +1,18 @@
 """Survival probability tables.
 
-Ultimate-time values start from the initial-value vector: phi(i+1) is the
-partial sum of pi, phi(0) comes from the one-step balance at u = 0, and
-larger u follow the division-by-f(-m) recurrence. That recurrence
-amplifies any seed error by 1/|alpha_min| per step, so a stability horizon
-is estimated up front and values beyond it come from the finite-horizon
-convolution, iterated until successive doublings of the horizon agree.
-Bounds and monotonicity are checked, never clamped.
+Ultimate-time values come from the Wiener-Hopf ladder factorisation of
+the step polynomial P(s) = s^m (G(s) - 1): dividing its unit-disk roots
+and s = 1 out of P leaves 1 - H(s), where H is the generating function of
+the strict ascending ladder height (Feller, Vol. II, ch. XII). The
+maximum of the walk then follows a renewal recurrence of nonnegative
+terms, which is forward-stable for every u. phi(0) is the one-step
+balance. Bounds and monotonicity are checked, never clamped.
 
 Finite-horizon tables come from the first-step convolution recursion. One
 pass to horizon T produces every level t = 1..T exactly, so a grid over
 T = 1..t_max is a single pass of t_max levels, and the number of
-convolutions is linear in t_max. The per-u work past the recurrence (the
-bounds scan, the fallback's survival rows and the re-substitution
-residual) runs as whole-array operations.
+convolutions is linear in t_max. The bounds scan and the re-substitution
+residual run as whole-array operations.
 """
 
 from __future__ import annotations
@@ -29,11 +28,7 @@ from .model import RiskModel
 from .pgf import RootSet, char_poly, unit_disk_roots
 
 MONOTONE_TOL = 1e-9       # tolerated [0,1] / monotonicity slack
-ERROR_BUDGET = 1e-10      # largest recurrence error the horizon may admit
-BRACKET_TOL = 1e-10       # fallback stops when phi(.,T) and phi(.,2T) agree
-_T_START = 8
-_T_CAP = 1 << 16
-_CELL_CAP = 2 * 10 ** 8
+_BLOCK = 512              # ladder-recurrence terms per matrix product
 
 
 @dataclass(frozen=True)
@@ -44,7 +39,7 @@ class SurvivalTable:
     kind: str                      # "ultimate" or "finite"
     horizon: int | None = None     # T for finite tables
     residual: float = 0.0          # max recurrence re-substitution residual
-    warnings: tuple = ()
+    warnings: tuple = ()           # free-text notes; the ladder route adds none
 
     @property
     def u_max(self) -> int:
@@ -128,94 +123,6 @@ def finite_grid(model: RiskModel, u_max: int, t_max: int):
     yield from enumerate(_finite_table(model, u_max, t_max), start=1)
 
 
-def _converged_finite(model: RiskModel, u_max: int,
-                      bracket_tol: float = BRACKET_TOL,
-                      t_cap: int = _T_CAP) -> tuple:
-    """Finite-horizon values phi(., T) iterated until a horizon doubling
-    moves nothing, for u >= 1.
-
-    Runs on the running-maximum recursion W_t = (W_{t-1} + step)^+, whose
-    final law is that of (sup_{n<=T} S_n)^+ by time reversal, so
-    P(W_T < u) = phi(u, T) for u >= 1. Unlike the first-step lattice this
-    is linear in T: the pmf width stays bounded by the maximum's
-    stationary tail (trailing mass below 1e-22 is dropped; the loss is
-    tracked and bounded far below the bracket tolerance).
-    """
-    m = model.max_drop
-    fw = model.step.weights
-    w = np.zeros(1)
-    w[0] = 1.0
-    lost = 0.0
-    cells = 0
-    cell_budget = _CELL_CAP * max(1, t_cap // _T_CAP)
-    target = _T_START
-    snapshot = None
-
-    def survival_row(wv: np.ndarray) -> np.ndarray:
-        cum = np.concatenate([[0.0], np.cumsum(wv)])
-        return cum[np.minimum(np.arange(u_max + 1), len(cum) - 1)]
-
-    t = 0
-    while True:
-        t += 1
-        conv = np.convolve(w, fw)
-        head = float(math.fsum(conv[: m + 1]))
-        w = conv[m:].copy()
-        w[0] = head
-        keep = len(w)
-        while keep > 1 and w[keep - 1] <= 1e-22:
-            lost += w[keep - 1]
-            keep -= 1
-        w = w[:keep]
-        cells += keep
-        if t == target:
-            snapshot = survival_row(w)
-        elif t == 2 * target:
-            cur = survival_row(w)
-            if float(np.max(np.abs(snapshot - cur))) < bracket_tol:
-                if lost > 1e-13:
-                    raise NumericalBlowupError(
-                        f"running-maximum tail trimming lost {lost:.2e} mass")
-                return cur, t
-            target, snapshot = t, cur
-        if t > 2 * t_cap or cells > cell_budget:
-            raise NumericalBlowupError(
-                f"finite-horizon fallback did not converge by T = {t}; "
-                "the drift is too close to zero for this range of u "
-                "(a larger horizon cap extends the work budget)")
-
-
-def _stability_horizon(model: RiskModel, init: InitialValues,
-                       roots: RootSet | None, budget: float) -> int:
-    """Largest u the direct recurrence can reach within the error budget.
-
-    Seed errors grow like g^(u-m) with g = 1/|alpha_min|, with a
-    two-decade safety margin for the mode projection (multiple roots add
-    polynomial-in-u factors); each step also injects fresh rounding noise
-    of order eps/f(-m), which then compounds at the same rate:
-
-        err(u) ~ 100 gauge g^(u-m) + 10 noise (g^(u-m) - 1)/(g - 1).
-    """
-    m = model.max_drop
-    eps = float(np.finfo(float).eps)
-    gauge = 100.0 * max(init.error_gauge, 16 * eps)
-    noise = 10.0 * eps / model.f(-m)
-    if gauge + noise >= budget:
-        return m
-    if roots is None:
-        roots = unit_disk_roots(model)
-    gmin = min((abs(z) for z in roots.roots), default=1.0)
-    if gmin >= 1.0 - 1e-12:
-        return m + min(int(budget / max(noise, 1e-300)), 10 ** 9)
-    g = 1.0 / gmin
-    k = 0
-    err = gauge + noise
-    while err <= budget and k < 10 ** 6:
-        k += 1
-        err = gauge * g ** k + noise * (g ** k - 1.0) / (g - 1.0)
-    return m + max(k - 1, 0)
-
-
 def _recurrence_residual(model: RiskModel, phi: np.ndarray) -> float:
     """max |phi(u) - sum_{i>=1} phi(i) f(u-i)| over u = 0..len(phi)-m-1.
 
@@ -232,19 +139,96 @@ def _recurrence_residual(model: RiskModel, phi: np.ndarray) -> float:
     return float(np.max(np.abs(phi[:n] - conv[m : m + n])))
 
 
-def ultimate_survival(model: RiskModel, init: InitialValues, u_max: int,
-                      roots: RootSet | None = None, *,
-                      monotone_tol: float = MONOTONE_TOL,
-                      error_budget: float = ERROR_BUDGET,
-                      bracket_tol: float = BRACKET_TOL,
-                      fallback_t_cap: int = _T_CAP) -> SurvivalTable:
-    """phi(u) for u = 0..u_max from the initial values.
+def _check_table(phi: np.ndarray) -> None:
+    """Raise at the first u where phi escapes [0, 1] or drops below
+    phi(u-1), each beyond MONOTONE_TOL; nothing is clamped."""
+    escaped = ~((phi >= -MONOTONE_TOL) & (phi <= 1.0 + MONOTONE_TOL))
+    dropped = np.zeros_like(escaped)
+    dropped[1:] = phi[1:] < phi[:-1] - MONOTONE_TOL
+    bad = np.flatnonzero(escaped | dropped)
+    if bad.size:
+        u = int(bad[0])
+        if escaped[u]:
+            raise NumericalBlowupError(
+                f"phi({u}) = {phi[u]!r} escaped [0, 1] (check roots and "
+                "residuals)", u=u)
+        raise NumericalBlowupError(
+            f"phi({u}) = {phi[u]!r} < phi({u - 1}) = {phi[u - 1]!r}; "
+            "monotonicity broke beyond tolerance", u=u)
 
-    phi(1..m) are partial sums of pi, phi(0) is the one-step balance
-    sum_{i<=m} phi(i) f(-i), and u > m follows
-    phi(u) = (phi(u-m) - sum_{i<u} phi(i) f(u-m-i)) / f(-m)
-    up to the stability horizon, beyond which the converged finite-horizon
-    convolution takes over (flagged in warnings). Any value escaping
+
+def _deflate(coeffs: np.ndarray, z: complex) -> np.ndarray:
+    """Divide an ascending-coefficient polynomial by (s - z), dropping the
+    remainder. Synthetic division from the leading coefficient is the
+    stable direction for |z| <= 1."""
+    n = len(coeffs) - 1
+    q = np.zeros(n, dtype=complex)
+    q[n - 1] = coeffs[n]
+    for k in range(n - 1, 0, -1):
+        q[k - 1] = coeffs[k] + z * q[k]
+    return q
+
+
+def _divide_out(coeffs: np.ndarray, roots: RootSet) -> np.ndarray:
+    """Deflate every unit-disk root, repeated by its multiplicity."""
+    for z, mult in zip(roots.roots, roots.multiplicities):
+        for _ in range(mult):
+            coeffs = _deflate(coeffs, z)
+    return coeffs
+
+
+def _ladder_factor(model: RiskModel, roots: RootSet) -> np.ndarray:
+    """Ascending coefficients of 1 - H(s), H the generating function of
+    the strict ascending ladder height.
+
+    The step polynomial factors as P(s) = c (s - 1) prod (s - alpha_j)
+    prod (s - beta_k) with the unit-disk roots alpha_j and the roots
+    |beta_k| > 1. Dividing out s = 1 and the alpha_j leaves
+    c prod (s - beta_k), which scaled to constant term 1 is
+    prod (1 - s/beta_k) = 1 - H(s) (Wiener-Hopf).
+    """
+    a = _divide_out(char_poly(model).coeffs.astype(complex), roots)
+    a = _deflate(a, 1.0).real
+    return a / a[0]
+
+
+def _ladder_pmf(h: np.ndarray, q0: float, n: int) -> np.ndarray:
+    """q_0 .. q_{n-1} of the renewal recurrence q_n = sum_k h_k q_{n-k}.
+
+    Blocks of up to _BLOCK terms come from one product with the matrix
+    that maps the last K = len(h) terms to the next block. Its rows are
+    the recurrence run on the K unit states, built by doubling: rows
+    L..2L-1 are rows 0..L-1 applied to the state L terms in. With h >= 0
+    every entry and every product is a sum of nonnegative terms.
+    """
+    k = len(h)
+    q = np.zeros(k + n)            # q[k + j] = q_j; the k zeros are q_{<0}
+    q[k] = q0
+    if k == 0 or n <= 1:
+        return q[k:]
+    block = min(_BLOCK, n - 1)
+    rows = np.vstack([np.eye(k), h[::-1]])
+    while len(rows) - k < block:
+        rows = np.vstack([rows, rows[k:] @ rows[len(rows) - k :]])
+    step = rows[k : k + block]
+    for j in range(1, n, block):
+        e = min(j + block, n)
+        q[k + j : k + e] = step[: e - j] @ q[j : j + k]
+    return q[k:]
+
+
+def ultimate_survival(model: RiskModel, init: InitialValues, u_max: int,
+                      roots: RootSet | None = None) -> SurvivalTable:
+    """phi(u) for u = 0..u_max from the ladder factorisation.
+
+    The unit-disk roots and s = 1 divided out of the step polynomial leave
+    1 - H(s), H the strict ascending ladder-height generating function
+    with coefficients h_k >= 0. The maximum M of the walk has the pmf
+    q_0 = 1 - H(1), q_n = sum_k h_k q_{n-k}, a recurrence of nonnegative
+    terms that is forward-stable for every u, and phi(u) = P(M < u) for
+    u >= 1. phi(0) is the one-step balance sum_{i<=m} phi(i) f(-i).
+    `init` is checked for its length only; its partial sums are the
+    paper's route to phi(1..m) and verify this one. Any value escaping
     [0, 1] or breaking monotonicity beyond tolerance raises, identifying
     the failing u; nothing is clamped.
     """
@@ -258,59 +242,17 @@ def ultimate_survival(model: RiskModel, init: InitialValues, u_max: int,
     if init.m != m:
         raise ModelError(
             f"initial values have length {init.m}, model needs {m}")
-    fm = model.f(-m)
-    max_up = model.step.support_max
-    warnings = []
-
-    phi = np.zeros(max(u_max, m) + 1)
-    phi[1 : m + 1] = np.cumsum(init.pi)
+    if roots is None:
+        roots = unit_disk_roots(model)
+    a = _ladder_factor(model, roots)
+    q = _ladder_pmf(-a[1:], a.sum(), max(u_max, m))
+    phi = np.empty(len(q) + 1)
+    phi[1:] = np.cumsum(q)
     phi[0] = math.fsum(phi[i] * model.f(-i) for i in range(1, m + 1))
-
-    if u_max > m:
-        horizon = _stability_horizon(model, init, roots, error_budget)
-        for u in range(m + 1, min(u_max, horizon) + 1):
-            lo = max(1, u - m - max_up)
-            s = math.fsum(phi[i] * model.f(u - m - i) for i in range(lo, u))
-            phi[u] = (phi[u - m] - s) / fm
-        if u_max > horizon:
-            fb, T = _converged_finite(model, u_max, bracket_tol,
-                                      fallback_t_cap)
-            phi[horizon + 1 :] = fb[horizon + 1 :]
-            warnings.append(
-                f"phi(u) for u > {horizon} from the finite-horizon "
-                f"convolution (T = {T}); the direct recurrence is unstable "
-                "past that point")
-
     phi = phi[: u_max + 1]
-    escaped = ~((phi >= -monotone_tol) & (phi <= 1.0 + monotone_tol))
-    dropped = np.zeros_like(escaped)
-    dropped[1:] = phi[1:] < phi[:-1] - monotone_tol
-    bad = np.flatnonzero(escaped | dropped)
-    if bad.size:
-        u = int(bad[0])
-        if escaped[u]:
-            raise NumericalBlowupError(
-                f"phi({u}) = {phi[u]!r} escaped [0, 1]; the recurrence "
-                "amplified initial-value error (check roots and residuals)",
-                u=u)
-        raise NumericalBlowupError(
-            f"phi({u}) = {phi[u]!r} < phi({u - 1}) = {phi[u - 1]!r}; "
-            "monotonicity broke beyond tolerance", u=u)
+    _check_table(phi)
     return SurvivalTable(phis=phi, kind="ultimate",
-                         residual=_recurrence_residual(model, phi),
-                         warnings=tuple(warnings))
-
-
-def _deflate(coeffs: np.ndarray, z: complex) -> np.ndarray:
-    """Divide an ascending-coefficient polynomial by (s - z), dropping the
-    remainder. Synthetic division from the leading coefficient is the
-    stable direction for |z| < 1."""
-    n = len(coeffs) - 1
-    q = np.zeros(n, dtype=complex)
-    q[n - 1] = coeffs[n]
-    for k in range(n - 1, 0, -1):
-        q[k - 1] = coeffs[k] + z * q[k]
-    return q
+                         residual=_recurrence_residual(model, phi))
 
 
 def xi_coeffs(model: RiskModel, init: InitialValues, n: int,
@@ -335,11 +277,8 @@ def xi_coeffs(model: RiskModel, init: InitialValues, n: int,
     for t in range(m):
         num[t] = math.fsum(init.pi[i] * model.F(-m + t - i)
                            for i in range(t + 1))
-    den = poly.coeffs.astype(complex)
-    for z, mult in zip(roots.roots, roots.multiplicities):
-        for _ in range(mult):
-            den = _deflate(den, z)
-            num = _deflate(num, z) if len(num) > 1 else num
+    den = _divide_out(poly.coeffs.astype(complex), roots)
+    num = _divide_out(num, roots)
     c = np.zeros(n, dtype=complex)
     for k in range(n):
         acc = num[k] if k < len(num) else 0.0

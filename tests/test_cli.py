@@ -15,6 +15,7 @@ EX1_DOC = {"claim": {"pmf": {"offset": 0, "weights": [0.5, 0.5]}},
 EX4_10_DOC = {"claim": {"family": "poisson", "lambda": 1.0},
               "interarrival": {"family": "poisson", "lambda": 1.01},
               "truncate_m": 10}
+EX4_15_DOC = dict(EX4_10_DOC, truncate_m=15)
 DRIFTLESS_DOC = {"claim": {"pmf": {"offset": 1, "weights": [1.0]}},
                  "interarrival": {"pmf": {"offset": 1, "weights": [1.0]}}}
 
@@ -68,6 +69,15 @@ class TestSolve:
         shown = capsys.readouterr().out
         assert "closed form vs linear solve" in shown
         assert "determinant identity" in shown
+        assert "linear solve vs ladder table" in shown
+
+    def test_example4_cap15_long_table(self, tmp_path):
+        model = write_model(tmp_path, EX4_15_DOC)
+        out = tmp_path / "phi.csv"
+        assert main(["solve", model, "--u-max", "2000", "--out",
+                     str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 2001
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         doc = {"claim": {"family": "geometric", "p": 0.5},
@@ -179,6 +189,14 @@ class TestTruncate:
         np.testing.assert_allclose(rebuilt.interarrival.weights,
                                    original.interarrival.weights, atol=0)
         assert rebuilt.m == 10
+
+    def test_example4_cap15_bounds_without_note(self, tmp_path, capsys):
+        model = write_model(tmp_path, EX4_15_DOC)
+        out = tmp_path / "capped.json"
+        assert main(["truncate", model, "--out", str(out)]) == 0
+        shown = capsys.readouterr().out
+        assert "defect bounds" in shown
+        assert "note:" not in shown
 
     def test_needs_a_bound(self, tmp_path):
         model = write_model(tmp_path, EX1_DOC)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ruinwalk as rw
+from ruinwalk.survival import _check_table
 
 from conftest import (make_example1, make_example2, make_example3,
                       make_example4, poisson_sf_series,
@@ -70,24 +71,20 @@ class TestUltimate:
         assert ex1.table.phis[50] > 0.99
         assert np.all(np.diff(ex1.table.phis[:20]) > 0)
 
-    def test_fallback_is_flagged_and_stable(self, ex1):
-        assert any("finite-horizon" in w for w in ex1.table.warnings)
-        # the recurrence alone blows up well before u = 50: force it
-        with pytest.raises(rw.NumericalBlowupError) as exc:
-            rw.ultimate_survival(ex1.model, ex1.init, 80, ex1.roots,
-                                 error_budget=1.0)
-        assert exc.value.u is not None
-
-    def test_blowup_reports_first_failing_u(self, ex1):
-        with pytest.raises(rw.NumericalBlowupError) as exc:
-            rw.ultimate_survival(ex1.model, ex1.init, 80, ex1.roots,
-                                 error_budget=1.0)
-        u = exc.value.u
-        assert f"phi({u})" in str(exc.value)
-        # every u before the reported one passes the same checks
-        table = rw.ultimate_survival(ex1.model, ex1.init, u - 1, ex1.roots,
-                                     error_budget=1.0)
-        assert table.u_max == u - 1
+    def test_blowup_reports_first_failing_u(self):
+        # crafted tables: each fails at several u, and the scan must name
+        # the first one and its kind
+        for phi, u, what in (([0.1, 0.5, 1.2, 1.3, 0.2], 2, "escaped"),
+                             ([0.2, 0.6, 0.5, 0.4, 0.9], 2, "monotonicity"),
+                             ([0.5, 0.4, 1.5, -0.1], 1, "monotonicity"),
+                             ([0.3, -0.2, 0.1, 0.05], 1, "escaped")):
+            with pytest.raises(rw.NumericalBlowupError) as exc:
+                _check_table(np.array(phi))
+            assert exc.value.u == u
+            assert f"phi({u})" in str(exc.value)
+            assert what in str(exc.value)
+        # slack within MONOTONE_TOL passes
+        _check_table(np.array([-1e-10, 0.5, 0.5 - 1e-10, 1.0 + 1e-10]))
 
     def test_pi_partial_sums_match_recurrence_route(self, ex1, ex2, ex4):
         # phi(m) from the cumulative pi equals the recurrence value
@@ -107,6 +104,50 @@ class TestUltimate:
                                 residual=0.0)
         with pytest.raises(rw.NetProfitError):
             rw.ultimate_survival(model, init, 5)
+
+
+class TestLadderRoute:
+    """Values at and past u = m, where the paper's partial sums of pi
+    stop."""
+
+    def test_poisson2_cap15_matches_long_horizon(self):
+        # Poisson(1) claims against Poisson(2) interarrival times capped at
+        # 15; phi(0..40) spans u = m and u = m + 1
+        model = rw.ModelConfig(
+            claim_dist=rw.ParametricDist.poisson(1.0),
+            interarrival_dist=rw.ParametricDist.poisson(2.0),
+            truncate_m=15).build()
+        assert model.max_drop == 15
+        table = solve_pipeline(model, 40).table
+        ref = rw.finite_survival(model, 40, 500).phis
+        np.testing.assert_allclose(table.phis, ref, rtol=0, atol=1e-12)
+
+    def test_example4_cap15_long_table(self):
+        model = make_example4(15).build()
+        solved = solve_pipeline(model, 2000)
+        phis = solved.table.phis
+        assert len(phis) == 2001
+        assert np.all(np.diff(phis) >= 0)
+        assert 0.0 <= phis[0] and phis[-1] <= 1.0
+        assert solved.table.residual <= 1e-9
+        assert phis[15] == pytest.approx(0.142279142441, abs=1e-11)
+        xs = rw.xi_coeffs(model, solved.init, 2000, solved.roots)
+        np.testing.assert_allclose(xs, phis[1:], rtol=0, atol=1e-9)
+
+    def test_random_models_match_paper_routes(self):
+        # the linear solve's partial sums give phi(1..m); the deflated
+        # generating-function division reaches past m
+        rng = np.random.default_rng(20261018)
+        for _ in range(40):
+            model = random_admissible_model(rng, m_max=8)
+            solved = solve_pipeline(model, 60)
+            m = model.max_drop
+            np.testing.assert_allclose(np.cumsum(solved.init.pi),
+                                       solved.table.phis[1 : m + 1],
+                                       rtol=0, atol=1e-10)
+            xs = rw.xi_coeffs(model, solved.init, 60, solved.roots)
+            np.testing.assert_allclose(xs, solved.table.phis[1:], rtol=0,
+                                       atol=1e-9)
 
 
 class TestRecurrenceResidual:
@@ -239,8 +280,7 @@ class TestTruncationBounds:
         assert tail == pytest.approx(oracle, rel=1e-10)
         model = cfg.build()
         solved = solve_pipeline(model, 10)
-        table = rw.ultimate_survival(model, solved.init, 11, solved.roots,
-                                     error_budget=1e-6)
+        table = rw.ultimate_survival(model, solved.init, 11, solved.roots)
         lower, upper = rw.truncation_bounds(model, tail, table)
         assert upper == tail
         assert 0.0 < lower <= upper
