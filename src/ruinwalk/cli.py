@@ -22,8 +22,7 @@ from .initial_values import InitialValues, build_system, determinant_identity, \
     solve_closed_form, solve_linear
 from .model import ModelConfig, Pmf, RiskModel, load_model_config
 from .oracle import SimConfig, simulate
-from .pgf import BOUNDARY_TOL, CLUSTER_TOL, ONE_EXCLUSION, RESIDUAL_TOL, \
-    RootSet, unit_disk_roots
+from .pgf import RootSet, unit_disk_roots
 from .survival import SurvivalTable, finite_grid, truncation_bounds, \
     ultimate_survival, xi_coeffs
 
@@ -51,10 +50,22 @@ def _pmf_echo(name: str, p: Pmf) -> str:
             f"weights [{head}{more}]{tail}")
 
 
+def _dust_cut(cfg: ModelConfig, model: RiskModel) -> str:
+    """Note for the report when SUPPORT_DUST trimming of the interarrival
+    support left m below the requested cap N: " (cap N cut by
+    SUPPORT_DUST)", or an empty string."""
+    cap = cfg.truncate_m
+    if cap is not None and model.m < cap \
+            and cfg.interarrival_dist.sf(model.m) > 0.0:
+        return f" (cap {cap} cut by SUPPORT_DUST)"
+    return ""
+
+
 @dataclass(frozen=True)
 class RunReport:
     """Everything a solve run produced, rendered for humans."""
 
+    cfg: ModelConfig
     model: RiskModel
     roots: RootSet
     init: InitialValues
@@ -64,7 +75,8 @@ class RunReport:
         lines = ["model (post-truncation):",
                  _pmf_echo("claim", self.model.claim),
                  _pmf_echo("interarrival", self.model.interarrival),
-                 f"  m = {self.model.m}, max drop = {self.model.max_drop}, "
+                 f"  m = {self.model.m}{_dust_cut(self.cfg, self.model)}, "
+                 f"max drop = {self.model.max_drop}, "
                  f"drift = {self.model.drift:.12g}"]
         if self.roots.roots:
             lines.append("unit-disk roots:")
@@ -84,23 +96,6 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _root_kwargs(args) -> dict:
-    return dict(cluster_tol=args.cluster_tol, one_exclusion=args.one_exclusion,
-                boundary_tol=args.boundary_tol, residual_tol=args.residual_tol)
-
-
-def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cluster-tol", type=float, default=CLUSTER_TOL,
-                   help="roots closer than this merge into one multiple root "
-                        "(default %(default)g)")
-    p.add_argument("--one-exclusion", type=float, default=ONE_EXCLUSION,
-                   help="exclusion radius around s = 1 (default %(default)g)")
-    p.add_argument("--boundary-tol", type=float, default=BOUNDARY_TOL,
-                   help="tolerated overshoot of |s| = 1 (default %(default)g)")
-    p.add_argument("--residual-tol", type=float, default=RESIDUAL_TOL,
-                   help="largest |G(root) - 1| accepted (default %(default)g)")
-
-
 def _out_path(args, suffix: str) -> str:
     if args.out:
         return args.out
@@ -108,16 +103,16 @@ def _out_path(args, suffix: str) -> str:
     return f"{stem}{suffix}"
 
 
-def _solve_pipeline(cfg: ModelConfig, args):
+def _solve_pipeline(cfg: ModelConfig):
     model = cfg.build()
-    roots = unit_disk_roots(model, **_root_kwargs(args))
+    roots = unit_disk_roots(model)
     system = build_system(model, roots)
     return model, roots, system, solve_linear(system)
 
 
 def _cmd_solve(args) -> int:
     cfg = load_model_config(args.model)
-    model, roots, sysm, init = _solve_pipeline(cfg, args)
+    model, roots, sysm, init = _solve_pipeline(cfg)
     table = ultimate_survival(model, init, args.u_max, roots)
     path = _out_path(args, "_phi.csv")
     _write_csv(path, "u,phi",
@@ -135,7 +130,8 @@ def _cmd_solve(args) -> int:
             cells += [_fmt(sysm.rhs[r].real), _fmt(sysm.rhs[r].imag)]
             rows.append(cells)
         _write_csv(args.dump_system, header, rows)
-    print(RunReport(model=model, roots=roots, init=init, table=table).render())
+    print(RunReport(cfg=cfg, model=model, roots=roots, init=init,
+                    table=table).render())
     if args.verify:
         print(_verification_block(model, roots, init, table))
     print(f"wrote {path}")
@@ -188,7 +184,7 @@ def _cmd_finite(args) -> int:
 def _cmd_roots(args) -> int:
     cfg = load_model_config(args.model)
     model = cfg.build()
-    roots = unit_disk_roots(model, **_root_kwargs(args))
+    roots = unit_disk_roots(model)
     path = _out_path(args, "_roots.csv")
     _write_csv(path, "re,im,multiplicity,residual",
                ((_fmt(z.real), _fmt(z.imag), str(r), _fmt(res))
@@ -269,7 +265,9 @@ def _cmd_truncate(args) -> int:
                       truncate_m=m, rebalance_l=l, tail_eps=cfg.tail_eps)
     model = cfg.build()
     tail = cfg.step_tail_below_cap()
-    print(f"interarrival capped at m = {m}; drift = {model.drift:.14g}")
+    cut = _dust_cut(cfg, model)
+    shown = f"{model.m}{cut}" if cut else str(m)
+    print(f"interarrival capped at m = {shown}; drift = {model.drift:.14g}")
     print(f"uncapped-step tail P(X - c*theta <= -{m + 1}) = {tail:.6e}")
     if model.net_profit_holds:
         roots = unit_disk_roots(model)
@@ -308,7 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run the closed-form, determinant, "
                         "linear-solve-vs-ladder and generating-function "
                         "cross-checks")
-    _add_tolerance_flags(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("finite", help="finite-horizon survival grid")
@@ -322,7 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--out")
     p.add_argument("--svg", help="write an SVG plot of the unit disk")
-    _add_tolerance_flags(p)
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate of phi(u, T)")

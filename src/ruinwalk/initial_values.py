@@ -4,7 +4,7 @@ The probabilities pi_0..pi_{m-1} of the walk's maximum solve an m x m
 linear system: one row per unit-disk root (derivative rows for multiple
 roots) plus a final mean row, with right-hand side (0, ..., 0, -drift).
 Two independent routes are provided: a pivoted complex linear solve (the
-production path) and the closed-form cascade over elementary symmetric
+paper's route) and the closed-form cascade over elementary symmetric
 polynomials of the roots (the verification path).
 """
 
@@ -25,7 +25,6 @@ PIVOT_TOL = 1e-13       # relative pivot below this means singular
 IMAG_DUST = 1e-9        # largest imaginary part tolerated in a probability
 _REFINE_STEPS = 2
 _MP_DPS = 40
-_MP_SIZE_LIMIT = 64     # exact-residual refinement for desk-scale systems
 
 
 @dataclass(frozen=True)
@@ -48,18 +47,18 @@ class RowKind:
 class InitSystem:
     """System matrix and right-hand side.
 
-    matrix_hi carries the entries at 80-bit precision and matrix_mp at
-    mpmath precision, both exact functions of the same double-precision
-    roots and cdf values. Iterative refinement targets them in turn: the
+    matrix_mp holds the entries at _MP_DPS digits as exact functions of
+    the double-precision roots and cdf values; matrix is their rounding.
+    Iterative refinement runs against residuals from matrix_mp: the
     columns scale like f(-m) alpha^(m-1), so the trailing solution
     components amplify even the entry rounding of the stored matrix by
     1/f(-m)-sized factors, and agreement between the two solution routes
-    is only achievable against exact-input residuals."""
+    is only achievable against exact-input residuals. A system built
+    without matrix_mp is refined against its double entries."""
 
     matrix: np.ndarray
     rhs: np.ndarray
     row_kinds: tuple
-    matrix_hi: np.ndarray = None
     matrix_mp: tuple = None
 
     @property
@@ -90,27 +89,27 @@ class InitialValues:
         return max(self.residual, self.imag_dust, neg)
 
 
-def _column_poly(model: RiskModel, i: int, m: int) -> np.ndarray:
-    """Ascending coefficients of p_i(s) = sum_{j=0}^{m-1-i} s^(j+i) F(-m+j)."""
-    c = np.zeros(m, dtype=float)
-    for j in range(m - i):
-        c[j + i] = model.F(-m + j)
-    return c
+def _root_rows(z: complex, mult: int, Fv: list) -> list:
+    """Rows n = 0..mult-1 of root z: p_i^(n)(z) for every column i.
 
-
-def _poly_derivative(c: np.ndarray, n: int) -> np.ndarray:
-    for _ in range(n):
-        c = c[1:] * np.arange(1, len(c))
-    return c
-
-
-def _horner(c: np.ndarray, z: complex) -> np.clongdouble:
-    """Horner evaluation, accumulated in extended precision."""
-    zl = np.clongdouble(z)
-    acc = np.clongdouble(0)
-    for x in c[::-1]:
-        acc = acc * zl + np.clongdouble(x)
-    return acc
+    With h = s - z, the powers s^j and the prefix sums
+    Q_L(s) = sum_{j<=L} F(-m+j) s^j are carried as Taylor series in h,
+    truncated to mult terms, in one pass over j. Column i is
+    s^i Q_{m-1-i}(s), and row n is n! times its h^n coefficient.
+    """
+    m = len(Fv)
+    zc = mp.mpc(z)
+    pw = [mp.mpc(1)] + [mp.mpc(0)] * (mult - 1)
+    acc = [mp.mpc(0)] * mult
+    powers, prefix = [], []
+    for j in range(m):
+        acc = [a + Fv[j] * p for a, p in zip(acc, pw)]
+        powers.append(pw)
+        prefix.append(acc)
+        pw = [zc * pw[0]] + [zc * pw[t] + pw[t - 1] for t in range(1, mult)]
+    return [[math.factorial(n)
+             * mp.fdot(powers[i][: n + 1], prefix[m - 1 - i][n::-1])
+             for i in range(m)] for n in range(mult)]
 
 
 def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
@@ -131,45 +130,27 @@ def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
         raise ModelError(
             f"root set carries multiplicity {roots.total_multiplicity}, "
             f"expected {m - 1}")
-    cols = [_column_poly(model, i, m) for i in range(m)]
-    with_mp = m <= _MP_SIZE_LIMIT
-    A = np.zeros((m, m), dtype=np.clongdouble)
-    A_mp = [[None] * m for _ in range(m)] if with_mp else None
     kinds = []
-    r_idx = 0
+    rows = []
+    # row entries of tiny-modulus roots cancel almost completely; resolve
+    # them at _MP_DPS digits and round, so the fixed-precision
+    # factorization sees the true row
     with mp.workdps(_MP_DPS):
+        Fv = [mp.mpf(float(v)) for v in model.F(np.arange(-m, 0))]
         for z, mult in zip(roots.roots, roots.multiplicities):
-            for n in range(mult):
-                for i in range(m):
-                    c = _poly_derivative(cols[i], n)
-                    if with_mp:
-                        # row entries of tiny-modulus roots cancel almost
-                        # completely; resolve them here and round, so the
-                        # fixed-precision factorization sees the true row
-                        zc = mp.mpc(z)
-                        acc = mp.mpc(0)
-                        for x in c[::-1]:
-                            acc = acc * zc + x
-                        A_mp[r_idx][i] = acc
-                        A[r_idx, i] = complex(acc)
-                    else:
-                        A[r_idx, i] = _horner(c, z)
-                kinds.append(RowKind("root", z) if n == 0
-                             else RowKind("derivative", z, n))
-                r_idx += 1
-        for i in range(m):
-            A[m - 1, i] = math.fsum((j - i) * model.f(-j)
-                                    for j in range(i + 1, m + 1))
-            if with_mp:
-                A_mp[m - 1][i] = mp.fsum(
-                    mp.mpf(j - i) * mp.mpf(model.f(-j))
-                    for j in range(i + 1, m + 1))
+            rows += _root_rows(z, mult, Fv)
+            kinds += [RowKind("root", z)] + [RowKind("derivative", z, n)
+                                             for n in range(1, mult)]
+        rows.append([mp.fsum(mp.mpf(j - i) * mp.mpf(model.f(-j))
+                             for j in range(i + 1, m + 1))
+                     for i in range(m)])
     kinds.append(RowKind("mean"))
     rhs = np.zeros(m, dtype=complex)
     rhs[m - 1] = model.drift_pos
-    return InitSystem(matrix=A.astype(complex), rhs=rhs,
-                      row_kinds=tuple(kinds), matrix_hi=A,
-                      matrix_mp=tuple(map(tuple, A_mp)) if with_mp else None)
+    return InitSystem(matrix=np.array([[complex(v) for v in row]
+                                       for row in rows]),
+                      rhs=rhs, row_kinds=tuple(kinds),
+                      matrix_mp=tuple(map(tuple, rows)))
 
 
 def _gepp_factor(A: np.ndarray, kinds) -> tuple:
@@ -219,8 +200,8 @@ def _finalize_pi(x: np.ndarray, drift_pos: float, residual: float) -> InitialVal
 
 
 def solve_linear(sys: InitSystem) -> InitialValues:
-    """Gaussian elimination with partial pivoting, plus extended-precision
-    iterative refinement.
+    """Gaussian elimination with partial pivoting, plus iterative
+    refinement against exact-input residuals with x accumulated in mpmath.
 
     Rows and columns are equilibrated first: a root of small modulus
     produces a uniformly tiny row (entries scale with F(-m) ... F(-1)
@@ -248,43 +229,27 @@ def solve_linear(sys: InitSystem) -> InitialValues:
         return _lu_solve(lu, perm, rhs / rowmax) / colmax
 
     x = scaled_solve(b)
-    A_ld = sys.matrix_hi if sys.matrix_hi is not None \
-        else A.astype(np.clongdouble)
-    b_ld = b.astype(np.clongdouble)
-    x_ld = x.astype(np.clongdouble)
-
-    if sys.matrix_mp is not None:
-        n = sys.size
-        with mp.workdps(_MP_DPS):
-            for _ in range(_REFINE_STEPS + 1):
-                xs = [mp.mpc(complex(v)) for v in x_ld]
-                r = np.array(
-                    [complex(mp.mpc(complex(b[i]))
-                             - mp.fsum(sys.matrix_mp[i][j] * xs[j]
-                                       for j in range(n)))
-                     for i in range(n)], dtype=complex)
-                d = scaled_solve(r)
-                x_ld = x_ld + d.astype(np.clongdouble)
-            x = x_ld.astype(complex)
-            xs = [mp.mpf(float(v)) for v in x.real]
-            resid = max(abs(mp.mpc(complex(b[i]))
-                            - mp.fsum(sys.matrix_mp[i][j] * xs[j]
-                                      for j in range(n)))
-                        for i in range(n))
-            resid = float(resid)
-    else:
-        for _ in range(_REFINE_STEPS):
-            r = b_ld - A_ld @ x_ld
-            d = scaled_solve(r.astype(complex))
-            x_ld = x_ld + d.astype(np.clongdouble)
-        x = x_ld.astype(complex)
-        resid = float(np.max(np.abs(A_ld @ x.real.astype(np.clongdouble)
-                                    - b_ld)))
+    with mp.workdps(_MP_DPS):
+        A_mp = sys.matrix_mp if sys.matrix_mp is not None else \
+            [[mp.mpc(complex(v)) for v in row] for row in A]
+        b_mp = [mp.mpc(complex(v)) for v in b]
+        xs = [mp.mpc(complex(v)) for v in x]
+        for _ in range(_REFINE_STEPS + 1):
+            r = np.array([complex(bi - mp.fdot(row, xs))
+                          for bi, row in zip(b_mp, A_mp)])
+            xs = [xi + mp.mpc(complex(di))
+                  for xi, di in zip(xs, scaled_solve(r))]
+        x = np.array([complex(v) for v in xs])
+        xr = [mp.mpf(float(v)) for v in x.real]
+        resid = float(max(abs(bi - mp.fdot(row, xr))
+                          for bi, row in zip(b_mp, A_mp)))
     return _finalize_pi(x, drift_pos=float(b[-1].real), residual=resid)
 
 
 def elementary_symmetric(roots) -> list:
-    """e_0..e_n of the given roots by the one-root-at-a-time recurrence."""
+    """e_0..e_n of the given roots by the one-root-at-a-time recurrence,
+    in the roots' own arithmetic (complex, or mpmath at its working
+    precision)."""
     e = [1.0 + 0.0j]
     for z in roots:
         e.append(0.0 + 0.0j)
@@ -311,11 +276,7 @@ def solve_closed_form(model: RiskModel, roots: RootSet) -> InitialValues:
     fm = model.f(-m)
     alphas = [mp.mpc(z) for z in roots.expanded()]
     with mp.workdps(60):
-        e = [mp.mpc(1)]
-        for z in alphas:
-            e.append(mp.mpc(0))
-            for j in range(len(e) - 1, 0, -1):
-                e[j] += z * e[j - 1]
+        e = elementary_symmetric(alphas)
         denom = mp.mpf(fm)
         for z in alphas:
             denom *= z - 1

@@ -339,7 +339,7 @@ class RiskModel:
     m: int
     step: Pmf
     drift: float
-    _cdf: np.ndarray = field(repr=False, default=None)
+    _cdf: np.ndarray = field(repr=False, default=None)  # [0, cumsum(step)]
 
     @property
     def max_drop(self) -> int:
@@ -354,14 +354,11 @@ class RiskModel:
         """Step pmf P(X - c*theta = j)."""
         return self.step.mass_at(j)
 
-    def F(self, j: int) -> float:
-        """Step cdf P(X - c*theta <= j)."""
-        k = j - self.step.offset
-        if k < 0:
-            return 0.0
-        if k >= len(self._cdf):
-            return float(self._cdf[-1])
-        return float(self._cdf[k])
+    def F(self, j):
+        """Step cdf P(X - c*theta <= j) at an integer (as a float) or
+        elementwise over an integer array."""
+        v = self._cdf.take(j - (self.step.offset - 1), mode="clip")
+        return v if isinstance(v, np.ndarray) else float(v)
 
     @property
     def net_profit_holds(self) -> bool:
@@ -393,7 +390,7 @@ def build_model(claim: Pmf, interarrival: Pmf) -> RiskModel:
         raise ModelError("interarrival support bound m must be >= 1")
     step = step_pmf(claim, interarrival)
     drift = claim.mean() - interarrival.mean()
-    cdf = np.cumsum(step.weights)
+    cdf = np.concatenate([[0.0], np.cumsum(step.weights)])
     return RiskModel(claim=claim, interarrival=interarrival, m=m, step=step,
                      drift=drift, _cdf=cdf)
 

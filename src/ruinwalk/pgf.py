@@ -19,12 +19,22 @@ from .errors import DegenerateModelError, ModelError, NetProfitError, \
     RootCountError, RootQualityError
 from .model import Pmf, RiskModel
 
-# Root-search tolerances; all overridable per call (and via CLI flags).
+# Root-search tolerances.
 BOUNDARY_TOL = 1e-9     # how far past |s| = 1 a root may sit
 ONE_EXCLUSION = 1e-7    # radius of the exclusion ball around s = 1
 CLUSTER_TOL = 1e-6      # roots closer than this merge into one multiple root
 RESIDUAL_TOL = 1e-8     # |G(root) - 1| after polish
 MAX_POLISH_MOVE = 1e-6  # polish displacement beyond this flags a bad cluster
+
+
+def _horner(coeffs: np.ndarray, s: complex) -> complex:
+    """Horner evaluation in extended precision (ascending coefficients)."""
+    cs = coeffs.astype(np.clongdouble)
+    z = np.clongdouble(s)
+    acc = np.clongdouble(0)
+    for c in cs[::-1]:
+        acc = acc * z + c
+    return complex(acc)
 
 
 def pgf_eval(p: Pmf, s: complex) -> complex:
@@ -39,10 +49,7 @@ def pgf_eval(p: Pmf, s: complex) -> complex:
             raise ModelError("generating function has a pole at s = 0 "
                              f"(offset {p.offset})")
         return complex(p.weights[0]) if p.offset == 0 else 0.0 + 0.0j
-    acc = 0.0 + 0.0j
-    for w in p.weights[::-1]:
-        acc = acc * s + w
-    return acc * s ** p.offset
+    return _horner(p.weights, s) * s ** p.offset
 
 
 @dataclass(frozen=True)
@@ -62,10 +69,7 @@ class CharPoly:
         return len(self.coeffs) - 1
 
     def eval(self, s: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in self.coeffs[::-1]:
-            acc = acc * s + c
-        return acc
+        return _horner(self.coeffs, s)
 
     def derivative(self) -> "CharPoly":
         k = np.arange(1, len(self.coeffs))
@@ -120,16 +124,6 @@ class RootSet:
         return out
 
 
-def _poly_eval_ld(coeffs: np.ndarray, s: complex) -> complex:
-    """Horner evaluation in extended precision (ascending coefficients)."""
-    cs = coeffs.astype(np.clongdouble)
-    z = np.clongdouble(s)
-    acc = np.clongdouble(0)
-    for c in cs[::-1]:
-        acc = acc * z + c
-    return complex(acc)
-
-
 def _step_residual(model: RiskModel, s: complex) -> tuple:
     """|G_X(s) G_ctheta(1/s) - 1| and its evaluation noise floor.
 
@@ -180,7 +174,7 @@ def _confirm_multiplicity(poly: CharPoly, z: complex, r: int, tol: float) -> boo
     p = poly
     fact = 1.0
     for k in range(r + 1):
-        derivs.append(abs(_poly_eval_ld(p.coeffs, z)) / fact)
+        derivs.append(abs(_horner(p.coeffs, z)) / fact)
         p = p.derivative()
         fact *= k + 1
     ref = derivs[r]
@@ -190,19 +184,16 @@ def _confirm_multiplicity(poly: CharPoly, z: complex, r: int, tol: float) -> boo
                for k in range(1, r))
 
 
-def unit_disk_roots(model: RiskModel, *,
-                    cluster_tol: float = CLUSTER_TOL,
-                    one_exclusion: float = ONE_EXCLUSION,
-                    boundary_tol: float = BOUNDARY_TOL,
-                    residual_tol: float = RESIDUAL_TOL) -> RootSet:
+def unit_disk_roots(model: RiskModel) -> RootSet:
     """Locate the max_drop - 1 unit-disk roots of G_step(s) = 1.
 
     Pipeline: companion-matrix eigenvalues of the characteristic
-    polynomial; keep |s| <= 1 + boundary_tol outside the exclusion ball
-    around 1; cluster at cluster_tol into multiplicities; enforce exact
-    conjugate symmetry; one (multiplicity-aware) Newton polish step per
-    cluster; validate the count, the polish displacement, the residual of
-    the defining equation, and derivative-based multiplicity confirmation.
+    polynomial; keep |s| <= 1 + BOUNDARY_TOL outside the ONE_EXCLUSION
+    ball around 1; cluster at CLUSTER_TOL into multiplicities; enforce
+    exact conjugate symmetry; one (multiplicity-aware) Newton polish step
+    per cluster; validate the count, the polish displacement, the residual
+    of the defining equation (RESIDUAL_TOL), and derivative-based
+    multiplicity confirmation.
     """
     if not model.net_profit_holds:
         raise NetProfitError(
@@ -216,16 +207,16 @@ def unit_disk_roots(model: RiskModel, *,
         return RootSet(roots=(), multiplicities=(), m=1, residuals=())
 
     all_roots = np.roots(poly.coeffs[::-1])
-    inside = all_roots[(np.abs(all_roots) <= 1.0 + boundary_tol)
-                       & (np.abs(all_roots - 1.0) > one_exclusion)]
+    inside = all_roots[(np.abs(all_roots) <= 1.0 + BOUNDARY_TOL)
+                       & (np.abs(all_roots - 1.0) > ONE_EXCLUSION)]
 
-    clusters = _cluster(inside, cluster_tol)
+    clusters = _cluster(inside, CLUSTER_TOL)
     reps = [(complex(np.mean(c)), len(c)) for c in clusters]
 
     # conjugate closure: real axis snap, then pair complex representatives
     real_reps, pos, neg = [], [], []
     for z, r in reps:
-        if abs(z.imag) <= cluster_tol:
+        if abs(z.imag) <= CLUSTER_TOL:
             real_reps.append((complex(z.real, 0.0), r))
         elif z.imag > 0:
             pos.append((z, r))
@@ -242,9 +233,9 @@ def unit_disk_roots(model: RiskModel, *,
         dists = [abs(np.conj(z) - w) for w, _ in neg_pool]
         j = int(np.argmin(dists))
         w, rw = neg_pool.pop(j)
-        if dists[j] > cluster_tol or rw != r:
+        if dists[j] > CLUSTER_TOL or rw != r:
             raise RootCountError(
-                f"no conjugate partner for root {z:.9g} within {cluster_tol}",
+                f"no conjugate partner for root {z:.9g} within {CLUSTER_TOL}",
                 roots=[(z, abs(z)) for z in inside])
         paired.append(((z + np.conj(w)) / 2.0, r))
 
@@ -255,8 +246,8 @@ def unit_disk_roots(model: RiskModel, *,
         p = poly
         for _ in range(r - 1):
             p = p.derivative()
-        pv = _poly_eval_ld(p.coeffs, z)
-        dv = _poly_eval_ld(p.derivative().coeffs, z)
+        pv = _horner(p.coeffs, z)
+        dv = _horner(p.derivative().coeffs, z)
         if dv == 0:
             return z
         return z - pv / dv
@@ -290,20 +281,20 @@ def unit_disk_roots(model: RiskModel, *,
             raise RootQualityError(
                 f"Newton polish moved root {z:.9g} by {move:.3e} "
                 f"(> {MAX_POLISH_MOVE}); cluster tolerance is unreliable here")
-        if abs(z) > 1.0 + boundary_tol or abs(z - 1.0) <= one_exclusion or z == 0:
+        if abs(z) > 1.0 + BOUNDARY_TOL or abs(z - 1.0) <= ONE_EXCLUSION or z == 0:
             raise RootQualityError(
                 f"polished root {z:.9g} left the admissible region")
-        if r > 1 and not _confirm_multiplicity(poly, z, r, cluster_tol):
+        if r > 1 and not _confirm_multiplicity(poly, z, r, CLUSTER_TOL):
             raise RootQualityError(
                 f"root {z:.9g} clustered with multiplicity {r} but the "
                 "derivative magnitudes do not confirm it")
 
     checked = [_step_residual(model, z) for z, _, _ in finals]
     for z, (res, floor) in zip(roots, checked):
-        if res > max(residual_tol, 4.0 * floor):
+        if res > max(RESIDUAL_TOL, 4.0 * floor):
             raise RootQualityError(
                 f"root {z:.9g} has residual |G(s) - 1| = {res:.3e} "
-                f"(> {residual_tol}, noise floor {floor:.1e})")
+                f"(> {RESIDUAL_TOL}, noise floor {floor:.1e})")
 
     return RootSet(roots=roots, multiplicities=mults, m=m,
                    residuals=tuple(res for res, _ in checked))

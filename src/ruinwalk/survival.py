@@ -49,18 +49,6 @@ class SurvivalTable:
         return float(self.phis[u])
 
 
-def _cdf_lookup(model: RiskModel):
-    """Vectorized step cdf F(j) over integer arrays."""
-    cdf = np.concatenate([[0.0], np.cumsum(model.step.weights)])
-    lo = model.step.support_min
-
-    def F(js: np.ndarray) -> np.ndarray:
-        idx = np.clip(js - lo + 1, 0, len(cdf) - 1)
-        return cdf[idx]
-
-    return F
-
-
 def _finite_table(model: RiskModel, u_max: int, T: int):
     """Yield phi(0..u_max, t) for t = 1..T from one pass of the first-step
     convolution recursion: T levels, one convolution each.
@@ -77,7 +65,6 @@ def _finite_table(model: RiskModel, u_max: int, T: int):
     m = model.max_drop
     max_up = max(model.step.support_max, 0)
     fw = model.step.weights
-    F = _cdf_lookup(model)
 
     def width(t: int) -> int:
         return max(0, min(u_max + (T - t) * m, t * max_up))
@@ -87,7 +74,7 @@ def _finite_table(model: RiskModel, u_max: int, T: int):
         wp = len(lvl) - 1
         wt = width(t)
         u = np.arange(wt + 1)
-        new = F(u - wp - 1)
+        new = model.F(u - wp - 1)
         if wp >= 1:
             conv = np.convolve(lvl[1:], fw)
             j = u + m - 1

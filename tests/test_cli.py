@@ -16,6 +16,7 @@ EX4_10_DOC = {"claim": {"family": "poisson", "lambda": 1.0},
               "interarrival": {"family": "poisson", "lambda": 1.01},
               "truncate_m": 10}
 EX4_15_DOC = dict(EX4_10_DOC, truncate_m=15)
+EX4_20_DOC = dict(EX4_10_DOC, truncate_m=20)
 DRIFTLESS_DOC = {"claim": {"pmf": {"offset": 1, "weights": [1.0]}},
                  "interarrival": {"pmf": {"offset": 1, "weights": [1.0]}}}
 
@@ -79,12 +80,12 @@ class TestSolve:
         _, rows = read_csv(out)
         assert len(rows) == 2001
 
-    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+    def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         doc = {"claim": {"family": "geometric", "p": 0.5},
                "interarrival": {"family": "binomial", "n": 4, "p": 0.5}}
         model = write_model(tmp_path, doc)
-        code = main(["solve", model, "--out", str(tmp_path / "x.csv"),
-                     "--cluster-tol", "0.8"])
+        monkeypatch.setattr("ruinwalk.pgf.CLUSTER_TOL", 0.8)
+        code = main(["solve", model, "--out", str(tmp_path / "x.csv")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
@@ -197,6 +198,22 @@ class TestTruncate:
         shown = capsys.readouterr().out
         assert "defect bounds" in shown
         assert "note:" not in shown
+
+    def test_support_dust_cut_is_reported(self, tmp_path, capsys):
+        # interarrival mass above 16 is below SUPPORT_DUST, so cap 20 is
+        # cut to m = 16; both commands say so, cap 15 is left alone
+        cut = "m = 16 (cap 20 cut by SUPPORT_DUST)"
+        model = write_model(tmp_path, EX4_20_DOC)
+        assert main(["solve", model, "--out", str(tmp_path / "phi.csv")]) == 0
+        assert cut in capsys.readouterr().out
+        assert main(["truncate", model,
+                     "--out", str(tmp_path / "capped.json")]) == 0
+        assert cut in capsys.readouterr().out
+        model = write_model(tmp_path, EX4_15_DOC, "cap15.json")
+        assert main(["solve", model, "--out", str(tmp_path / "phi.csv")]) == 0
+        assert main(["truncate", model,
+                     "--out", str(tmp_path / "capped.json")]) == 0
+        assert "cut by" not in capsys.readouterr().out
 
     def test_needs_a_bound(self, tmp_path):
         model = write_model(tmp_path, EX1_DOC)

@@ -2,13 +2,56 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import ruinwalk as rw
 
-from conftest import (example3_double_root, make_example1, make_example3,
+from conftest import (example3_double_root, make_example1, make_example2,
+                      make_example3, random_admissible_model,
                       random_simple_root_model)
+
+
+def poisson_geometric_model(lam: float, cap: int) -> rw.RiskModel:
+    """Poisson(lam) claims against geometric(0.05) interarrival times
+    capped at cap: m = cap with f(-m) far from tiny, so large systems
+    stay solvable."""
+    return rw.ModelConfig(claim_dist=rw.ParametricDist.poisson(lam),
+                          interarrival_dist=rw.ParametricDist.geometric(0.05),
+                          truncate_m=cap).build()
+
+
+def horner_rows(model: rw.RiskModel, roots: rw.RootSet) -> list:
+    """The exact-input system entry by entry, as it was assembled before
+    the Taylor-series form: for every root row, mpmath Horner over the
+    coefficients of the n-th derivative of p_i(s) = sum_j s^(j+i) F(-m+j)
+    (its k leading zero coefficients become a factor z^k); for the mean
+    row, one mp.fsum per column. The derivative coefficients are formed
+    in mpmath, so every input is exact."""
+    m = model.max_drop
+    rows = []
+    with mp.workdps(40):
+        Fv = [mp.mpf(model.F(-m + j)) for j in range(m)]
+        for z, mult in zip(roots.roots, roots.multiplicities):
+            zc = mp.mpc(z)
+            for n in range(mult):
+                row = []
+                for i in range(m):
+                    # p_i(s) = s^k sum_j c_j s^j with k = i
+                    c, k = Fv[: m - i], i
+                    for _ in range(n):
+                        c = [c[j] * (j + k) for j in range(len(c))]
+                        if k:
+                            k -= 1
+                        else:
+                            c = c[1:]
+                    row.append(mp.polyval(c[::-1], zc) * zc ** k)
+                rows.append(row)
+        rows.append([mp.fsum(mp.mpf(j - i) * mp.mpf(model.f(-j))
+                             for j in range(i + 1, m + 1))
+                     for i in range(m)])
+    return rows
 
 
 class TestBuildSystem:
@@ -37,6 +80,36 @@ class TestBuildSystem:
         kinds = [k.kind for k in sys_.row_kinds]
         assert kinds == ["root", "derivative", "mean"]
         assert sys_.row_kinds[1].order == 1
+
+    @pytest.mark.parametrize("case", ["example3", "triple_fake_root",
+                                      "random", "m70"])
+    def test_exact_entries_match_entrywise_horner(self, case):
+        if case == "example3":
+            model = make_example3(0.5)
+            cases = [(model, rw.unit_disk_roots(model))]
+        elif case == "triple_fake_root":
+            # rows n = 0..2 of one root carry the n! scaling
+            cases = [(make_example2(), rw.RootSet(
+                roots=(0.3 + 0j,), multiplicities=(3,), m=4,
+                residuals=(0.0,)))]
+        elif case == "random":
+            rng = np.random.default_rng(2024)
+            models = [random_admissible_model(rng) for _ in range(10)]
+            cases = [(mo, rw.unit_disk_roots(mo)) for mo in models]
+        else:
+            model = poisson_geometric_model(5.0, 70)
+            cases = [(model, rw.unit_disk_roots(model))]
+        for model, roots in cases:
+            sys_ = rw.build_system(model, roots)
+            ref = horner_rows(model, roots)
+            with mp.workdps(40):
+                for got_row, ref_row in zip(sys_.matrix_mp, ref, strict=True):
+                    for got, want in zip(got_row, ref_row, strict=True):
+                        assert abs(got - want) <= 1e-20 * abs(want)
+            # the stored matrix is the rounding of the exact entries
+            np.testing.assert_array_equal(
+                sys_.matrix,
+                [[complex(v) for v in row] for row in sys_.matrix_mp])
 
     def test_unit_drop_reduces_to_mean_row(self):
         # one unknown: pi_0 = E(c*theta - X) / f(-1)
@@ -129,6 +202,15 @@ class TestClosedForm:
         for solved in (ex1, ex2, ex4[10], ex4[15]):
             closed = rw.solve_closed_form(solved.model, solved.roots)
             assert float(np.max(np.abs(closed.pi - solved.init.pi))) <= 1e-10
+
+    def test_agreement_at_m80(self):
+        # refinement against exact-input residuals holds for every m
+        model = poisson_geometric_model(6.0, 80)
+        roots = rw.unit_disk_roots(model)
+        init = rw.solve_linear(rw.build_system(model, roots))
+        closed = rw.solve_closed_form(model, roots)
+        assert model.max_drop == 80
+        assert float(np.max(np.abs(closed.pi - init.pi))) <= 1e-12
 
 
 class TestElementarySymmetric:

@@ -231,6 +231,18 @@ class TestBuildModel:
         assert model.F(0) == pytest.approx(0.75)
         assert model.F(7) == pytest.approx(1.0)
 
+    def test_step_cdf_on_integer_arrays(self):
+        model = rw.ModelConfig(
+            claim_dist=rw.ParametricDist.geometric(0.5),
+            interarrival_dist=rw.ParametricDist.binomial(4, 0.5)).build()
+        js = np.arange(model.step.support_min - 2, model.step.support_max + 3)
+        got = model.F(js)
+        assert isinstance(got, np.ndarray) and got.shape == js.shape
+        np.testing.assert_array_equal(got, [model.F(int(j)) for j in js])
+        assert got[0] == got[1] == 0.0 < got[2]
+        assert got[-1] == got[-2] == got[-3] == pytest.approx(1.0)
+        assert type(model.F(0)) is float
+
 
 class TestModelFiles:
     def test_round_trip(self, tmp_path):

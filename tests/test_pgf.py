@@ -122,6 +122,7 @@ class TestUnitDiskRoots:
             assert roots.total_multiplicity == model.max_drop - 1
             assert max(roots.residuals, default=0.0) <= 1e-8
 
-    def test_cluster_tolerance_failure_is_loud(self, ex2):
+    def test_cluster_tolerance_failure_is_loud(self, ex2, monkeypatch):
+        monkeypatch.setattr("ruinwalk.pgf.CLUSTER_TOL", 0.8)
         with pytest.raises((rw.RootCountError, rw.RootQualityError)):
-            rw.unit_disk_roots(ex2.model, cluster_tol=0.8)
+            rw.unit_disk_roots(ex2.model)
