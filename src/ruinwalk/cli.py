@@ -268,7 +268,7 @@ def _cmd_truncate(args) -> int:
     cut = _dust_cut(cfg, model)
     shown = f"{model.m}{cut}" if cut else str(m)
     print(f"interarrival capped at m = {shown}; drift = {model.drift:.14g}")
-    print(f"uncapped-step tail P(X - c*theta <= -{m + 1}) = {tail:.6e}")
+    print(f"uncapped-step tail P(X - c*theta <= -{model.m + 1}) = {tail:.6e}")
     if model.net_profit_holds:
         roots = unit_disk_roots(model)
         init = solve_linear(build_system(model, roots))

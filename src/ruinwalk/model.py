@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import InfeasibleRebalanceError, ModelError
 
@@ -96,15 +95,6 @@ class Pmf:
         idx = np.arange(len(self.weights)) + self.offset
         return float(math.fsum(idx * self.weights))
 
-    def cdf_at(self, j: int) -> float:
-        """P(V <= j); the stored tail mass counts as lying above support_max."""
-        k = j - self.offset
-        if k < 0:
-            return 0.0
-        if k >= len(self.weights):
-            return 1.0 - self.tail_mass
-        return float(math.fsum(self.weights[: k + 1]))
-
     def to_json_dict(self) -> dict:
         return {"offset": int(self.offset), "weights": [float(x) for x in self.weights]}
 
@@ -178,19 +168,14 @@ class ParametricDist:
             return 1.0
         if self.family == "geometric":
             return (1.0 - self.p) ** (j + 1)
-        if self.family == "poisson":
-            return float(stats.poisson.sf(j, self.lam))
-        if self.family == "binomial":
-            if j >= self.n:
-                return 0.0
-            return float(math.fsum(self.pmf_at(k)
-                                   for k in range(j + 1, self.n + 1)))
-        k = j - self.pmf.offset
-        if k < 0:
-            return 1.0
-        if k >= len(self.pmf.weights) - 1:
-            return self.pmf.tail_mass
-        return float(math.fsum(self.pmf.weights[k + 1 :])) + self.pmf.tail_mass
+        if self.family == "explicit":
+            k = j - self.pmf.offset
+            if k < 0:
+                return 1.0
+            if k >= len(self.pmf.weights) - 1:
+                return self.pmf.tail_mass
+            return float(math.fsum(self.pmf.weights[k + 1 :])) + self.pmf.tail_mass
+        return math.fsum(_pmf_run(self, j + 1, 2.0 ** -53))
 
     def pmf_at(self, k: int) -> float:
         if k < 0:
@@ -198,13 +183,31 @@ class ParametricDist:
         if self.family == "geometric":
             return (1.0 - self.p) ** k * self.p
         if self.family == "poisson":
-            return float(stats.poisson.pmf(k, self.lam))
+            return math.exp(k * math.log(self.lam) - math.lgamma(k + 1) - self.lam)
         if self.family == "binomial":
             if k > self.n:
                 return 0.0
             return math.comb(self.n, k) * self.p ** k \
                 * (1.0 - self.p) ** (self.n - k)
         return self.pmf.mass_at(k)
+
+
+def _pmf_run(dist: ParametricDist, k: int, rel: float) -> list:
+    """[pmf_at(k), pmf_at(k + 1), ...] up to, not including, the first term
+    past the mean that is at most rel times the sum of the terms before it.
+
+    The named laws are unimodal with tails that fall off at least
+    geometrically, so the terms left out sum to O(rel) of the run.
+    """
+    mean = dist.exact_mean()
+    run, total = [], 0.0
+    while True:
+        w = dist.pmf_at(k)
+        if k > mean and w <= rel * total:
+            return run
+        run.append(w)
+        total += w
+        k += 1
 
 
 def materialize(dist: ParametricDist | Pmf, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
@@ -218,30 +221,16 @@ def materialize(dist: ParametricDist | Pmf, tail_eps: float = DEFAULT_TAIL_EPS) 
         return dist
     if not (0.0 < tail_eps <= 1e-6):
         raise ModelError(f"tail_eps={tail_eps!r} outside (0, 1e-6]")
-    fam = dist.family
-    if fam == "explicit":
+    if dist.family == "explicit":
         return dist.pmf
-    if fam == "binomial":
-        w = [math.comb(dist.n, k) * dist.p ** k * (1.0 - dist.p) ** (dist.n - k)
-             for k in range(dist.n + 1)]
-        return Pmf.from_weights(0, w)
-    if fam == "geometric":
-        if dist.p == 1.0:
-            return Pmf.point(0)
-        # P(V > K) = (1-p)^(K+1)
-        K = max(0, math.ceil(math.log(tail_eps) / math.log1p(-dist.p)) - 1)
-        while (1.0 - dist.p) ** (K + 1) > tail_eps:
-            K += 1
-        k = np.arange(K + 1)
-        w = dist.p * (1.0 - dist.p) ** k
-        return Pmf.from_weights(0, w, tail_mass=(1.0 - dist.p) ** (K + 1))
-    # poisson
-    K = int(stats.poisson.isf(tail_eps, dist.lam)) + 1
-    while float(stats.poisson.sf(K, dist.lam)) > tail_eps:
-        K += 1
-    k = np.arange(K + 1)
-    w = stats.poisson.pmf(k, dist.lam)
-    return Pmf.from_weights(0, w, tail_mass=float(stats.poisson.sf(K, dist.lam)))
+    if dist.has_finite_support:
+        return Pmf.from_weights(0, _pmf_run(dist, 0, 0.0))
+    # run far enough that the tails near tail_eps are summed to full
+    # precision; tails[k] = P(V >= k), summed from the small end up
+    w = np.array(_pmf_run(dist, 0, tail_eps * 2.0 ** -53))
+    tails = np.append(np.cumsum(w[::-1])[::-1], 0.0)
+    K = int(np.argmax(tails[1:] <= tail_eps))
+    return Pmf.from_weights(0, w[: K + 1], tail_mass=dist.sf(K))
 
 
 def truncate(dist: ParametricDist | Pmf, m: int) -> Pmf:
@@ -449,11 +438,12 @@ class ModelConfig:
         return build_model(claim, inter)
 
     def step_tail_below_cap(self) -> float:
-        """P(X - c*theta <= -(m+1)) for the untruncated interarrival time;
-        0 when no truncation was applied."""
+        """P(X - c*theta <= -(m+1)) for the untruncated interarrival time,
+        with m the built model's bound (SUPPORT_DUST trimming can leave it
+        below truncate_m); 0 when no truncation was applied."""
         if self.truncate_m is None:
             return 0.0
-        m = self.truncate_m
+        m = self.build().m
         claim = materialize(self.claim_dist, self.tail_eps)
         terms = [claim.weights[k] * self.interarrival_dist.sf(claim.offset + k + m)
                  for k in range(len(claim.weights))]

@@ -84,7 +84,7 @@ def ex4():
 
 
 # ---------------------------------------------------------------------------
-# independent series oracles (no scipy, no package code)
+# independent series oracles (standard library only, no package code)
 
 def poisson_pmf_series(lam: float, k: int) -> float:
     w = math.exp(-lam)

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -215,6 +217,21 @@ class TestTruncate:
                      "--out", str(tmp_path / "capped.json")]) == 0
         assert "cut by" not in capsys.readouterr().out
 
+    def test_tail_and_bounds_at_the_solved_m(self, tmp_path, capsys):
+        # cap 20 solves the m = 16 model, so it reports the cap-16 tail
+        # P(X - c*theta <= -17) and bounds, not those of a cap at 20
+        doc = {k: EX4_10_DOC[k] for k in ("claim", "interarrival")}
+        model = write_model(tmp_path, doc)
+        shown = {}
+        for m in ("16", "20"):
+            assert main(["truncate", model, "--m", m,
+                         "--out", str(tmp_path / "capped.json")]) == 0
+            shown[m] = [ln for ln in capsys.readouterr().out.splitlines()
+                        if ln.startswith(("uncapped-step", "defect bounds"))]
+        assert len(shown["16"]) == 2
+        assert "P(X - c*theta <= -17)" in shown["16"][0]
+        assert shown["20"] == shown["16"]
+
     def test_needs_a_bound(self, tmp_path):
         model = write_model(tmp_path, EX1_DOC)
         assert main(["truncate", model]) == 2
@@ -234,3 +251,13 @@ class TestDefaultOutputNames:
         assert main(["solve", model, "--u-max", "5",
                      "--out", str(tmp_path / "u.csv")]) == 0
         assert "none (max drop 1)" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so modules loaded by other tests do not count
+    src = os.path.dirname(os.path.dirname(rw.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, ruinwalk.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

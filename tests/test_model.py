@@ -28,12 +28,9 @@ class TestPmf:
         with pytest.raises(rw.ModelError):
             rw.Pmf.from_weights(0, [0.0, 0.0])
 
-    def test_mean_and_cdf(self):
+    def test_mean(self):
         p = rw.Pmf.from_weights(-1, [0.25, 0.25, 0.5])
         assert p.mean() == pytest.approx(0.25, abs=1e-15)
-        assert p.cdf_at(-2) == 0.0
-        assert p.cdf_at(0) == 0.5
-        assert p.cdf_at(9) == 1.0
 
 
 class TestMaterialize:
@@ -53,19 +50,48 @@ class TestMaterialize:
         assert out.tail_mass <= 1e-12
 
     def test_poisson_against_series_oracle(self):
-        out = rw.materialize(rw.ParametricDist.poisson(1.01), 1e-15)
-        assert out.weights[0] == pytest.approx(math.exp(-1.01), abs=1e-16)
-        for k in (1, 5, out.support_max):
-            assert out.weights[k] == pytest.approx(
-                poisson_pmf_series(1.01, k), rel=1e-13)
-        assert math.fsum(out.weights) >= 1.0 - 1e-15
-        assert out.tail_mass <= 1e-15
+        for lam in (0.1, 1.01, 6.0, 30.0):
+            dist = rw.ParametricDist.poisson(lam)
+            # pmf and upper tail on both sides of the mode, far into the tail
+            for k in range(int(lam) + 61):
+                assert dist.pmf_at(k) == pytest.approx(
+                    poisson_pmf_series(lam, k), rel=1e-12)
+                assert dist.sf(k) == pytest.approx(
+                    poisson_sf_series(lam, k), rel=1e-12)
+            out = rw.materialize(dist, 1e-15)
+            assert out.weights[0] == pytest.approx(math.exp(-lam), abs=1e-16)
+            for k in (1, 5, out.support_max):
+                assert out.weights[k] == pytest.approx(
+                    poisson_pmf_series(lam, k), rel=1e-13)
+            assert math.fsum(out.weights) >= 1.0 - 1e-15
+            assert out.tail_mass <= 1e-15
+
+    def test_cut_at_the_smallest_k(self):
+        # P(V > 16) = 1.1e-15 and P(V > 17) = 6.1e-17 for Poisson(1)
+        assert rw.materialize(rw.ParametricDist.poisson(1.0),
+                              1e-15).support_max == 17
+        dists = [rw.ParametricDist.poisson(lam)
+                 for lam in np.linspace(0.05, 40.0, 100)] + \
+            [rw.ParametricDist.geometric(p) for p in np.linspace(0.02, 0.98, 49)]
+        for dist in dists:
+            for eps in (1e-15, 1e-9):
+                out = rw.materialize(dist, eps)
+                k = out.support_max
+                assert out.tail_mass == dist.sf(k) <= eps < dist.sf(k - 1)
 
     def test_binomial_exact(self):
         out = rw.materialize(rw.ParametricDist.binomial(4, 0.5), 1e-12)
         np.testing.assert_allclose(out.weights,
                                    np.array([1, 4, 6, 4, 1]) / 16.0, atol=1e-15)
         assert out.tail_mass == 0.0
+
+    @pytest.mark.parametrize("dist, at", [
+        (rw.ParametricDist.binomial(4, 0.0), 0),
+        (rw.ParametricDist.binomial(4, 1.0), 4),
+        (rw.ParametricDist.geometric(1.0), 0)])
+    def test_degenerate_laws_are_point_masses(self, dist, at):
+        out = rw.materialize(dist)
+        assert (out.offset, list(out.weights), out.tail_mass) == (at, [1.0], 0.0)
 
     def test_parameter_domains(self):
         with pytest.raises(rw.ModelError):
