@@ -28,9 +28,17 @@ class TestPmf:
         with pytest.raises(rw.ModelError):
             rw.Pmf.from_weights(0, [0.0, 0.0])
 
-    def test_mean(self):
+    def test_mean_and_cdf(self):
         p = rw.Pmf.from_weights(-1, [0.25, 0.25, 0.5])
         assert p.mean() == pytest.approx(0.25, abs=1e-15)
+        # the step cdf is RiskModel.F; a unit interarrival makes the step p
+        model = rw.build_model(rw.Pmf.from_weights(0, [0.25, 0.25, 0.5]),
+                               rw.Pmf.from_weights(1, [1.0]))
+        assert model.step.offset == p.offset
+        assert list(model.step.weights) == list(p.weights)
+        assert model.F(-2) == 0.0
+        assert model.F(0) == 0.5
+        assert model.F(9) == 1.0
 
 
 class TestMaterialize:
