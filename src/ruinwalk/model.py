@@ -27,6 +27,10 @@ DEFAULT_TAIL_EPS = 1e-15
 
 _MASS_TOL = 1e-12
 
+# The binomial pmf multiplies the exact comb(n, k) by floats; from n = 1030
+# on, comb(n, n // 2) exceeds the largest double.
+_BINOMIAL_N_MAX = 1029
+
 
 @dataclass(frozen=True)
 class Pmf:
@@ -122,8 +126,9 @@ class ParametricDist:
             if self.lam is None or not (self.lam > 0.0) or not math.isfinite(self.lam):
                 raise ModelError(f"poisson parameter lambda={self.lam!r} must be > 0")
         elif fam == "binomial":
-            if self.n is None or self.n < 0:
-                raise ModelError(f"binomial parameter n={self.n!r} must be >= 0")
+            if self.n is None or not (0 <= self.n <= _BINOMIAL_N_MAX):
+                raise ModelError(f"binomial parameter n={self.n!r} outside "
+                                 f"[0, {_BINOMIAL_N_MAX}]")
             if self.p is None or not (0.0 <= self.p <= 1.0):
                 raise ModelError(f"binomial parameter p={self.p!r} outside [0, 1]")
         elif fam == "explicit":

@@ -2,8 +2,9 @@
 
 Two checks that share no code with the solver: Monte Carlo simulation of
 the walk's running maximum (PCG64 streams, reproducible bit-for-bit from
-the seed) and exact small-instance enumeration of the survival
-probability by dynamic programming over partial-sum distributions.
+the seed; steps drawn by inverse-cdf lookup through a guide table) and
+exact small-instance enumeration of the survival probability by dynamic
+programming over partial-sum distributions.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from .model import RiskModel
 # Paths are simulated in fixed-size blocks, one spawned PCG64 substream
 # per block, so results depend only on (seed, n_paths).
 _BLOCK = 1 << 16
+
+# Buckets of the step sampler's guide table. Scaling a draw by a power of
+# two is exact, so truncating the product gives the draw's bucket exactly.
+_GUIDE = 1 << 12
 
 ENUM_CELL_BUDGET = 10 ** 7
 
@@ -53,19 +58,66 @@ class SimResult:
     seed: int
 
 
+class _StepSampler:
+    """The inverse-cdf step map d -> clip(lo + #{cum <= d}, lo, top).
+
+    A guide table (Chen & Asau, AIIE Trans. 6 (1974); Devroye, Non-Uniform
+    Random Variate Generation (1986), III.2.4) replaces the per-draw binary
+    search. For d in bucket b = [b/2^12, (b+1)/2^12), #{cum <= d} lies
+    between #{cum <= b/2^12} and #{cum < (b+1)/2^12}; where the two agree
+    every draw in the bucket maps to the same step, and only draws in the
+    other, ambiguous buckets are searched. The map, and so the stream of
+    steps, is exactly that of the binary search. Draws and the table are
+    both scaled by 2^12, which is exact, so the search compares the same
+    pairs of values. The buffers hold up to `size` draws and are reused
+    from call to call.
+    """
+
+    def __init__(self, cum: np.ndarray, lo: int, size: int):
+        self.scaled_cum = cum * _GUIDE
+        self.lo = lo
+        self.top = lo + len(cum) - 1
+        edges = np.arange(_GUIDE + 1.0)
+        first = np.searchsorted(self.scaled_cum, edges[:-1], side="right")
+        self.step_of = np.minimum(lo + first, self.top)
+        self.ambiguous = \
+            np.searchsorted(self.scaled_cum, edges[1:], side="left") > first
+        self._bucket = np.empty(size, dtype=np.intp)
+        self._flag = np.empty(size, dtype=bool)
+        self._steps = np.empty(size, dtype=np.int64)
+
+    def steps(self, draws: np.ndarray) -> np.ndarray:
+        """Steps of `draws` in [0, 1), which are scaled in place; a view of
+        the sampler's buffer."""
+        n = draws.size
+        bucket, flag, steps = self._bucket[:n], self._flag[:n], self._steps[:n]
+        np.multiply(draws, _GUIDE, out=draws)
+        bucket[...] = draws
+        np.take(self.step_of, bucket, out=steps, mode="clip")
+        np.take(self.ambiguous, bucket, out=flag, mode="clip")
+        hard = np.flatnonzero(flag)
+        if hard.size:
+            found = np.searchsorted(self.scaled_cum, draws[hard], side="right")
+            steps[hard] = np.minimum(self.lo + found, self.top)
+        return steps
+
+
 def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
     """Sample the running maximum of the step walk over T steps.
 
-    Steps are drawn by inverse-cdf lookup (binary search on the cumulative
-    table). One pass serves every requested u: each path records its
+    Steps are drawn by inverse-cdf lookup through a guide table over the
+    cumulative step table, which maps each draw to the step a binary search
+    would give. One pass serves every requested u: each path records its
     running maximum, and paths whose maximum already reaches max(u) are
     retired since they fail every requested threshold.
     """
     cum = np.cumsum(model.step.weights)
-    lo = model.step.support_min
     u_sorted = np.array(sorted(set(cfg.u_values)), dtype=np.int64)
     u_big = int(u_sorted[-1])
 
+    width = min(_BLOCK, cfg.n_paths)
+    sampler = _StepSampler(cum, model.step.support_min, width)
+    draw_buf = np.empty(width)
     survived = np.zeros(len(u_sorted), dtype=np.int64)
     n_blocks = (cfg.n_paths + _BLOCK - 1) // _BLOCK
     streams = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
@@ -79,10 +131,8 @@ def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
         for _ in range(cfg.horizon_T):
             if running.size == 0:
                 break
-            draws = rng.random(running.size)
-            steps = lo + np.searchsorted(cum, draws, side="right")
-            np.clip(steps, lo, lo + len(cum) - 1, out=steps)
-            running += steps
+            draws = rng.random(out=draw_buf[:running.size])
+            running += sampler.steps(draws)
             np.maximum(maxes, running, out=maxes)
             alive = maxes < u_big
             if not alive.all():

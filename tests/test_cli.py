@@ -107,6 +107,16 @@ class TestSolve:
                               "noclaim.json")
         assert main(["solve", noclaim]) == 2
 
+    def test_binomial_past_double_range_exits_2(self, tmp_path, capsys):
+        # comb(1100, 550) overflows a double inside the binomial pmf
+        doc = {"claim": {"family": "binomial", "n": 1100, "p": 0.5},
+               "interarrival": {"family": "binomial", "n": 4, "p": 0.5}}
+        out = tmp_path / "phi.csv"
+        assert main(["solve", write_model(tmp_path, doc),
+                     "--out", str(out)]) == 2
+        assert "binomial parameter n=1100" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRoots:
     def test_example4_csv_and_svg(self, tmp_path, capsys):

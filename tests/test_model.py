@@ -108,6 +108,11 @@ class TestMaterialize:
             rw.ParametricDist.poisson(-1.0)
         with pytest.raises(rw.ModelError):
             rw.ParametricDist.binomial(3, 1.5)
+        # the largest n whose binomial coefficients all fit in a double
+        assert rw.materialize(rw.ParametricDist.binomial(1029, 0.5)) \
+            .weights.size == 1030
+        with pytest.raises(rw.ModelError):
+            rw.ParametricDist.binomial(1030, 0.5)
         with pytest.raises(rw.ModelError):
             rw.materialize(rw.ParametricDist.poisson(1.0), 1e-3)
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import ruinwalk as rw
+from ruinwalk.oracle import _GUIDE, _StepSampler
 
-from conftest import make_example1, random_admissible_model
+from conftest import (make_example1, make_example2, make_example4,
+                      random_admissible_model)
 
 
 class TestEnumerate:
@@ -39,7 +41,55 @@ class TestEnumerate:
             assert a == pytest.approx(b, abs=1e-12)
 
 
+def _step_table(model):
+    return np.cumsum(model.step.weights), model.step.support_min
+
+
+STEP_TABLES = {
+    "zero_interior": lambda: _step_table(rw.build_model(
+        rw.Pmf.from_weights(0, [0.5, 0.0, 0.0, 0.5]), rw.Pmf.point(2))),
+    "tail_below_bucket": lambda: _step_table(rw.build_model(
+        rw.Pmf.from_weights(0, [1.0 - 1e-4, 1e-4]), rw.Pmf.point(1))),
+    # cum[-1] = 0.9999999999999991 < 1
+    "example2": lambda: _step_table(make_example2()),
+    "example4_cap10": lambda: _step_table(make_example4(10).build()),
+    "point_mass": lambda: _step_table(
+        rw.build_model(rw.Pmf.point(0), rw.Pmf.point(1))),
+    # a table that ends far below 1, so whole buckets lie past it
+    "short_table": lambda: (np.array([0.25, 0.5]), -1),
+}
+
+
+class TestStepSampler:
+    @pytest.mark.parametrize("law", list(STEP_TABLES))
+    def test_matches_binary_search(self, law):
+        cum, lo = STEP_TABLES[law]()
+        edges = np.arange(_GUIDE) / _GUIDE
+        points = np.concatenate([[0.0, 1.0 - 2.0 ** -53], cum, edges])
+        draws = np.concatenate([points, np.nextafter(points, -1.0),
+                                np.nextafter(points, 2.0)])
+        draws = draws[(draws >= 0.0) & (draws < 1.0)]
+        expect = np.clip(lo + np.searchsorted(cum, draws, side="right"),
+                         lo, lo + len(cum) - 1)
+        got = _StepSampler(cum, lo, draws.size).steps(draws)
+        np.testing.assert_array_equal(got, expect)
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("make, counts", [
+        (make_example2, [37441, 48783, 56214, 66211, 69533]),
+        (lambda: make_example4(10).build(), [3793, 8009, 12965, 27497, 47181]),
+    ], ids=["example2", "example4_cap10"])
+    def test_pinned_stream(self, make, counts):
+        # one full block of paths and one partial block; the survivor
+        # counts are those of the binary-search sampler the guide table
+        # replaced, so the stream of steps is unchanged
+        cfg = rw.SimConfig(n_paths=70_000, horizon_T=60, seed=20231018,
+                           u_values=(0, 1, 2, 5, 10))
+        res = rw.simulate(make(), cfg)
+        np.testing.assert_array_equal(res.estimates,
+                                      np.array(counts) / 70_000)
+
     def test_bit_for_bit_reproducible(self, ex1):
         cfg = rw.SimConfig(n_paths=40_000, horizon_T=30, seed=777,
                            u_values=(0, 1, 3))
