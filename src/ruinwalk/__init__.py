@@ -3,9 +3,9 @@
 The walk sum(X_i - c*theta_i) with independent non-negative integer claim
 amounts X and premium-scaled interarrival times c*theta of finite support
 admits closed-form survival probabilities through the unit-disk roots of
-its step generating function. This package finds those roots, solves the
-initial-value system they induce, extends the table through the ascending
-ladder-height factor those roots split off, and verifies everything
+its step generating function. This package finds those roots, builds the
+table from the ascending ladder-height factor they split off, and
+verifies it against the initial-value system the roots induce and
 against independent simulation and enumeration oracles.
 """
 
@@ -36,16 +36,6 @@ from .model import (
     truncate,
 )
 from .pgf import CharPoly, RootSet, char_poly, pgf_eval, unit_disk_roots
-from .initial_values import (
-    InitialValues,
-    InitSystem,
-    RowKind,
-    build_system,
-    determinant_identity,
-    elementary_symmetric,
-    solve_closed_form,
-    solve_linear,
-)
 from .survival import (
     SurvivalTable,
     finite_grid,
@@ -72,3 +62,11 @@ __all__ = [
     "solve_closed_form", "solve_linear", "step_pmf", "truncate",
     "truncation_bounds", "ultimate_survival", "unit_disk_roots", "xi_coeffs",
 ]
+
+
+def __getattr__(name: str):
+    """Names of __all__ not bound above: initial_values, loaded on use."""
+    if name in __all__:
+        from . import initial_values
+        return getattr(initial_values, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

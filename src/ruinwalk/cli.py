@@ -12,14 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .errors import ModelError, NumericalError
-from .initial_values import InitialValues, build_system, determinant_identity, \
-    solve_closed_form, solve_linear
 from .model import ModelConfig, Pmf, RiskModel, load_model_config
 from .oracle import SimConfig, simulate
 from .pgf import RootSet, unit_disk_roots
@@ -68,7 +66,6 @@ class RunReport:
     cfg: ModelConfig
     model: RiskModel
     roots: RootSet
-    init: InitialValues
     table: SurvivalTable
 
     def render(self) -> str:
@@ -87,8 +84,7 @@ class RunReport:
                              f"residual {res:.2e}")
         else:
             lines.append("unit-disk roots: none (max drop 1)")
-        lines.append("pi: " + ", ".join(f"{p:.9g}" for p in self.init.pi)
-                     + f"  (solve residual {self.init.residual:.2e})")
+        lines.append("pi: " + ", ".join(f"{p:.9g}" for p in self.table.q))
         shown = self.table.phis[: min(len(self.table.phis), 12)]
         lines.append("phi: " + ", ".join(f"{x:.3f}" for x in shown)
                      + (", ..." if self.table.u_max + 1 > len(shown) else ""))
@@ -103,64 +99,71 @@ def _out_path(args, suffix: str) -> str:
     return f"{stem}{suffix}"
 
 
-def _solve_pipeline(cfg: ModelConfig):
-    model = cfg.build()
-    roots = unit_disk_roots(model)
-    system = build_system(model, roots)
-    return model, roots, system, solve_linear(system)
-
-
 def _cmd_solve(args) -> int:
     cfg = load_model_config(args.model)
-    model, roots, sysm, init = _solve_pipeline(cfg)
-    table = ultimate_survival(model, init, args.u_max, roots)
+    model = cfg.build()
+    roots = unit_disk_roots(model)
+    table = ultimate_survival(model, u_max=args.u_max, roots=roots)
     path = _out_path(args, "_phi.csv")
     _write_csv(path, "u,phi",
                ((str(u), _fmt(table.phis[u])) for u in range(args.u_max + 1)))
+    if args.dump_system or args.verify:
+        from .initial_values import build_system
+        sysm = build_system(model, roots)
     if args.dump_system:
-        n = sysm.size
         header = "row_kind," + ",".join(
-            f"a{i}_re,a{i}_im" for i in range(n)) + ",rhs_re,rhs_im"
-        rows = []
-        for r in range(n):
-            cells = [str(sysm.row_kinds[r])]
-            for i in range(n):
-                cells += [_fmt(sysm.matrix[r, i].real),
-                          _fmt(sysm.matrix[r, i].imag)]
-            cells += [_fmt(sysm.rhs[r].real), _fmt(sysm.rhs[r].imag)]
-            rows.append(cells)
-        _write_csv(args.dump_system, header, rows)
-    print(RunReport(cfg=cfg, model=model, roots=roots, init=init,
-                    table=table).render())
+            f"a{i}_re,a{i}_im" for i in range(sysm.size)) + ",rhs_re,rhs_im"
+        _write_csv(args.dump_system, header, (
+            [str(kind)] + [_fmt(v) for z in (*row, b)
+                           for v in (z.real, z.imag)]
+            for kind, row, b in zip(sysm.row_kinds, sysm.matrix, sysm.rhs)))
+    print(RunReport(cfg=cfg, model=model, roots=roots, table=table).render())
     if args.verify:
-        print(_verification_block(model, roots, init, table))
+        print(_verification_block(model, roots, sysm, table))
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def _verification_block(model, roots, init, table) -> str:
+def _verification_block(model, roots, sysm, table) -> str:
+    """The paper's routes against the ladder table. A route that fails is
+    reported as a line, not by the exit code: the table has its own checks."""
+    from .initial_values import determinant_identity, solve_closed_form, \
+        solve_linear
     lines = ["verification:"]
+
+    def attempt(route: str, fn, *args):
+        """fn(*args), or None after a line saying why the route failed."""
+        try:
+            return fn(*args)
+        except NumericalError as exc:
+            lines.append(f"  {route} failed: {exc}")
+
+    init = attempt("linear solve", solve_linear, sysm)
+    closed = None
     if roots.all_simple:
-        closed = solve_closed_form(model, roots)
-        gap = float(np.max(np.abs(closed.pi - init.pi))) if len(init.pi) else 0.0
-        lines.append(f"  closed form vs linear solve: max |dpi| = {gap:.2e}")
-        lhs, rhs = determinant_identity(model, roots)
+        closed = attempt("closed form", solve_closed_form, model, roots, sysm)
+        if closed is not None and init is not None:
+            gap = float(np.max(np.abs(closed.pi - init.pi)))
+            lines.append(f"  closed form vs linear solve: max |dpi| = "
+                         f"{gap:.2e}")
+        lhs, rhs = determinant_identity(model, roots, sysm)
         rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         lines.append(f"  determinant identity: relative gap {rel:.2e}")
     else:
         lines.append("  closed form skipped (multiple roots)")
     # the paper's route to phi(1..m) against the ladder table; its gap is
     # the forward error of the trailing pi, which the solve residual misses
-    m = model.max_drop
-    ladder = table if table.u_max >= m else \
-        ultimate_survival(model, init, m, roots)
-    gap = float(np.max(np.abs(np.cumsum(init.pi) - ladder.phis[1 : m + 1])))
-    lines.append(f"  linear solve vs ladder table: max |cumsum(pi) - "
-                 f"phi(1..{m})| = {gap:.2e} (solve error gauge "
-                 f"{init.error_gauge:.1e})")
+    if init is not None:
+        gap = float(np.max(np.abs(np.cumsum(init.pi) - np.cumsum(table.q))))
+        lines.append(f"  linear solve vs ladder table: max |cumsum(pi) - "
+                     f"phi(1..{model.max_drop})| = {gap:.2e} (solve residual "
+                     f"{init.residual:.1e})")
     k = min(20, table.u_max)
-    if k > 0:
-        xs = xi_coeffs(model, init, k, roots)
+    source = init if init is not None else closed
+    if k > 0 and source is None:
+        lines.append("  generating-function coefficients skipped (no pi)")
+    elif k > 0:
+        xs = xi_coeffs(model, source, k, roots)
         gap = float(np.max(np.abs(xs - table.phis[1 : k + 1])))
         lines.append(f"  generating-function coefficients vs table: "
                      f"max gap {gap:.2e} over {k} terms")
@@ -260,9 +263,7 @@ def _cmd_truncate(args) -> int:
         raise ModelError("no truncation bound: pass --m or set truncate_m "
                          "in the model file")
     l = args.l if args.l is not None else cfg.rebalance_l
-    cfg = ModelConfig(claim_dist=cfg.claim_dist,
-                      interarrival_dist=cfg.interarrival_dist,
-                      truncate_m=m, rebalance_l=l, tail_eps=cfg.tail_eps)
+    cfg = replace(cfg, truncate_m=m, rebalance_l=l)
     model = cfg.build()
     tail = cfg.step_tail_below_cap()
     cut = _dust_cut(cfg, model)
@@ -270,9 +271,7 @@ def _cmd_truncate(args) -> int:
     print(f"interarrival capped at m = {shown}; drift = {model.drift:.14g}")
     print(f"uncapped-step tail P(X - c*theta <= -{model.m + 1}) = {tail:.6e}")
     if model.net_profit_holds:
-        roots = unit_disk_roots(model)
-        init = solve_linear(build_system(model, roots))
-        table = ultimate_survival(model, init, model.m + 1, roots)
+        table = ultimate_survival(model, u_max=model.m + 1)
         lower, upper = truncation_bounds(model, tail, table)
         print(f"defect bounds on phi(0): [{lower:.6e}, {upper:.6e}]")
     else:

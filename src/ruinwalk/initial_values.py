@@ -70,8 +70,7 @@ class InitSystem:
 class InitialValues:
     """pi[i] = P(walk maximum = i), i < m, plus solve diagnostics.
 
-    imag_dust is the largest imaginary part stripped from the solution;
-    with the stripped negatives it gauges the solve's forward error.
+    imag_dust is the largest imaginary part stripped from the solution.
     """
 
     pi: np.ndarray
@@ -82,11 +81,6 @@ class InitialValues:
     @property
     def m(self) -> int:
         return len(self.pi)
-
-    @property
-    def error_gauge(self) -> float:
-        neg = max(0.0, -float(np.min(self.pi))) if len(self.pi) else 0.0
-        return max(self.residual, self.imag_dust, neg)
 
 
 def _root_rows(z: complex, mult: int, Fv: list) -> list:
@@ -258,7 +252,8 @@ def elementary_symmetric(roots) -> list:
     return e
 
 
-def solve_closed_form(model: RiskModel, roots: RootSet) -> InitialValues:
+def solve_closed_form(model: RiskModel, roots: RootSet,
+                      system: InitSystem | None = None) -> InitialValues:
     """Closed-form cascade over elementary symmetric polynomials.
 
     pi~_k = (-1)^k e_{m-1-k} / (f(-m) prod(alpha_j - 1))
@@ -266,7 +261,7 @@ def solve_closed_form(model: RiskModel, roots: RootSet) -> InitialValues:
     then pi_k = pi~_k * E(c*theta - X). The F/f ratios cancel
     catastrophically when f(-m) is tiny, so the cascade is accumulated in
     high precision and rounded once at the end; this route verifies the
-    linear solve, it does not replace it.
+    linear solve; its residual is taken against `system` (built if None).
     """
     if not roots.all_simple:
         raise NumericalError(
@@ -289,22 +284,24 @@ def solve_closed_form(model: RiskModel, roots: RootSet) -> InitialValues:
             tilde.append(val)
         dp = mp.mpf(model.drift_pos)
         pi = np.array([complex(t * dp) for t in tilde])
-    sys = build_system(model, roots)
-    resid = float(np.max(np.abs(sys.matrix @ pi.real - sys.rhs)))
+    system = system or build_system(model, roots)
+    resid = float(np.max(np.abs(system.matrix @ pi.real - system.rhs)))
     return _finalize_pi(pi, drift_pos=model.drift_pos, residual=resid)
 
 
-def determinant_identity(model: RiskModel, roots: RootSet) -> tuple:
+def determinant_identity(model: RiskModel, roots: RootSet,
+                         system: InitSystem | None = None) -> tuple:
     """Both sides of the Vandermonde-style determinant identity.
 
-    lhs is the direct determinant of the assembled system matrix; rhs is
+    lhs is the determinant of the matrix of `system` (built if None); rhs is
     (-1)^(m-1) f(-m)^m prod_j (alpha_j - 1) prod_{i<j} (alpha_j - alpha_i)
     with roots in system-row order. Returned for external comparison.
     """
     if not roots.all_simple:
         raise NumericalError("determinant identity requires simple roots")
     m = model.max_drop
-    lhs = complex(np.linalg.det(build_system(model, roots).matrix))
+    system = system or build_system(model, roots)
+    lhs = complex(np.linalg.det(system.matrix))
     alphas = roots.expanded()
     rhs = (-1.0) ** (m - 1) * model.f(-m) ** m
     for z in alphas:

@@ -19,13 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ModelError, NetProfitError, NumericalBlowupError
-from .initial_values import InitialValues
 from .model import RiskModel
 from .pgf import RootSet, char_poly, unit_disk_roots
+
+if TYPE_CHECKING:              # the paper's system loads only when asked for
+    from .initial_values import InitialValues
 
 MONOTONE_TOL = 1e-9       # tolerated [0,1] / monotonicity slack
 _BLOCK = 512              # ladder-recurrence terms per matrix product
@@ -40,6 +43,7 @@ class SurvivalTable:
     horizon: int | None = None     # T for finite tables
     residual: float = 0.0          # max recurrence re-substitution residual
     warnings: tuple = ()           # free-text notes; the ladder route adds none
+    q: np.ndarray | None = None    # ultimate: P(M = i), i = 0..m-1
 
     @property
     def u_max(self) -> int:
@@ -204,7 +208,8 @@ def _ladder_pmf(h: np.ndarray, q0: float, n: int) -> np.ndarray:
     return q[k:]
 
 
-def ultimate_survival(model: RiskModel, init: InitialValues, u_max: int,
+def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
+                      u_max: int | None = None,
                       roots: RootSet | None = None) -> SurvivalTable:
     """phi(u) for u = 0..u_max from the ladder factorisation.
 
@@ -213,20 +218,20 @@ def ultimate_survival(model: RiskModel, init: InitialValues, u_max: int,
     with coefficients h_k >= 0. The maximum M of the walk has the pmf
     q_0 = 1 - H(1), q_n = sum_k h_k q_{n-k}, a recurrence of nonnegative
     terms that is forward-stable for every u, and phi(u) = P(M < u) for
-    u >= 1. phi(0) is the one-step balance sum_{i<=m} phi(i) f(-i).
-    `init` is checked for its length only; its partial sums are the
-    paper's route to phi(1..m) and verify this one. Any value escaping
-    [0, 1] or breaking monotonicity beyond tolerance raises, identifying
-    the failing u; nothing is clamped.
+    u >= 1; the table keeps q_0..q_{m-1}, the paper's pi, as `q`. phi(0)
+    is the one-step balance sum_{i<=m} phi(i) f(-i). An `init`, if given,
+    is checked for its length only; its partial sums are the paper's
+    route to phi(1..m) and verify this one. A value escaping [0, 1] or
+    out of order beyond tolerance raises at its u; nothing is clamped.
     """
-    if u_max < 0:
+    if u_max is None or u_max < 0:
         raise ModelError(f"u_max={u_max} must be >= 0")
     if not model.net_profit_holds:
         raise NetProfitError(
             f"mean step is {model.drift:+.6g} >= 0; the net profit condition "
             "fails")
     m = model.max_drop
-    if init.m != m:
+    if init is not None and init.m != m:
         raise ModelError(
             f"initial values have length {init.m}, model needs {m}")
     if roots is None:
@@ -239,7 +244,8 @@ def ultimate_survival(model: RiskModel, init: InitialValues, u_max: int,
     phi = phi[: u_max + 1]
     _check_table(phi)
     return SurvivalTable(phis=phi, kind="ultimate",
-                         residual=_recurrence_residual(model, phi))
+                         residual=_recurrence_residual(model, phi),
+                         q=q[:m].copy())
 
 
 def xi_coeffs(model: RiskModel, init: InitialValues, n: int,

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import ruinwalk as rw
 from ruinwalk.cli import main
 
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 EX1_DOC = {"claim": {"pmf": {"offset": 0, "weights": [0.5, 0.5]}},
            "interarrival": {"pmf": {"offset": 0, "weights": [0.5, 0, 0.5]}}}
 EX4_10_DOC = {"claim": {"family": "poisson", "lambda": 1.0},
@@ -19,6 +21,10 @@ EX4_10_DOC = {"claim": {"family": "poisson", "lambda": 1.0},
               "truncate_m": 10}
 EX4_15_DOC = dict(EX4_10_DOC, truncate_m=15)
 EX4_20_DOC = dict(EX4_10_DOC, truncate_m=20)
+# the paper's linear solve returns pi_19 = -4.8e-4 here; the table is fine
+P2_20_DOC = {"claim": {"family": "poisson", "lambda": 1.0},
+             "interarrival": {"family": "poisson", "lambda": 2.0},
+             "truncate_m": 20}
 DRIFTLESS_DOC = {"claim": {"pmf": {"offset": 1, "weights": [1.0]}},
                  "interarrival": {"pmf": {"offset": 1, "weights": [1.0]}}}
 
@@ -73,6 +79,64 @@ class TestSolve:
         assert "closed form vs linear solve" in shown
         assert "determinant identity" in shown
         assert "linear solve vs ladder table" in shown
+
+    def test_verify_reports_a_failed_paper_route(self, tmp_path, capsys):
+        model = write_model(tmp_path, P2_20_DOC)
+        out = tmp_path / "phi.csv"
+        assert main(["solve", model, "--u-max", "40", "--out", str(out),
+                     "--verify"]) == 0
+        shown = capsys.readouterr().out
+        assert "linear solve failed: negative initial probability" in shown
+        assert "closed form failed: negative initial probability" in shown
+        assert "generating-function coefficients skipped" in shown
+        _, rows = read_csv(out)
+        assert len(rows) == 41
+
+    def test_verify_takes_pi_from_closed_form(self, tmp_path, capsys,
+                                              monkeypatch):
+        def fail(system):
+            raise rw.SystemSingularError("pivot below tolerance")
+        monkeypatch.setattr("ruinwalk.initial_values.solve_linear", fail)
+        model = write_model(tmp_path, EX1_DOC)
+        assert main(["solve", model, "--out", str(tmp_path / "phi.csv"),
+                     "--verify"]) == 0
+        shown = capsys.readouterr().out
+        assert "linear solve failed: pivot below tolerance" in shown
+        assert "closed form vs linear solve" not in shown
+        assert "generating-function coefficients vs table" in shown
+
+    def test_poisson2_cap20_table(self, tmp_path):
+        model = write_model(tmp_path, P2_20_DOC)
+        out = tmp_path / "phi.csv"
+        assert main(["solve", model, "--u-max", "40", "--out",
+                     str(out)]) == 0
+        _, rows = read_csv(out)
+        ref = rw.finite_survival(rw.load_model_config(model).build(), 40,
+                                 500).phis
+        np.testing.assert_allclose([float(r[1]) for r in rows], ref,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3_p05", "ex4_cap10",
+                                      "ex4_cap15"])
+    def test_pi_line_is_the_ladder_pmf(self, name, tmp_path, capsys):
+        # printed to 9 significant digits (<= 5e-10 off) against the
+        # linear solve, within the 1e-10 partial-sum bound of the route
+        # sweep; on cap 15 the trailing pi carry the linear solve's
+        # 1/f(-15)-sized forward error that --verify reports, so there
+        # only pi_0..pi_9 are held, to the golden tolerance of phi(1..10)
+        model = str(GOLDEN_DIR / f"{name}.json")
+        assert main(["solve", model, "--out", str(tmp_path / "phi.csv")]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("pi: "))
+        shown = np.array([float(x) for x in line[4:].split(", ")])
+        built = rw.load_model_config(model).build()
+        pi = rw.solve_linear(rw.build_system(
+            built, rw.unit_disk_roots(built))).pi
+        assert len(shown) == len(pi) == built.max_drop
+        if name == "ex4_cap15":
+            np.testing.assert_allclose(shown[:10], pi[:10], rtol=0, atol=1e-8)
+        else:
+            np.testing.assert_allclose(shown, pi, rtol=0, atol=1e-9)
 
     def test_example4_cap15_long_table(self, tmp_path):
         model = write_model(tmp_path, EX4_15_DOC)
@@ -263,11 +327,19 @@ class TestDefaultOutputNames:
         assert "none (max drop 1)" in capsys.readouterr().out
 
 
-def test_cli_import_loads_no_scipy():
-    # a fresh interpreter, so modules loaded by other tests do not count
+def test_cli_import_loads_no_scipy(tmp_path):
+    # fresh interpreters, so modules loaded by other tests do not count; a
+    # plain solve runs without the paper's system, so without mpmath
     src = os.path.dirname(os.path.dirname(rw.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, ruinwalk.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    model = str(GOLDEN_DIR / "ex4_cap15.json")
+    out = str(tmp_path / "phi.csv")
+    loaded = "print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"
+    for run in ("import ruinwalk.cli",
+                "from ruinwalk.cli import main; "
+                "print(main(['solve', sys.argv[1], '--out', sys.argv[2]]))"):
+        got = subprocess.run([sys.executable, "-c", f"import sys; {run}; "
+                              f"{loaded}", model, out], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert got.splitlines()[-1] == "[]"
+    assert got.splitlines()[-3:-1] == [f"wrote {out}", "0"]

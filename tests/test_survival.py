@@ -118,9 +118,10 @@ class TestLadderRoute:
             interarrival_dist=rw.ParametricDist.poisson(2.0),
             truncate_m=15).build()
         assert model.max_drop == 15
-        table = solve_pipeline(model, 40).table
+        table = rw.ultimate_survival(model, u_max=40)
         ref = rw.finite_survival(model, 40, 500).phis
         np.testing.assert_allclose(table.phis, ref, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(np.cumsum(table.q), table.phis[1:16])
 
     def test_example4_cap15_long_table(self):
         model = make_example4(15).build()
