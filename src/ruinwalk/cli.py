@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .errors import ModelError, NumericalError
+from .errors import ModelError, NumericalError, ResourceError
 from .model import ModelConfig, Pmf, RiskModel, load_model_config
 from .oracle import SimConfig, simulate
 from .pgf import RootSet, unit_disk_roots
@@ -147,8 +147,12 @@ def _verification_block(model, roots, sysm, table) -> str:
             lines.append(f"  closed form vs linear solve: max |dpi| = "
                          f"{gap:.2e}")
         lhs, rhs = determinant_identity(model, roots, sysm)
-        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        lines.append(f"  determinant identity: relative gap {rel:.2e}")
+        found = f"relative gap {abs(lhs - rhs) / max(abs(rhs), 1e-300):.2e}"
+        if min(abs(lhs), abs(rhs)) < np.finfo(float).tiny:
+            # underflowed sides compare as 0; slogdet still places det
+            found = (f"out of double range (log10|det| = "
+                     f"{np.linalg.slogdet(sysm.matrix)[1] / np.log(10):.1f})")
+        lines.append(f"  determinant identity: {found}")
     else:
         lines.append("  closed form skipped (multiple roots)")
     # the paper's route to phi(1..m) against the ladder table; its gap is
@@ -347,7 +351,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ModelError as exc:
+    except (ModelError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except NumericalError as exc:

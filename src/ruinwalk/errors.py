@@ -71,4 +71,4 @@ class NumericalBlowupError(NumericalError):
 
 
 class ResourceError(RuinwalkError):
-    """Exact enumeration would exceed the configured lattice budget."""
+    """Enumeration's lattice budget or the int32 walk's reach exceeded."""

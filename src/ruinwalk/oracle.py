@@ -2,8 +2,8 @@
 
 Two checks that share no code with the solver: Monte Carlo simulation of
 the walk's running maximum (PCG64 streams, reproducible bit-for-bit from
-the seed; steps drawn by inverse-cdf lookup through a guide table) and
-exact small-instance enumeration of the survival probability by dynamic
+the seed; an int32 walk, each step one guide-table lookup) and exact
+small-instance enumeration of the survival probability by dynamic
 programming over partial-sum distributions.
 """
 
@@ -24,6 +24,8 @@ _BLOCK = 1 << 16
 # Buckets of the step sampler's guide table. Scaling a draw by a power of
 # two is exact, so truncating the product gives the draw's bucket exactly.
 _GUIDE = 1 << 12
+# step_of of an ambiguous bucket, and the bound on the int32 walk's reach
+_HARD = np.iinfo(np.int32).max
 
 ENUM_CELL_BUDGET = 10 ** 7
 
@@ -65,8 +67,9 @@ class _StepSampler:
     Random Variate Generation (1986), III.2.4) replaces the per-draw binary
     search. For d in bucket b = [b/2^12, (b+1)/2^12), #{cum <= d} lies
     between #{cum <= b/2^12} and #{cum < (b+1)/2^12}; where the two agree
-    every draw in the bucket maps to the same step, and only draws in the
-    other, ambiguous buckets are searched. The map, and so the stream of
+    `step_of[b]` holds the step of every draw in the bucket, and the other,
+    ambiguous buckets hold the sentinel `_HARD`: one lookup gives a draw's
+    int32 step or sends it to the search. The map, and so the stream of
     steps, is exactly that of the binary search. Draws and the table are
     both scaled by 2^12, which is exact, so the search compares the same
     pairs of values. The buffers hold up to `size` draws and are reused
@@ -79,12 +82,12 @@ class _StepSampler:
         self.top = lo + len(cum) - 1
         edges = np.arange(_GUIDE + 1.0)
         first = np.searchsorted(self.scaled_cum, edges[:-1], side="right")
-        self.step_of = np.minimum(lo + first, self.top)
-        self.ambiguous = \
-            np.searchsorted(self.scaled_cum, edges[1:], side="left") > first
+        self.step_of = np.minimum(lo + first, self.top).astype(np.int32)
+        self.step_of[np.searchsorted(self.scaled_cum, edges[1:],
+                                     side="left") > first] = _HARD
         self._bucket = np.empty(size, dtype=np.intp)
         self._flag = np.empty(size, dtype=bool)
-        self._steps = np.empty(size, dtype=np.int64)
+        self._steps = np.empty(size, dtype=np.int32)
 
     def steps(self, draws: np.ndarray) -> np.ndarray:
         """Steps of `draws` in [0, 1), which are scaled in place; a view of
@@ -94,8 +97,7 @@ class _StepSampler:
         np.multiply(draws, _GUIDE, out=draws)
         bucket[...] = draws
         np.take(self.step_of, bucket, out=steps, mode="clip")
-        np.take(self.ambiguous, bucket, out=flag, mode="clip")
-        hard = np.flatnonzero(flag)
+        hard = np.flatnonzero(np.equal(steps, _HARD, out=flag))
         if hard.size:
             found = np.searchsorted(self.scaled_cum, draws[hard], side="right")
             steps[hard] = np.minimum(self.lo + found, self.top)
@@ -107,10 +109,14 @@ def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
 
     Steps are drawn by inverse-cdf lookup through a guide table over the
     cumulative step table, which maps each draw to the step a binary search
-    would give. One pass serves every requested u: each path records its
-    running maximum, and paths whose maximum already reaches max(u) are
-    retired since they fail every requested threshold.
+    would give. The walk is int32: a reach T * max|step| >= 2^31 - 1 raises
+    `ResourceError` before any draw. One pass serves every requested u: each
+    path records its running maximum, and paths whose maximum already
+    reaches max(u) are retired since they fail every requested threshold.
     """
+    reach = cfg.horizon_T * max(model.max_drop, model.step.support_max)
+    if reach >= _HARD:
+        raise ResourceError(f"walk reach {reach} must stay below 2^31 - 1")
     cum = np.cumsum(model.step.weights)
     u_sorted = np.array(sorted(set(cfg.u_values)), dtype=np.int64)
     u_big = int(u_sorted[-1])
@@ -126,8 +132,8 @@ def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
         size = min(_BLOCK, cfg.n_paths - done)
         done += size
         rng = np.random.Generator(np.random.PCG64(streams[b]))
-        running = np.zeros(size, dtype=np.int64)
-        maxes = np.full(size, np.iinfo(np.int64).min, dtype=np.int64)
+        running = np.zeros(size, dtype=np.int32)
+        maxes = np.full(size, np.iinfo(np.int32).min, dtype=np.int32)
         for _ in range(cfg.horizon_T):
             if running.size == 0:
                 break
@@ -138,8 +144,7 @@ def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
             if not alive.all():
                 running = running[alive]
                 maxes = maxes[alive]
-        finals = np.sort(maxes)
-        survived += np.searchsorted(finals, u_sorted, side="left")
+        survived += [np.count_nonzero(maxes < u) for u in u_sorted]
 
     est = survived / cfg.n_paths
     se = np.sqrt(est * (1.0 - est) / cfg.n_paths)

@@ -92,6 +92,25 @@ class TestSolve:
         _, rows = read_csv(out)
         assert len(rows) == 41
 
+    def test_determinant_identity_out_of_double_range(self, tmp_path,
+                                                      capsys):
+        # det is about 1e-382 at cap 20: both sides underflow to 0, and a
+        # gap between them would read 0.00e+00
+        model = write_model(tmp_path, P2_20_DOC)
+        assert main(["solve", model, "--out", str(tmp_path / "phi.csv"),
+                     "--verify"]) == 0
+        shown = capsys.readouterr().out
+        assert ("determinant identity: out of double range "
+                "(log10|det| = -382.2)") in shown
+        assert "0.00e+00" not in shown.split("verification:")[1]
+        # at cap 15 det is about 6e-270, inside the normal range
+        model = write_model(tmp_path, EX4_15_DOC, "cap15.json")
+        assert main(["solve", model, "--out", str(tmp_path / "phi.csv"),
+                     "--verify"]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if "determinant identity" in ln)
+        assert float(line.split("relative gap ")[1]) < 1e-8
+
     def test_verify_takes_pi_from_closed_form(self, tmp_path, capsys,
                                               monkeypatch):
         def fail(system):
@@ -251,6 +270,18 @@ class TestSimulate:
             rw.SimConfig(n_paths=20000, horizon_T=30, seed=42, u_values=(1,)))
         _, rows = read_csv(c)
         assert float(rows[0][1]) == expected.estimates[0]
+
+    def test_horizon_past_int32_reach_exits_2(self, tmp_path, capsys,
+                                              monkeypatch):
+        # Example 1 steps from -2 to 1: 2^30 steps could reach -2^31; the
+        # refusal comes before the sampler is built, let alone drawn from
+        monkeypatch.setattr("ruinwalk.oracle._StepSampler", None)
+        model = write_model(tmp_path, EX1_DOC)
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", model, "--paths", "1", "--horizon",
+                     str(2 ** 30), "--u", "1", "--out", str(out)]) == 2
+        assert "must stay below 2^31 - 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTruncate:

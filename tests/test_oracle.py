@@ -72,23 +72,60 @@ class TestStepSampler:
         expect = np.clip(lo + np.searchsorted(cum, draws, side="right"),
                          lo, lo + len(cum) - 1)
         got = _StepSampler(cum, lo, draws.size).steps(draws)
+        assert got.dtype == np.int32        # the walk's dtype in simulate
         np.testing.assert_array_equal(got, expect)
 
 
 class TestSimulate:
-    @pytest.mark.parametrize("make, counts", [
-        (make_example2, [37441, 48783, 56214, 66211, 69533]),
-        (lambda: make_example4(10).build(), [3793, 8009, 12965, 27497, 47181]),
-    ], ids=["example2", "example4_cap10"])
-    def test_pinned_stream(self, make, counts):
-        # one full block of paths and one partial block; the survivor
-        # counts are those of the binary-search sampler the guide table
-        # replaced, so the stream of steps is unchanged
-        cfg = rw.SimConfig(n_paths=70_000, horizon_T=60, seed=20231018,
-                           u_values=(0, 1, 2, 5, 10))
+    @pytest.mark.parametrize("make, n_paths, horizon_T, counts", [
+        (make_example2, 70_000, 60, [37441, 48783, 56214, 66211, 69533]),
+        (lambda: make_example4(10).build(), 70_000, 60,
+         [3793, 8009, 12965, 27497, 47181]),
+        (make_example2, 200_000, 30,
+         [106978, 139459, 160618, 189021, 198670]),
+        (lambda: make_example4(10).build(), 200_000, 30,
+         [14908, 31552, 50947, 105144, 165403]),
+    ], ids=["example2", "example4_cap10", "example2_4_blocks",
+            "example4_cap10_4_blocks"])
+    def test_pinned_stream(self, make, n_paths, horizon_T, counts):
+        # one full block and one partial, or three full blocks and one
+        # partial; the survivor counts are those of the int64 binary-search
+        # sampler the guide table replaced, so the stream of steps is
+        # unchanged
+        cfg = rw.SimConfig(n_paths=n_paths, horizon_T=horizon_T,
+                           seed=20231018, u_values=(0, 1, 2, 5, 10))
         res = rw.simulate(make(), cfg)
         np.testing.assert_array_equal(res.estimates,
-                                      np.array(counts) / 70_000)
+                                      np.array(counts) / n_paths)
+
+    @pytest.mark.parametrize("make, horizon_T, raises", [
+        # Example 2 steps from -4 to 49: this horizon could reach 2^31 + 6,
+        # one horizon less stays below 2^31 - 1
+        (make_example2, (2 ** 31 - 1) // 49 + 1, True),
+        (make_example2, (2 ** 31 - 1) // 49, False),
+        # steps -1 and 0: the reach is exactly 2^31 - 1
+        (lambda: rw.build_model(rw.Pmf.from_weights(0, [0.5, 0.5]),
+                                rw.Pmf.point(1)), 2 ** 31 - 1, True),
+    ], ids=["example2_past", "example2_below", "unit_step_at_limit"])
+    def test_reach_past_int32_raises_before_any_draw(self, monkeypatch, make,
+                                                     horizon_T, raises):
+        class Built(Exception):
+            pass
+
+        def no_sampler(*args):
+            raise Built
+        monkeypatch.setattr("ruinwalk.oracle._StepSampler", no_sampler)
+        cfg = rw.SimConfig(n_paths=1, horizon_T=horizon_T, seed=1,
+                           u_values=(0,))
+        with pytest.raises(rw.ResourceError if raises else Built):
+            rw.simulate(make(), cfg)
+
+    def test_thresholds_past_int32(self, ex2):
+        res = rw.simulate(ex2.model, rw.SimConfig(
+            n_paths=1_000, horizon_T=30, seed=3,
+            u_values=(2 ** 40, -2 ** 40)))
+        np.testing.assert_array_equal(res.estimates, [1.0, 0.0])
+        np.testing.assert_array_equal(res.std_errors, [0.0, 0.0])
 
     def test_bit_for_bit_reproducible(self, ex1):
         cfg = rw.SimConfig(n_paths=40_000, horizon_T=30, seed=777,
