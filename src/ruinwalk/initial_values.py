@@ -6,6 +6,10 @@ roots) plus a final mean row, with right-hand side (0, ..., 0, -drift).
 Two independent routes are provided: a pivoted complex linear solve (the
 paper's route) and the closed-form cascade over elementary symmetric
 polynomials of the roots (the verification path).
+
+The system is assembled and refined in integer arithmetic. Every input,
+the double roots and the double cdf and pmf values, is an exact dyadic
+rational n / 2**e, so each entry is computed exactly and rounded once.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import ModelError, NetProfitError, NumericalError, \
@@ -24,7 +27,7 @@ from .pgf import RootSet
 PIVOT_TOL = 1e-13       # relative pivot below this means singular
 IMAG_DUST = 1e-9        # largest imaginary part tolerated in a probability
 _REFINE_STEPS = 2
-_MP_DPS = 40
+_BITS = 160             # mantissa bits of a stored system entry
 
 
 @dataclass(frozen=True)
@@ -47,19 +50,28 @@ class RowKind:
 class InitSystem:
     """System matrix and right-hand side.
 
-    matrix_mp holds the entries at _MP_DPS digits as exact functions of
-    the double-precision roots and cdf values; matrix is their rounding.
-    Iterative refinement runs against residuals from matrix_mp: the
-    columns scale like f(-m) alpha^(m-1), so the trailing solution
-    components amplify even the entry rounding of the stored matrix by
-    1/f(-m)-sized factors, and agreement between the two solution routes
-    is only achievable against exact-input residuals. A system built
-    without matrix_mp is refined against its double entries."""
+    entries holds each entry as (mr, er, mi, ei): real part mr / 2**er,
+    imaginary part mi / 2**ei, with |mr|, |mi| < 2**_BITS. build_system
+    computes every entry exactly from the double roots and cdf values and
+    rounds it once, to odd, so matrix, the doubles of entries, holds the
+    correctly rounded double of each exact entry. Iterative refinement
+    runs against residuals from entries: the columns scale like
+    f(-m) alpha^(m-1), so the trailing solution components amplify even
+    the entry rounding of the stored matrix by 1/f(-m)-sized factors, and
+    agreement between the two solution routes is only achievable against
+    exact-input residuals. A system given by its double matrix alone
+    takes those doubles as its exact entries."""
 
     matrix: np.ndarray
     rhs: np.ndarray
     row_kinds: tuple
-    matrix_mp: tuple = None
+    entries: tuple = None
+
+    def __post_init__(self):
+        if self.entries is None:
+            object.__setattr__(self, "entries", tuple(
+                tuple((*_exact(v.real), *_exact(v.imag)) for v in row)
+                for row in np.asarray(self.matrix, dtype=complex)))
 
     @property
     def size(self) -> int:
@@ -83,27 +95,84 @@ class InitialValues:
         return len(self.pi)
 
 
-def _root_rows(z: complex, mult: int, Fv: list) -> list:
-    """Rows n = 0..mult-1 of root z: p_i^(n)(z) for every column i.
+def _exact(v: float) -> tuple:
+    """(n, e) with v == n / 2**e exactly."""
+    n, d = float(v).as_integer_ratio()
+    return n, d.bit_length() - 1
 
-    With h = s - z, the powers s^j and the prefix sums
-    Q_L(s) = sum_{j<=L} F(-m+j) s^j are carried as Taylor series in h,
-    truncated to mult terms, in one pass over j. Column i is
-    s^i Q_{m-1-i}(s), and row n is n! times its h^n coefficient.
+
+def _over(values) -> tuple:
+    """Doubles as integers over one power of two: (ns, e) with
+    values[k] == ns[k] / 2**e."""
+    pairs = [_exact(v) for v in values]
+    e = max((k for _, k in pairs), default=0)
+    return [n << (e - k) for n, k in pairs], e
+
+
+def _to_double(n: int, e: int) -> float:
+    """n / 2**e correctly rounded to a double (round half to even,
+    subnormal results included)."""
+    return n / (1 << e) if e >= 0 else float(n << -e)
+
+
+def _round(n: int, e: int) -> tuple:
+    """n / 2**e rounded to odd at _BITS mantissa bits, as (n', e').
+
+    Rounding to odd keeps a sticky last bit, so a later rounding to
+    double is the correct rounding of n / 2**e itself."""
+    if not n:
+        return 0, 0
+    a = abs(n)
+    excess = a.bit_length() - _BITS
+    if excess <= 0:
+        return n, e
+    q = a >> excess
+    if a & ((1 << excess) - 1):
+        q |= 1
+    return (q if n > 0 else -q), e - excess
+
+
+def _root_rows(z: complex, mult: int, N: list, g: int) -> list:
+    """Rows n = 0..mult-1 of root z: p_i^(n)(z) for every column i, given
+    the cdf values F(-m+j) = N[j] / 2**g.
+
+    Column i is c_i(s) = s^i Q_{m-1-i}(s), with the prefix sums
+    Q_L(s) = sum_{j<=L} F(-m+j) s^j, and row n is n! times the h^n
+    coefficient of its Taylor series in h = s - z. The series are
+    truncated to mult terms and held exactly: with z = Z / 2**e (Z a
+    Gaussian integer, held as a (re, im) pair), by their numerators over
+    a power of two. One pass over j carries s^j and Q_j(s) up to
+    c_0 = Q_{m-1}; the columns then follow from
+    c_{i+1}(s) = s (c_i(s) - F(-1-i) s^(m-1)), whose numerators over
+    2**(g + e (m-1)) stay integers, so every step costs time linear in
+    their length.
     """
-    m = len(Fv)
-    zc = mp.mpc(z)
-    pw = [mp.mpc(1)] + [mp.mpc(0)] * (mult - 1)
-    acc = [mp.mpc(0)] * mult
-    powers, prefix = [], []
-    for j in range(m):
-        acc = [a + Fv[j] * p for a, p in zip(acc, pw)]
-        powers.append(pw)
-        prefix.append(acc)
-        pw = [zc * pw[0]] + [zc * pw[t] + pw[t - 1] for t in range(1, mult)]
-    return [[math.factorial(n)
-             * mp.fdot(powers[i][: n + 1], prefix[m - 1 - i][n::-1])
-             for i in range(m)] for n in range(mult)]
+    m = len(N)
+    (a, b), e = _over((z.real, z.imag))
+
+    def times_s(ser: list) -> list:
+        """s p(s) from p(s), its numerators over a further 2**e."""
+        return [(a * pr - b * pi + (ur << e), a * pi + b * pr + (ui << e))
+                for (pr, pi), (ur, ui) in zip(ser, [(0, 0)] + ser[:-1])]
+
+    pw = [(1, 0)] + [(0, 0)] * (mult - 1)     # s^j over 2**(e j)
+    col = [(0, 0)] * mult                      # Q_j(s) over 2**(g + e j)
+    for j, nj in enumerate(N):
+        if j:
+            pw = times_s(pw)
+        col = [((qr << e) + nj * pr, (qi << e) + nj * pi)
+               for (qr, qi), (pr, pi) in zip(col, pw)]
+    den = g + e * (m - 1)
+    rows = [[] for _ in range(mult)]
+    for i in range(m):
+        for n, (row, (re, im)) in enumerate(zip(rows, col)):
+            k = math.factorial(n)
+            row.append((*_round(k * re, den), *_round(k * im, den)))
+        nf = N[m - 1 - i]
+        col = [(x >> e, y >> e) for x, y in times_s(
+            [(cr - nf * wr, ci - nf * wi)
+             for (cr, ci), (wr, wi) in zip(col, pw)])]
+    return rows
 
 
 def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
@@ -126,25 +195,35 @@ def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
             f"expected {m - 1}")
     kinds = []
     rows = []
-    # row entries of tiny-modulus roots cancel almost completely; resolve
-    # them at _MP_DPS digits and round, so the fixed-precision
-    # factorization sees the true row
-    with mp.workdps(_MP_DPS):
-        Fv = [mp.mpf(float(v)) for v in model.F(np.arange(-m, 0))]
-        for z, mult in zip(roots.roots, roots.multiplicities):
-            rows += _root_rows(z, mult, Fv)
-            kinds += [RowKind("root", z)] + [RowKind("derivative", z, n)
-                                             for n in range(1, mult)]
-        rows.append([mp.fsum(mp.mpf(j - i) * mp.mpf(model.f(-j))
-                             for j in range(i + 1, m + 1))
-                     for i in range(m)])
+    # row entries of tiny-modulus roots cancel almost completely; they are
+    # exact here and rounded once, so the fixed-precision factorization
+    # sees the true row
+    N, g = _over(model.F(np.arange(-m, 0)))
+    done = {}
+    for z, mult in zip(roots.roots, roots.multiplicities):
+        twin = done.get((complex(z).conjugate(), mult))
+        if twin is None:
+            own = _root_rows(complex(z), mult, N, g)
+        else:   # the rows of conj(z) are exactly the conjugates of twin's
+            own = [[(mr, er, -mi, ei) for mr, er, mi, ei in row]
+                   for row in twin]
+        done[z, mult] = own
+        rows += own
+        kinds += [RowKind("root", z)] + [RowKind("derivative", z, n)
+                                         for n in range(1, mult)]
+    fn, h = _over(model.f(-j) for j in range(1, m + 1))
+    rows.append([(*_round(sum((j - i) * fn[j - 1]
+                              for j in range(i + 1, m + 1)), h), 0, 0)
+                 for i in range(m)])
     kinds.append(RowKind("mean"))
     rhs = np.zeros(m, dtype=complex)
     rhs[m - 1] = model.drift_pos
-    return InitSystem(matrix=np.array([[complex(v) for v in row]
+    return InitSystem(matrix=np.array([[complex(_to_double(mr, er),
+                                                _to_double(mi, ei))
+                                        for mr, er, mi, ei in row]
                                        for row in rows]),
                       rhs=rhs, row_kinds=tuple(kinds),
-                      matrix_mp=tuple(map(tuple, rows)))
+                      entries=tuple(map(tuple, rows)))
 
 
 def _gepp_factor(A: np.ndarray, kinds) -> tuple:
@@ -193,9 +272,46 @@ def _finalize_pi(x: np.ndarray, drift_pos: float, residual: float) -> InitialVal
                          imag_dust=worst)
 
 
+def _vector(v) -> tuple:
+    """A complex double vector as exact Gaussian integers over one power
+    of two: (re, im, e) with v[k] == (re[k] + 1j im[k]) / 2**e."""
+    v = np.asarray(v, dtype=complex)
+    if not np.all(np.isfinite(v)):
+        raise NumericalError("linear solve produced a non-finite value")
+    ns, e = _over(np.concatenate([v.real, v.imag]))
+    return ns[: len(v)], ns[len(v):], e
+
+
+def _add(u: tuple, v: tuple) -> tuple:
+    """The exact sum of two vectors of _vector's form."""
+    (ur, ui, eu), (vr, vi, ev) = u, v
+    e = max(eu, ev)
+    return ([(p << e - eu) + (q << e - ev) for p, q in zip(ur, vr)],
+            [(p << e - eu) + (q << e - ev) for p, q in zip(ui, vi)], e)
+
+
+def _residual(entries: tuple, tops: list, b: tuple, x: tuple) -> np.ndarray:
+    """b - A x over the stored entries of A, each component summed exactly
+    and rounded once to double. Row k is summed over 2**tops[k], the
+    largest exponent in it; b and x are of _vector's form."""
+    (xr, xi, ex), (br, bi, eb) = x, b
+    out = []
+    for row, E, pr, pi in zip(entries, tops, br, bi):
+        sr = si = 0
+        for (mr, er, mi, ei), vr, vi in zip(row, xr, xi):
+            sr += (mr * vr << E - er) - (mi * vi << E - ei)
+            si += (mr * vi << E - er) + (mi * vr << E - ei)
+        d = max(E + ex, eb)
+        out.append(complex(
+            _to_double((pr << d - eb) - (sr << d - E - ex), d),
+            _to_double((pi << d - eb) - (si << d - E - ex), d)))
+    return np.array(out, dtype=complex)
+
+
 def solve_linear(sys: InitSystem) -> InitialValues:
     """Gaussian elimination with partial pivoting, plus iterative
-    refinement against exact-input residuals with x accumulated in mpmath.
+    refinement against exact-input residuals. x is kept as the exact sum
+    of the double corrections, and each residual is summed exactly.
 
     Rows and columns are equilibrated first: a root of small modulus
     produces a uniformly tiny row (entries scale with F(-m) ... F(-1)
@@ -222,21 +338,17 @@ def solve_linear(sys: InitSystem) -> InitialValues:
     def scaled_solve(rhs: np.ndarray) -> np.ndarray:
         return _lu_solve(lu, perm, rhs / rowmax) / colmax
 
-    x = scaled_solve(b)
-    with mp.workdps(_MP_DPS):
-        A_mp = sys.matrix_mp if sys.matrix_mp is not None else \
-            [[mp.mpc(complex(v)) for v in row] for row in A]
-        b_mp = [mp.mpc(complex(v)) for v in b]
-        xs = [mp.mpc(complex(v)) for v in x]
-        for _ in range(_REFINE_STEPS + 1):
-            r = np.array([complex(bi - mp.fdot(row, xs))
-                          for bi, row in zip(b_mp, A_mp)])
-            xs = [xi + mp.mpc(complex(di))
-                  for xi, di in zip(xs, scaled_solve(r))]
-        x = np.array([complex(v) for v in xs])
-        xr = [mp.mpf(float(v)) for v in x.real]
-        resid = float(max(abs(bi - mp.fdot(row, xr))
-                          for bi, row in zip(b_mp, A_mp)))
+    tops = [max(max(er, ei) for _, er, _, ei in row) for row in sys.entries]
+    bx = _vector(b)
+    xs = _vector(scaled_solve(b))
+    for _ in range(_REFINE_STEPS + 1):
+        r = _residual(sys.entries, tops, bx, xs)
+        xs = _add(xs, _vector(scaled_solve(r)))
+    xr, xi, ex = xs
+    x = np.array([complex(_to_double(p, ex), _to_double(q, ex))
+                  for p, q in zip(xr, xi)])
+    resid = float(np.max(np.abs(_residual(sys.entries, tops, bx,
+                                          _vector(x.real)))))
     return _finalize_pi(x, drift_pos=float(b[-1].real), residual=resid)
 
 
@@ -267,6 +379,8 @@ def solve_closed_form(model: RiskModel, roots: RootSet,
         raise NumericalError(
             "closed form requires simple roots; use solve_linear for "
             "models with multiple roots")
+    import mpmath as mp
+
     m = model.max_drop
     fm = model.f(-m)
     alphas = [mp.mpc(z) for z in roots.expanded()]

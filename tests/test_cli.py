@@ -374,3 +374,25 @@ def test_cli_import_loads_no_scipy(tmp_path):
                              capture_output=True, text=True).stdout
         assert got.splitlines()[-1] == "[]"
     assert got.splitlines()[-3:-1] == [f"wrote {out}", "0"]
+
+
+def test_dump_system_loads_no_mpmath(tmp_path):
+    # the system is assembled and refined in integers; only the closed form
+    # of --verify needs mpmath. Example 3 has a double root, so the dump
+    # holds a derivative row.
+    src = os.path.dirname(os.path.dirname(rw.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    dump = tmp_path / "system.csv"
+    run = ("import sys; from ruinwalk.cli import main; "
+           "print(main(['solve', sys.argv[1], '--out', sys.argv[2], "
+           "'--dump-system', sys.argv[3]])); "
+           "print('mpmath' in sys.modules)")
+    got = subprocess.run([sys.executable, "-c", run,
+                          str(GOLDEN_DIR / "ex3_p05.json"),
+                          str(tmp_path / "phi.csv"), str(dump)], env=env,
+                         check=True, capture_output=True,
+                         text=True).stdout.splitlines()
+    assert got[-2:] == ["0", "False"]
+    _, rows = read_csv(dump)
+    assert [r[0].split("(")[0] for r in rows] == ["root", "derivative", "mean"]
+

@@ -1,6 +1,7 @@
 """Initial-value system assembly and its two solution routes."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -54,6 +55,42 @@ def horner_rows(model: rw.RiskModel, roots: rw.RootSet) -> list:
     return rows
 
 
+def exact_rows(model: rw.RiskModel, roots: rw.RootSet) -> list:
+    """The system in exact rational arithmetic, straight from the
+    definition: root row n, column i is
+    p_i^(n)(z) = sum_j F(-m+j) (i+j)!/(i+j-n)! z^(i+j-n), and the mean
+    row's entry i is sum_{j>i} (j-i) f(-j). The root and the cdf and pmf
+    values are taken exactly from their doubles; each entry is a (re, im)
+    pair of Fractions."""
+    m = model.max_drop
+    Fv = [Fraction(model.F(-m + j)) for j in range(m)]
+    rows = []
+    for z, mult in zip(roots.roots, roots.multiplicities):
+        zr, zi = Fraction(z.real), Fraction(z.imag)
+        pw = [(Fraction(1), Fraction(0))]
+        for _ in range(m):
+            pr, pi = pw[-1]
+            pw.append((pr * zr - pi * zi, pr * zi + pi * zr))
+        for n in range(mult):
+            row = []
+            for i in range(m):
+                re = im = Fraction(0)
+                for j in range(max(n - i, 0), m - i):
+                    c = Fv[j] * math.perm(i + j, n)
+                    re += c * pw[i + j - n][0]
+                    im += c * pw[i + j - n][1]
+                row.append((re, im))
+            rows.append(row)
+    rows.append([(sum(Fraction(j - i) * Fraction(model.f(-j))
+                      for j in range(i + 1, m + 1)), Fraction(0))
+                 for i in range(m)])
+    return rows
+
+
+def dyadic(n: int, e: int) -> Fraction:
+    return Fraction(n) / Fraction(2) ** e
+
+
 class TestBuildSystem:
     def test_example3_matrix_layout(self):
         # the double-root system: root row, derivative row, mean row
@@ -103,13 +140,30 @@ class TestBuildSystem:
             sys_ = rw.build_system(model, roots)
             ref = horner_rows(model, roots)
             with mp.workdps(40):
-                for got_row, ref_row in zip(sys_.matrix_mp, ref, strict=True):
-                    for got, want in zip(got_row, ref_row, strict=True):
+                for got_row, ref_row in zip(sys_.entries, ref, strict=True):
+                    for (mr, er, mi, ei), want in zip(got_row, ref_row,
+                                                      strict=True):
+                        got = mp.mpc(mp.ldexp(mp.mpf(mr), -er),
+                                     mp.ldexp(mp.mpf(mi), -ei))
                         assert abs(got - want) <= 1e-20 * abs(want)
-            # the stored matrix is the rounding of the exact entries
-            np.testing.assert_array_equal(
-                sys_.matrix,
-                [[complex(v) for v in row] for row in sys_.matrix_mp])
+            # each entry is held in at most 160 bits, and the stored matrix
+            # is the rounding of the stored entries
+            for row, drow in zip(sys_.entries, sys_.matrix, strict=True):
+                for (mr, er, mi, ei), v in zip(row, drow, strict=True):
+                    assert max(abs(mr), abs(mi)).bit_length() <= 160
+                    assert v == complex(float(dyadic(mr, er)),
+                                        float(dyadic(mi, ei)))
+            if model.max_drop > 10:
+                continue
+            # against the exact entries: the stored entry is their rounding
+            # to 160 bits and the stored matrix their correct rounding
+            for row, drow, xrow in zip(sys_.entries, sys_.matrix,
+                                       exact_rows(model, roots), strict=True):
+                for (mr, er, mi, ei), v, (xr, xi) in zip(row, drow, xrow,
+                                                         strict=True):
+                    assert v == complex(float(xr), float(xi))
+                    assert abs(dyadic(mr, er) - xr) <= abs(xr) * 2 ** -159
+                    assert abs(dyadic(mi, ei) - xi) <= abs(xi) * 2 ** -159
 
     def test_unit_drop_reduces_to_mean_row(self):
         # one unknown: pi_0 = E(c*theta - X) / f(-1)
@@ -155,6 +209,26 @@ class TestSolveLinear:
                              row_kinds=(rw.RowKind("mean"),) * 3)
         init = rw.solve_linear(sys_)
         np.testing.assert_allclose(init.pi, [1.0, 0, 0], atol=0)
+        assert init.residual == 0.0
+
+    def test_double_matrix_gives_the_exact_entries(self):
+        # a system given by doubles alone refines against those doubles
+        A = np.array([[0.1 + 0.3j, 2.0 ** -1074], [1e300, -0.7]])
+        sys_ = rw.InitSystem(matrix=A, rhs=np.array([1.0, 0], dtype=complex),
+                             row_kinds=(rw.RowKind("mean"),) * 2)
+        for row, drow in zip(sys_.entries, A):
+            for (mr, er, mi, ei), v in zip(row, drow):
+                assert dyadic(mr, er) == Fraction(v.real)
+                assert dyadic(mi, ei) == Fraction(v.imag)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_solve_raises(self):
+        # rhs / rowmax overflows: a typed error, not a failed conversion
+        sys_ = rw.InitSystem(matrix=np.array([[1e-300 + 0j]]),
+                             rhs=np.array([1e300 + 0j]),
+                             row_kinds=(rw.RowKind("mean"),))
+        with pytest.raises(rw.NumericalError, match="non-finite"):
+            rw.solve_linear(sys_)
 
     def test_residual_small_on_goldens(self, ex1, ex2, ex3, ex4):
         for solved in (ex1, ex2, *ex3.values(), *ex4.values()):
@@ -204,13 +278,14 @@ class TestClosedForm:
             assert float(np.max(np.abs(closed.pi - solved.init.pi))) <= 1e-10
 
     def test_agreement_at_m80(self):
-        # refinement against exact-input residuals holds for every m
+        # refinement against exact-input residuals holds for every m; the
+        # gap measures 1.1e-16
         model = poisson_geometric_model(6.0, 80)
         roots = rw.unit_disk_roots(model)
         init = rw.solve_linear(rw.build_system(model, roots))
         closed = rw.solve_closed_form(model, roots)
         assert model.max_drop == 80
-        assert float(np.max(np.abs(closed.pi - init.pi))) <= 1e-12
+        assert float(np.max(np.abs(closed.pi - init.pi))) <= 1e-14
 
 
 class TestElementarySymmetric:
