@@ -56,7 +56,7 @@ __all__ = [
     "RootQualityError", "RootSet", "RowKind", "RuinwalkError", "SimConfig",
     "SimResult", "SurvivalTable", "SystemSingularError", "build_model",
     "build_system", "char_poly", "determinant_identity",
-    "elementary_symmetric", "enumerate_finite", "finite_grid",
+    "enumerate_finite", "finite_grid",
     "finite_survival", "load_model_config", "materialize",
     "parse_model_config", "pgf_eval", "rebalance_claim", "simulate",
     "solve_closed_form", "solve_linear", "step_pmf", "truncate",

@@ -175,8 +175,7 @@ def _verification_block(model, roots, sysm, table) -> str:
 
 
 def _cmd_finite(args) -> int:
-    cfg = load_model_config(args.model)
-    model = cfg.build()
+    model = load_model_config(args.model).build()
     path = _out_path(args, "_finite.csv")
     rows = []
     for t, lvl in finite_grid(model, args.u_max, args.t_max):
@@ -240,14 +239,9 @@ def _write_root_svg(path: str, roots: RootSet) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_model_config(args.model)
-    model = cfg.build()
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("RUINWALK_SEED", DEFAULT_SEED))
-    u_values = tuple(int(x) for x in args.u.split(","))
+    model = load_model_config(args.model).build()
     res = simulate(model, SimConfig(n_paths=args.paths, horizon_T=args.horizon,
-                                    seed=seed, u_values=u_values))
+                                    seed=args.seed, u_values=args.u))
     path = _out_path(args, "_sim.csv")
     _write_csv(path, "u,estimate,se",
                ((str(u), _fmt(e), _fmt(s))
@@ -255,7 +249,7 @@ def _cmd_simulate(args) -> int:
                                    res.std_errors)))
     for u, e, s in zip(res.u_values, res.estimates, res.std_errors):
         print(f"u={u}: {e:.6f} +- {s:.6f}")
-    print(f"seed {seed}, {res.n_paths} paths, horizon {res.horizon_T}")
+    print(f"seed {args.seed}, {res.n_paths} paths, horizon {res.horizon_T}")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -324,14 +318,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", help="write an SVG plot of the unit disk")
     p.set_defaults(func=_cmd_roots)
 
+    def int_list(text: str) -> tuple:
+        return tuple(map(int, text.split(",")))
+
     p = sub.add_parser("simulate", help="Monte Carlo estimate of phi(u, T)")
     p.add_argument("model")
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--horizon", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None,
+    # argparse converts a string default: a bad RUINWALK_SEED exits 2
+    p.add_argument("--seed", type=int,
+                   default=os.environ.get("RUINWALK_SEED", DEFAULT_SEED),
                    help="RNG seed (default: RUINWALK_SEED env var, "
                         f"then {DEFAULT_SEED})")
-    p.add_argument("--u", default="0,1,2,3,4,5",
+    p.add_argument("--u", type=int_list, default="0,1,2,3,4,5",
                    help="comma-separated initial capitals")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)

@@ -7,14 +7,15 @@ Two independent routes are provided: a pivoted complex linear solve (the
 paper's route) and the closed-form cascade over elementary symmetric
 polynomials of the roots (the verification path).
 
-The system is assembled and refined in integer arithmetic. Every input,
-the double roots and the double cdf and pmf values, is an exact dyadic
-rational n / 2**e, so each entry is computed exactly and rounded once.
+Both routes run in integer arithmetic: every input, the double roots and
+the double cdf and pmf values, is an exact dyadic rational n / 2**e, so
+each system entry and each closed-form pi is exact and rounded once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -352,18 +353,6 @@ def solve_linear(sys: InitSystem) -> InitialValues:
     return _finalize_pi(x, drift_pos=float(b[-1].real), residual=resid)
 
 
-def elementary_symmetric(roots) -> list:
-    """e_0..e_n of the given roots by the one-root-at-a-time recurrence,
-    in the roots' own arithmetic (complex, or mpmath at its working
-    precision)."""
-    e = [1.0 + 0.0j]
-    for z in roots:
-        e.append(0.0 + 0.0j)
-        for j in range(len(e) - 1, 0, -1):
-            e[j] += z * e[j - 1]
-    return e
-
-
 def solve_closed_form(model: RiskModel, roots: RootSet,
                       system: InitSystem | None = None) -> InitialValues:
     """Closed-form cascade over elementary symmetric polynomials.
@@ -371,35 +360,46 @@ def solve_closed_form(model: RiskModel, roots: RootSet,
     pi~_k = (-1)^k e_{m-1-k} / (f(-m) prod(alpha_j - 1))
             - (1/f(-m)) sum_{i<k} pi~_i F(-m+k-i),
     then pi_k = pi~_k * E(c*theta - X). The F/f ratios cancel
-    catastrophically when f(-m) is tiny, so the cascade is accumulated in
-    high precision and rounded once at the end; this route verifies the
-    linear solve; its residual is taken against `system` (built if None).
-    """
+    catastrophically when f(-m) is tiny, so the cascade runs exactly: with
+    alpha_j = Z_j / 2**e, F(-m+j) = N_j / 2**g and c_k = 2**(ek) times the
+    t^k coefficient of prod(t - Z_j), pi~_k = 2**g S_k / (N_0^(k+1) sum(c))
+    where S_k = c_k N_0^k - sum_{i<k} S_i N_{k-i} N_0^(k-1-i), and each
+    pi_k is rounded once. Its residual is taken against `system` (built if
+    None)."""
     if not roots.all_simple:
         raise NumericalError(
             "closed form requires simple roots; use solve_linear for "
             "models with multiple roots")
-    import mpmath as mp
-
+    zs = roots.roots
+    if Counter(z for z in zs if z.imag > 0) \
+            != Counter(z.conjugate() for z in zs if z.imag < 0):
+        raise NumericalError("closed form requires the non-real roots in "
+                             "exact conjugate pairs")
+    # prod(t - Z_j), ascending, from one real factor per real root or pair
+    ns, e = _over([v for z in zs if z.imag >= 0 for v in (z.real, z.imag)])
+    D = [1]
+    for A, B in zip(ns[::2], ns[1::2]):
+        if B:
+            D = [(A * A + B * B) * x - 2 * A * y + w for x, y, w
+                 in zip(D + [0, 0], [0] + D + [0], [0, 0] + D)]
+        else:
+            D = [y - A * x for x, y in zip(D + [0], [0] + D)]
+    c = [d << e * k for k, d in enumerate(D)]
     m = model.max_drop
-    fm = model.f(-m)
-    alphas = [mp.mpc(z) for z in roots.expanded()]
-    with mp.workdps(60):
-        e = elementary_symmetric(alphas)
-        denom = mp.mpf(fm)
-        for z in alphas:
-            denom *= z - 1
-        Fv = [mp.mpf(model.F(-m + t)) for t in range(m)]
-        tilde = []
-        for k in range(m):
-            val = (-1) ** k * e[m - 1 - k] / denom
-            for i in range(k):
-                val -= tilde[i] * Fv[k - i] / mp.mpf(fm)
-            tilde.append(val)
-        dp = mp.mpf(model.drift_pos)
-        pi = np.array([complex(t * dp) for t in tilde])
+    N, g = _over(model.F(np.arange(-m, 0)))
+    pw = [N[0] ** k for k in range(m + 1)]
+    S = []
+    for k in range(m):
+        S.append(c[k] * pw[k] - sum(S[i] * N[k - i] * pw[k - 1 - i]
+                                    for i in range(k)))
+    dn, h = _exact(model.drift_pos)
+    try:
+        pi = np.array([(s * dn << g) / (sum(c) * pw[k + 1] << h)
+                       for k, s in enumerate(S)])
+    except OverflowError:
+        raise NumericalError("closed-form pi overflows a double") from None
     system = system or build_system(model, roots)
-    resid = float(np.max(np.abs(system.matrix @ pi.real - system.rhs)))
+    resid = float(np.max(np.abs(system.matrix @ pi - system.rhs)))
     return _finalize_pi(pi, drift_pos=model.drift_pos, residual=resid)
 
 

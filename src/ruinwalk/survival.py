@@ -66,6 +66,10 @@ def _finite_table(model: RiskModel, u_max: int, T: int):
     the last. Each yielded level is a fresh array of length u_max + 1, so
     a caller that keeps it does not keep the wider working level alive.
     """
+    if T < 1:
+        raise ModelError(f"horizon T={T} must be >= 1")
+    if u_max < 0:
+        raise ModelError(f"u_max={u_max} must be >= 0")
     m = model.max_drop
     max_up = max(model.step.support_max, 0)
     fw = model.step.weights
@@ -98,10 +102,6 @@ def finite_survival(model: RiskModel, u_max: int, T: int) -> SurvivalTable:
     which must stay below u, giving phi(u, T) =
     sum_{k=-m}^{u-1} phi(u-k, T-1) f(k).
     """
-    if T < 1:
-        raise ModelError(f"horizon T={T} must be >= 1")
-    if u_max < 0:
-        raise ModelError(f"u_max={u_max} must be >= 0")
     for lvl in _finite_table(model, u_max, T):
         pass
     return SurvivalTable(phis=lvl, kind="finite", horizon=T)

@@ -242,6 +242,16 @@ class TestFinite:
         last = [float(r[2]) for r in rows if r[1] == "6"]
         np.testing.assert_allclose(last, api.phis, atol=0)
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--t-max", "0", "horizon T=0 must be >= 1"),
+        ("--u-max", "-1", "u_max=-1 must be >= 0")])
+    def test_empty_grid_exits_2(self, tmp_path, capsys, flag, value, message):
+        model = write_model(tmp_path, EX1_DOC)
+        out = tmp_path / "grid.csv"
+        assert main(["finite", model, flag, value, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_deterministic_with_seed_flag(self, tmp_path):
@@ -281,6 +291,27 @@ class TestSimulate:
         assert main(["simulate", model, "--paths", "1", "--horizon",
                      str(2 ** 30), "--u", "1", "--out", str(out)]) == 2
         assert "must stay below 2^31 - 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args,env", [
+        (["--u", "1,x"], None), ([], "abc")])
+    def test_unparsable_input_exits_2(self, tmp_path, capsys, monkeypatch,
+                                      args, env):
+        # --u and RUINWALK_SEED are parsed as arguments: a bad one is a
+        # usage error, exit 2, before any path is drawn
+        if env is None:
+            monkeypatch.delenv("RUINWALK_SEED", raising=False)
+        else:
+            monkeypatch.setenv("RUINWALK_SEED", env)
+        model = write_model(tmp_path, EX1_DOC)
+        out = tmp_path / "sim.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", model, "--paths", "10", *args,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "ruinwalk simulate: error: argument" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
 
@@ -359,8 +390,8 @@ class TestDefaultOutputNames:
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    # fresh interpreters, so modules loaded by other tests do not count; a
-    # plain solve runs without the paper's system, so without mpmath
+    # fresh interpreters, so modules loaded by other tests do not count;
+    # the package depends on numpy alone
     src = os.path.dirname(os.path.dirname(rw.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     model = str(GOLDEN_DIR / "ex4_cap15.json")
@@ -377,22 +408,25 @@ def test_cli_import_loads_no_scipy(tmp_path):
 
 
 def test_dump_system_loads_no_mpmath(tmp_path):
-    # the system is assembled and refined in integers; only the closed form
-    # of --verify needs mpmath. Example 3 has a double root, so the dump
-    # holds a derivative row.
+    # the system, its refined solve and the closed form all run in
+    # integers. Example 3 has a double root, so the dump holds a
+    # derivative row; Example 4 at cap 15 runs every route of --verify.
     src = os.path.dirname(os.path.dirname(rw.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     dump = tmp_path / "system.csv"
     run = ("import sys; from ruinwalk.cli import main; "
-           "print(main(['solve', sys.argv[1], '--out', sys.argv[2], "
-           "'--dump-system', sys.argv[3]])); "
+           "print(main(['solve', *sys.argv[1:]])); "
            "print('mpmath' in sys.modules)")
-    got = subprocess.run([sys.executable, "-c", run,
-                          str(GOLDEN_DIR / "ex3_p05.json"),
-                          str(tmp_path / "phi.csv"), str(dump)], env=env,
-                         check=True, capture_output=True,
-                         text=True).stdout.splitlines()
-    assert got[-2:] == ["0", "False"]
+    got = {}
+    for name, extra in (("ex3_p05", ["--dump-system", str(dump)]),
+                        ("ex4_cap15", ["--verify"])):
+        got[name] = subprocess.run(
+            [sys.executable, "-c", run, str(GOLDEN_DIR / f"{name}.json"),
+             "--out", str(tmp_path / "phi.csv"), *extra], env=env,
+            check=True, capture_output=True, text=True).stdout.splitlines()
+        assert got[name][-2:] == ["0", "False"]
     _, rows = read_csv(dump)
     assert [r[0].split("(")[0] for r in rows] == ["root", "derivative", "mean"]
+    assert any(ln.startswith("  closed form vs linear solve: max |dpi| = ")
+               for ln in got["ex4_cap15"])
 

@@ -87,6 +87,33 @@ def exact_rows(model: rw.RiskModel, roots: rw.RootSet) -> list:
     return rows
 
 
+def mp_closed_form(model: rw.RiskModel, roots: rw.RootSet) -> np.ndarray:
+    """The closed-form cascade in 60-digit mpmath: a reference that shares
+    no arithmetic with the package's integer cascade. Returns the complex
+    pi before its real part is taken."""
+    m = model.max_drop
+    fm = model.f(-m)
+    alphas = [mp.mpc(z) for z in roots.expanded()]
+    with mp.workdps(60):
+        e = [1.0 + 0.0j]        # elementary symmetric e_0..e_(m-1)
+        for z in alphas:
+            e.append(0.0 + 0.0j)
+            for j in range(len(e) - 1, 0, -1):
+                e[j] += z * e[j - 1]
+        denom = mp.mpf(fm)
+        for z in alphas:
+            denom *= z - 1
+        Fv = [mp.mpf(model.F(-m + t)) for t in range(m)]
+        tilde = []
+        for k in range(m):
+            val = (-1) ** k * e[m - 1 - k] / denom
+            for i in range(k):
+                val -= tilde[i] * Fv[k - i] / mp.mpf(fm)
+            tilde.append(val)
+        dp = mp.mpf(model.drift_pos)
+        return np.array([complex(t * dp) for t in tilde])
+
+
 def dyadic(n: int, e: int) -> Fraction:
     return Fraction(n) / Fraction(2) ** e
 
@@ -277,6 +304,61 @@ class TestClosedForm:
             closed = rw.solve_closed_form(solved.model, solved.roots)
             assert float(np.max(np.abs(closed.pi - solved.init.pi))) <= 1e-10
 
+    @pytest.mark.parametrize("case", ["goldens", "example4_caps",
+                                      "poisson_geometric", "random"])
+    def test_bit_identical_to_mpmath_cascade(self, case, ex1, ex2):
+        # the exact cascade rounds each pi once; the 60-digit reference
+        # lands on the same doubles, and so on the same residual
+        if case == "goldens":
+            models = [ex1.model, ex2.model]
+        elif case == "example4_caps":
+            models = [rw.ModelConfig(
+                claim_dist=rw.ParametricDist.poisson(1.0),
+                interarrival_dist=rw.ParametricDist.poisson(1.01),
+                truncate_m=cap).build() for cap in range(10, 21)]
+        elif case == "poisson_geometric":
+            models = [poisson_geometric_model(6.0, m) for m in (30, 70, 80)]
+        else:
+            rng = np.random.default_rng(7)
+            models = [random_admissible_model(rng, m_max=12)
+                      for _ in range(220)]
+        checked = 0
+        for model in models:
+            roots = rw.unit_disk_roots(model)
+            if not roots.all_simple:
+                continue
+            sys_ = rw.build_system(model, roots)
+            closed = rw.solve_closed_form(model, roots, sys_)
+            ref = mp_closed_form(model, roots)
+            assert np.array_equal(closed.pi, ref.real)
+            assert closed.residual == float(
+                np.max(np.abs(sys_.matrix @ ref.real - sys_.rhs)))
+            checked += 1
+        assert checked >= {"goldens": 2, "example4_caps": 11,
+                           "poisson_geometric": 3, "random": 200}[case]
+
+    def test_rejects_roots_off_conjugate_pairs(self, ex2):
+        # the lower root of ex2's pair moved by one ulp: not a conjugate
+        # pair, so there is no real factor to form
+        zs = list(ex2.roots.roots)
+        k = next(i for i, z in enumerate(zs) if z.imag < 0)
+        zs[k] = complex(zs[k].real, np.nextafter(zs[k].imag, 0.0))
+        bent = rw.RootSet(roots=tuple(zs),
+                          multiplicities=ex2.roots.multiplicities,
+                          m=ex2.roots.m, residuals=ex2.roots.residuals)
+        with pytest.raises(rw.NumericalError, match="conjugate pairs"):
+            rw.solve_closed_form(ex2.model, bent)
+
+    def test_overflow_is_a_numerical_error(self):
+        # f(-2) = 1e-310 and a hand-built root 0.5: pi_0 = 2e310 leaves
+        # the double range
+        model = rw.build_model(rw.Pmf.from_weights(0, [1e-310, 1 - 1e-310]),
+                               rw.Pmf.point(2))
+        fake = rw.RootSet(roots=(0.5 + 0j,), multiplicities=(1,), m=2,
+                          residuals=(0.0,))
+        with pytest.raises(rw.NumericalError, match="overflow"):
+            rw.solve_closed_form(model, fake)
+
     def test_agreement_at_m80(self):
         # refinement against exact-input residuals holds for every m; the
         # gap measures 1.1e-16
@@ -286,25 +368,6 @@ class TestClosedForm:
         closed = rw.solve_closed_form(model, roots)
         assert model.max_drop == 80
         assert float(np.max(np.abs(closed.pi - init.pi))) <= 1e-14
-
-
-class TestElementarySymmetric:
-    def test_single(self):
-        e = rw.elementary_symmetric([2.0 + 0j])
-        np.testing.assert_allclose(e, [1, 2])
-
-    def test_pair_hand_check(self):
-        e = rw.elementary_symmetric([2.0 + 0j, 3.0 + 0j])
-        np.testing.assert_allclose(e, [1, 5, 6])
-
-    def test_against_polynomial_expansion(self, ex2):
-        zs = ex2.roots.expanded()
-        e = rw.elementary_symmetric(zs)
-        assert e[1] == pytest.approx(-0.597694 + 0j, abs=5e-6)
-        # prod (s - a_j) expanded: coefficient of s^(n-k) is (-1)^k e_k
-        coeffs = np.poly(zs)         # descending, leading 1
-        for k in range(len(zs) + 1):
-            assert coeffs[k] == pytest.approx((-1) ** k * e[k], abs=1e-12)
 
 
 class TestDeterminantIdentity:
