@@ -18,7 +18,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ModelError, NumericalError, ResourceError
-from .model import ModelConfig, Pmf, RiskModel, load_model_config
+from .model import ModelConfig, Pmf, RiskModel, load_model_config, \
+    materialize
 from .oracle import SimConfig, simulate
 from .pgf import RootSet, unit_disk_roots
 from .survival import SurvivalTable, finite_grid, truncation_bounds, \
@@ -43,9 +44,17 @@ def _write_csv(path: str, header: str, rows) -> None:
 def _pmf_echo(name: str, p: Pmf) -> str:
     head = ", ".join(f"{w:.6g}" for w in p.weights[:8])
     more = ", ..." if len(p.weights) > 8 else ""
-    tail = f", tail {p.tail_mass:.3g}" if p.tail_mass else ""
     return (f"  {name}: support [{p.support_min}, {p.support_max}], "
-            f"weights [{head}{more}]{tail}")
+            f"weights [{head}{more}]")
+
+
+def _claim_cut(cfg: ModelConfig) -> str:
+    """Note for the report where an infinite claim law was cut:
+    ", P(X >= K) = ... lumped at K", or an empty string."""
+    if cfg.claim_dist.has_finite_support:
+        return ""
+    k = materialize(cfg.claim_dist, cfg.tail_eps).support_max
+    return f", P(X >= {k}) = {cfg.claim_dist.sf(k - 1):.3g} lumped at {k}"
 
 
 def _dust_cut(cfg: ModelConfig, model: RiskModel) -> str:
@@ -70,7 +79,7 @@ class RunReport:
 
     def render(self) -> str:
         lines = ["model (post-truncation):",
-                 _pmf_echo("claim", self.model.claim),
+                 _pmf_echo("claim", self.model.claim) + _claim_cut(self.cfg),
                  _pmf_echo("interarrival", self.model.interarrival),
                  f"  m = {self.model.m}{_dust_cut(self.cfg, self.model)}, "
                  f"max drop = {self.model.max_drop}, "

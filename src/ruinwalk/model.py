@@ -22,7 +22,7 @@ from .errors import InfeasibleRebalanceError, ModelError
 # interarrival support bound.
 SUPPORT_DUST = 1e-14
 
-# Default tail mass kept when materializing an infinite-support family.
+# Default bound on the tail an infinite-support family is cut at.
 DEFAULT_TAIL_EPS = 1e-15
 
 _MASS_TOL = 1e-12
@@ -34,17 +34,17 @@ _BINOMIAL_N_MAX = 1029
 
 @dataclass(frozen=True)
 class Pmf:
-    """Finitely supported integer-lattice pmf.
+    """Finitely supported, proper integer-lattice pmf.
 
-    weights[k] is the probability of the value offset + k. tail_mass is
-    the probability truncated away above the stored support (0 for exactly
-    finite distributions). Weights are trimmed so the first and last
-    entries are positive.
+    weights[k] is the probability of the value offset + k, and the
+    weights sum to 1. A law cut or capped at K keeps its whole tail from K
+    up on the atom K (see `truncate`), so every route reads the same
+    proper law. Weights are trimmed so the first and last entries are
+    positive.
     """
 
     offset: int
     weights: np.ndarray
-    tail_mass: float = 0.0
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -53,16 +53,14 @@ class Pmf:
             raise ModelError("pmf weights must be a non-empty 1-D array")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise ModelError("pmf weights must be finite and non-negative")
-        if self.tail_mass < 0:
-            raise ModelError("tail mass must be non-negative")
-        total = math.fsum(w) + self.tail_mass
+        total = math.fsum(w)
         if abs(total - 1.0) > _MASS_TOL:
             raise ModelError(f"pmf mass {total!r} is not 1 within {_MASS_TOL}")
         if w.size > 1 and (w[0] == 0.0 or w[-1] == 0.0):
             raise ModelError("pmf weights must be trimmed (use Pmf.from_weights)")
 
     @classmethod
-    def from_weights(cls, offset: int, weights, tail_mass: float = 0.0) -> "Pmf":
+    def from_weights(cls, offset: int, weights) -> "Pmf":
         """Build a Pmf, trimming leading/trailing zero weights."""
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
@@ -71,8 +69,7 @@ class Pmf:
         if nz.size == 0:
             raise ModelError("pmf has no mass")
         lo, hi = int(nz[0]), int(nz[-1])
-        return cls(offset=int(offset) + lo, weights=w[lo : hi + 1].copy(),
-                   tail_mass=float(tail_mass))
+        return cls(offset=int(offset) + lo, weights=w[lo : hi + 1].copy())
 
     @classmethod
     def point(cls, value: int) -> "Pmf":
@@ -174,12 +171,9 @@ class ParametricDist:
         if self.family == "geometric":
             return (1.0 - self.p) ** (j + 1)
         if self.family == "explicit":
-            k = j - self.pmf.offset
-            if k < 0:
-                return 1.0
-            if k >= len(self.pmf.weights) - 1:
-                return self.pmf.tail_mass
-            return float(math.fsum(self.pmf.weights[k + 1 :])) + self.pmf.tail_mass
+            # summed in full: zero weights past the mean end _pmf_run early
+            k = j + 1 - self.pmf.offset
+            return 1.0 if k <= 0 else math.fsum(self.pmf.weights[k:])
         return math.fsum(_pmf_run(self, j + 1, 2.0 ** -53))
 
     def pmf_at(self, k: int) -> float:
@@ -216,11 +210,11 @@ def _pmf_run(dist: ParametricDist, k: int, rel: float) -> list:
 
 
 def materialize(dist: ParametricDist | Pmf, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
-    """Realize a distribution as a finite Pmf with tail mass <= tail_eps.
+    """Realize a distribution as a finite, proper Pmf.
 
-    Families with finite support come back exact (tail_mass 0). Infinite
-    families are cut at the smallest K with P(V > K) <= tail_eps and the
-    cut mass is recorded, not redistributed.
+    Families with finite support come back exact. Infinite families are
+    cut at the smallest K with P(V > K) <= tail_eps, and `truncate` lumps
+    the tail P(V >= K) onto K, the same rule as an interarrival cap.
     """
     if isinstance(dist, Pmf):
         return dist
@@ -235,31 +229,26 @@ def materialize(dist: ParametricDist | Pmf, tail_eps: float = DEFAULT_TAIL_EPS) 
     w = np.array(_pmf_run(dist, 0, tail_eps * 2.0 ** -53))
     tails = np.append(np.cumsum(w[::-1])[::-1], 0.0)
     K = int(np.argmax(tails[1:] <= tail_eps))
-    return Pmf.from_weights(0, w[: K + 1], tail_mass=dist.sf(K))
+    return truncate(dist, K) if K else Pmf.point(0)
 
 
 def truncate(dist: ParametricDist | Pmf, m: int) -> Pmf:
     """Cap a distribution at m, lumping all mass from [m, inf) onto m.
 
-    The result agrees with the input on {0..m-1} and has tail_mass 0. A
-    finite pmf already supported within [0, m] is returned unchanged.
+    This is the one rule for every cut and cap: the interarrival cap
+    `truncate_m`, the cut of an infinite law in `materialize` and the
+    SUPPORT_DUST trim in `build_model`. The result agrees with the input on
+    {0..m-1} and carries P(V >= m) on m. A pmf already supported within
+    [0, m] is returned unchanged.
     """
     if m <= 0:
         raise ModelError(f"truncation bound m={m} must be >= 1")
-    if isinstance(dist, ParametricDist) and dist.family != "explicit":
-        w = np.array([dist.pmf_at(k) for k in range(m)] + [dist.sf(m - 1)])
-        return Pmf.from_weights(0, w)
-    pmf = dist.pmf if isinstance(dist, ParametricDist) else dist
-    if pmf.support_max <= m and pmf.tail_mass == 0.0:
-        return pmf
-    if pmf.offset >= m:
-        return Pmf.point(m)
-    cut = m - pmf.offset
-    w = pmf.weights[: cut + 1].copy()
-    if w.size < cut + 1:
-        w = np.pad(w, (0, cut + 1 - w.size))
-    w[cut] = math.fsum(pmf.weights[cut:]) + pmf.tail_mass
-    return Pmf.from_weights(pmf.offset, w)
+    if isinstance(dist, Pmf):
+        dist = ParametricDist.explicit(dist)
+    if dist.family == "explicit" and dist.pmf.support_max <= m:
+        return dist.pmf
+    return Pmf.from_weights(
+        0, [dist.pmf_at(k) for k in range(m)] + [dist.sf(m - 1)])
 
 
 def excess_mean(interarrival: ParametricDist, m: int) -> float:
@@ -304,7 +293,7 @@ def rebalance_claim(claim: ParametricDist | Pmf, interarrival: ParametricDist,
         raise InfeasibleRebalanceError(msg, min_feasible_l=hint)
     w[l - lo] -= delta
     w[0 - lo] += delta
-    return Pmf.from_weights(lo, w, tail_mass=pmf.tail_mass)
+    return Pmf.from_weights(lo, w)
 
 
 def step_pmf(claim: Pmf, interarrival: Pmf) -> Pmf:
@@ -315,7 +304,7 @@ def step_pmf(claim: Pmf, interarrival: Pmf) -> Pmf:
     """
     w = np.convolve(claim.weights, interarrival.weights[::-1])
     offset = claim.offset - interarrival.support_max
-    return Pmf.from_weights(offset, w, tail_mass=claim.tail_mass)
+    return Pmf.from_weights(offset, w)
 
 
 @dataclass(frozen=True)
@@ -362,26 +351,20 @@ class RiskModel:
 def build_model(claim: Pmf, interarrival: Pmf) -> RiskModel:
     """Assemble a RiskModel, inferring m from the interarrival support.
 
-    Trailing interarrival weights at or below SUPPORT_DUST are lumped into
-    the new top so the step distribution has positive mass at its lower
-    bound. The interarrival distribution must be exactly finite.
+    Trailing interarrival weights at or below SUPPORT_DUST are trimmed by
+    `truncate`, which lumps them onto the new top, so the step distribution
+    has mass well above the dust at its lower bound.
     """
     if claim.offset < 0 or interarrival.offset < 0:
         raise ModelError("claim and interarrival supports must be non-negative")
-    if interarrival.tail_mass != 0.0:
-        raise ModelError(
-            "interarrival time must have finite support; truncate it first")
     w = interarrival.weights
     top = len(w) - 1
     while top > 0 and w[top] <= SUPPORT_DUST:
         top -= 1
-    if top < len(w) - 1:
-        w = w[: top + 1].copy()
-        w[top] += math.fsum(interarrival.weights[top + 1 :])
-        interarrival = Pmf.from_weights(interarrival.offset, w)
-    m = interarrival.support_max
+    m = interarrival.offset + top
     if m <= 0:
         raise ModelError("interarrival support bound m must be >= 1")
+    interarrival = truncate(interarrival, m)
     step = step_pmf(claim, interarrival)
     drift = claim.mean() - interarrival.mean()
     cdf = np.concatenate([[0.0], np.cumsum(step.weights)])
@@ -433,13 +416,12 @@ class ModelConfig:
                 raise ModelError(
                     "interarrival family has infinite support; set truncate_m")
             inter = materialize(self.interarrival_dist, self.tail_eps)
+        claim = materialize(self.claim_dist, self.tail_eps)
         if self.rebalance_l is not None:
             if self.truncate_m is None:
                 raise ModelError("rebalance_l requires truncate_m")
-            claim = rebalance_claim(self.claim_dist, self.interarrival_dist,
+            claim = rebalance_claim(claim, self.interarrival_dist,
                                     self.truncate_m, self.rebalance_l)
-        else:
-            claim = materialize(self.claim_dist, self.tail_eps)
         return build_model(claim, inter)
 
     def step_tail_below_cap(self) -> float:

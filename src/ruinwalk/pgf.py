@@ -200,7 +200,6 @@ def unit_disk_roots(model: RiskModel) -> RootSet:
             f"mean step is {model.drift:+.6g} >= 0; the net profit condition "
             "fails and survival probabilities are identically zero")
     poly = char_poly(model)
-    dpoly = poly.derivative()
     m = model.max_drop
 
     if m == 1:

@@ -60,9 +60,7 @@ def _finite_table(model: RiskModel, u_max: int, T: int):
     Level t is stored only up to width_t = min(u_max + (T-t)m, t*max_up)
     because phi(u, t) = 1 exactly once u exceeds t times the maximal
     upward step; reads past the stored width substitute the cdf tail in
-    closed form. (With a truncated infinite-support claim the implicit 1
-    is off by the stored tail mass, well below every tolerance used here.)
-    Every level of the pass is therefore exact for u <= u_max, not only
+    closed form. Every level of the pass is therefore exact for u <= u_max, not only
     the last. Each yielded level is a fresh array of length u_max + 1, so
     a caller that keeps it does not keep the wider working level alive.
     """

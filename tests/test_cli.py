@@ -56,6 +56,19 @@ class TestSolve:
         for (u, phi), e in zip(rows, expect):
             assert float(phi) == pytest.approx(e, abs=1e-12)
 
+    def test_claim_cut_is_reported(self, tmp_path, capsys):
+        # Example 2's geometric(1/2) claim is cut at 49 and carries
+        # P(X >= 49) = 2^-49 there; an exactly finite claim has no cut
+        assert main(["solve", str(GOLDEN_DIR / "ex2.json"),
+                     "--out", str(tmp_path / "phi.csv")]) == 0
+        claim = next(ln for ln in capsys.readouterr().out.splitlines()
+                     if ln.startswith("  claim:"))
+        assert claim.startswith("  claim: support [0, 49]")
+        assert claim.endswith(", P(X >= 49) = 1.78e-15 lumped at 49")
+        assert main(["solve", write_model(tmp_path, EX1_DOC),
+                     "--out", str(tmp_path / "phi.csv")]) == 0
+        assert "lumped" not in capsys.readouterr().out
+
     def test_net_profit_violation_exits_2_without_artifacts(self, tmp_path,
                                                             capsys):
         model = write_model(tmp_path, DRIFTLESS_DOC)

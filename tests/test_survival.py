@@ -216,6 +216,21 @@ class TestFiniteHorizon:
                 lvl, rw.finite_survival(model, u_max, t).phis, rtol=0,
                 atol=1e-15)
 
+    @pytest.mark.parametrize("make, T", [
+        (make_example2, 400), (make_example2, 1600),
+        (make_example1, 400), (lambda: make_example3(0.5), 400),
+        (lambda: make_example4(10).build(), 400),
+        (lambda: make_example4(15).build(), 400),
+    ], ids=["ex2_T400", "ex2_T1600", "ex1_T400", "ex3_p05_T400",
+            "ex4_cap10_T400", "ex4_cap15_T400"])
+    def test_ultimate_never_above_finite(self, make, T):
+        # phi(u, T) >= phi(u) holds for the one proper law both routes
+        # read; a tail kept out of the weights breaks it on Example 2
+        model = make()
+        ult = rw.ultimate_survival(model, u_max=60).phis
+        fin = rw.finite_survival(model, 60, T).phis
+        assert np.max(ult - fin) <= 1e-15
+
     def test_domain_errors(self, ex1):
         with pytest.raises(rw.ModelError):
             rw.finite_survival(ex1.model, 5, 0)
