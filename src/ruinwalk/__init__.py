@@ -35,7 +35,7 @@ from .model import (
     step_pmf,
     truncate,
 )
-from .pgf import CharPoly, RootSet, char_poly, pgf_eval, unit_disk_roots
+from .pgf import RootSet, char_poly, pgf_eval, unit_disk_roots
 from .survival import (
     SurvivalTable,
     finite_grid,
@@ -49,7 +49,7 @@ from .oracle import SimConfig, SimResult, enumerate_finite, simulate
 __version__ = "0.1.0"
 
 __all__ = [
-    "CharPoly", "DegenerateModelError", "InfeasibleRebalanceError",
+    "DegenerateModelError", "InfeasibleRebalanceError",
     "InitSystem", "InitialValues", "ModelConfig", "ModelError",
     "NetProfitError", "NumericalBlowupError", "NumericalError",
     "ParametricDist", "Pmf", "ResourceError", "RiskModel", "RootCountError",

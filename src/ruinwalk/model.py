@@ -381,8 +381,14 @@ def _dist_from_spec(spec: dict, what: str) -> ParametricDist:
     if "pmf" in spec:
         p = spec["pmf"]
         try:
-            return ParametricDist.explicit(
-                Pmf.from_weights(p.get("offset", 0), np.asarray(p["weights"], dtype=float)))
+            w = np.asarray(p["weights"], dtype=float)
+            # weights within _MASS_TOL of 1 are scaled to a proper law, so
+            # every route reads the same one; any further off, Pmf refuses
+            if w.ndim == 1 and np.all(np.isfinite(w)):
+                total = math.fsum(w)
+                if abs(total - 1.0) <= _MASS_TOL:
+                    w = w / total
+            return ParametricDist.explicit(Pmf.from_weights(p.get("offset", 0), w))
         except (KeyError, TypeError) as exc:
             raise ModelError(f"bad explicit pmf for {what}: {exc}") from exc
     fam = spec.get("family")

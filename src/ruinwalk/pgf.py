@@ -5,8 +5,17 @@ negative powers, becomes the polynomial P(s) = s^d (G(s) - 1) with
 d = max_drop. P has exactly max_drop - 1 roots (with multiplicity) in the
 closed unit disk away from 0 and 1; those roots drive the initial-value
 system. Root finding runs on the polynomial via companion-matrix
-eigenvalues, followed by clustering into multiplicities, conjugate-pair
-symmetrization, and one Newton polish step per cluster.
+eigenvalues, followed by clustering into multiplicities and one Newton
+polish step per cluster in the closed upper half-plane; the lower one
+holds the conjugates.
+
+One evaluator, `_taylor`, gives P and every Taylor coefficient
+P^(k)(s) / k! the polish and the multiplicity check read. It runs in
+numpy's `clongdouble`, the 80-bit x87 extended type on x86-64 Linux. The
+polish relies on those extra bits: with `complex128` in its place, as on
+platforms whose long double is plain double (Windows, macOS on Apple
+silicon), the closed form of Poisson(6) claims against geometric(0.05)
+interarrival times capped at 80 raises on pi = -8.1e-9.
 """
 
 from __future__ import annotations
@@ -27,14 +36,25 @@ RESIDUAL_TOL = 1e-8     # |G(root) - 1| after polish
 MAX_POLISH_MOVE = 1e-6  # polish displacement beyond this flags a bad cluster
 
 
-def _horner(coeffs: np.ndarray, s: complex) -> complex:
-    """Horner evaluation in extended precision (ascending coefficients)."""
-    cs = coeffs.astype(np.clongdouble)
+def _taylor(coeffs: np.ndarray, s: complex, n: int = 1) -> list:
+    """P^(k)(s) / k! for k < n, P given by ascending coefficients.
+
+    The complete Horner scheme: n synthetic divisions by (x - s) in
+    extended precision, each remainder the next Taylor coefficient at s
+    and each quotient the polynomial the next division reads.
+    """
+    q = list(np.asarray(coeffs, dtype=np.clongdouble)[::-1])
     z = np.clongdouble(s)
-    acc = np.clongdouble(0)
-    for c in cs[::-1]:
-        acc = acc * z + c
-    return complex(acc)
+    out = []
+    for _ in range(n):
+        acc = np.clongdouble(0)
+        quot = []
+        for c in q:
+            acc = acc * z + c
+            quot.append(acc)
+        out.append(complex(quot.pop()))
+        q = quot
+    return out
 
 
 def pgf_eval(p: Pmf, s: complex) -> complex:
@@ -49,35 +69,16 @@ def pgf_eval(p: Pmf, s: complex) -> complex:
             raise ModelError("generating function has a pole at s = 0 "
                              f"(offset {p.offset})")
         return complex(p.weights[0]) if p.offset == 0 else 0.0 + 0.0j
-    return _horner(p.weights, s) * s ** p.offset
+    return _taylor(p.weights, s)[0] * s ** p.offset
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """P(s) = s^max_drop (G_step(s) - 1) as an ascending coefficient list.
+def char_poly(model: RiskModel) -> np.ndarray:
+    """Ascending coefficients of P(s) = s^max_drop (G_step(s) - 1).
 
     coeffs[k] = f(k - max_drop) - [k == max_drop]; the constant term is the
     mass at the maximal downward step and the degree is
     max_drop + max upward step.
     """
-
-    coeffs: np.ndarray
-    max_drop: int
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def eval(self, s: complex) -> complex:
-        return _horner(self.coeffs, s)
-
-    def derivative(self) -> "CharPoly":
-        k = np.arange(1, len(self.coeffs))
-        return CharPoly(coeffs=self.coeffs[1:] * k, max_drop=self.max_drop)
-
-
-def char_poly(model: RiskModel) -> CharPoly:
-    """Characteristic polynomial of G_step(s) = 1 for the model's walk."""
     d = model.max_drop
     if model.step.weights[0] <= 0.0:
         raise DegenerateModelError(
@@ -87,14 +88,14 @@ def char_poly(model: RiskModel) -> CharPoly:
     if len(coeffs) <= d:
         coeffs = np.pad(coeffs, (0, d + 1 - len(coeffs)))
     coeffs[d] -= 1.0
-    return CharPoly(coeffs=coeffs, max_drop=d)
+    return coeffs
 
 
 @dataclass(frozen=True)
 class RootSet:
     """Unit-disk roots of G_step(s) = 1 with multiplicities.
 
-    m is the walk's maximal downward step; multiplicities sum to m - 1.
+    The multiplicities sum to m - 1, m the walk's maximal downward step.
     Non-real roots come in exactly conjugate pairs. residuals[i] is
     |G_step(root_i) - 1| evaluated through the claim/interarrival product
     form (numerically far better conditioned than the cleared polynomial).
@@ -102,7 +103,6 @@ class RootSet:
 
     roots: tuple
     multiplicities: tuple
-    m: int
     residuals: tuple
 
     def __len__(self) -> int:
@@ -164,24 +164,17 @@ def _cluster(points: np.ndarray, tol: float) -> list:
     return clusters
 
 
-def _confirm_multiplicity(poly: CharPoly, z: complex, r: int, tol: float) -> bool:
+def _confirm_multiplicity(coeffs: np.ndarray, z: complex, r: int,
+                          tol: float) -> bool:
     """Check |P^(k)(z)| / k! is small against |P^(r)(z)| / r! for k < r.
 
     Near a genuine multiplicity-r root those ratios scale like the
     distance to the root raised to r - k, and the polished point sits
     within the cluster radius of it."""
-    derivs = []
-    p = poly
-    fact = 1.0
-    for k in range(r + 1):
-        derivs.append(abs(_horner(p.coeffs, z)) / fact)
-        p = p.derivative()
-        fact *= k + 1
-    ref = derivs[r]
-    if ref == 0.0:
+    t = [abs(v) for v in _taylor(coeffs, z, r + 1)]
+    if t[r] == 0.0:
         return False
-    return all(derivs[k] <= ref * (100.0 * tol) ** (r - k)
-               for k in range(1, r))
+    return all(t[k] <= t[r] * (100.0 * tol) ** (r - k) for k in range(1, r))
 
 
 def unit_disk_roots(model: RiskModel) -> RootSet:
@@ -189,83 +182,51 @@ def unit_disk_roots(model: RiskModel) -> RootSet:
 
     Pipeline: companion-matrix eigenvalues of the characteristic
     polynomial; keep |s| <= 1 + BOUNDARY_TOL outside the ONE_EXCLUSION
-    ball around 1; cluster at CLUSTER_TOL into multiplicities; enforce
-    exact conjugate symmetry; one (multiplicity-aware) Newton polish step
-    per cluster; validate the count, the polish displacement, the residual
-    of the defining equation (RESIDUAL_TOL), and derivative-based
-    multiplicity confirmation.
+    ball around 1; cluster at CLUSTER_TOL into multiplicities; one
+    (multiplicity-aware) Newton polish step per real or upper half-plane
+    cluster, the conjugates added after it; validate the count, the polish
+    displacement, the residual of the defining equation (RESIDUAL_TOL), and
+    derivative-based multiplicity confirmation.
     """
     if not model.net_profit_holds:
         raise NetProfitError(
             f"mean step is {model.drift:+.6g} >= 0; the net profit condition "
             "fails and survival probabilities are identically zero")
-    poly = char_poly(model)
+    coeffs = char_poly(model)
     m = model.max_drop
 
     if m == 1:
-        return RootSet(roots=(), multiplicities=(), m=1, residuals=())
+        return RootSet(roots=(), multiplicities=(), residuals=())
 
-    all_roots = np.roots(poly.coeffs[::-1])
+    # the companion matrix is real, so LAPACK returns its complex
+    # eigenvalues as exact conjugate pairs; the filter and the clusters
+    # keep that symmetry, and the lower half-plane is left to conjugation
+    all_roots = np.roots(coeffs[::-1])
     inside = all_roots[(np.abs(all_roots) <= 1.0 + BOUNDARY_TOL)
                        & (np.abs(all_roots - 1.0) > ONE_EXCLUSION)]
 
-    clusters = _cluster(inside, CLUSTER_TOL)
-    reps = [(complex(np.mean(c)), len(c)) for c in clusters]
-
-    # conjugate closure: real axis snap, then pair complex representatives
-    real_reps, pos, neg = [], [], []
-    for z, r in reps:
-        if abs(z.imag) <= CLUSTER_TOL:
-            real_reps.append((complex(z.real, 0.0), r))
-        elif z.imag > 0:
-            pos.append((z, r))
-        else:
-            neg.append((z, r))
-    if len(pos) != len(neg):
-        raise RootCountError(
-            f"complex candidate roots are not conjugate-paired "
-            f"({len(pos)} upper vs {len(neg)} lower half-plane)",
-            roots=[(z, abs(z)) for z in inside])
-    neg_pool = list(neg)
-    paired = []
-    for z, r in pos:
-        dists = [abs(np.conj(z) - w) for w, _ in neg_pool]
-        j = int(np.argmin(dists))
-        w, rw = neg_pool.pop(j)
-        if dists[j] > CLUSTER_TOL or rw != r:
-            raise RootCountError(
-                f"no conjugate partner for root {z:.9g} within {CLUSTER_TOL}",
-                roots=[(z, abs(z)) for z in inside])
-        paired.append(((z + np.conj(w)) / 2.0, r))
-
-    def polish(z: complex, r: int) -> complex:
+    finals = []
+    for c in _cluster(inside, CLUSTER_TOL):
+        z, r = complex(np.mean(c)), len(c)
+        real = abs(z.imag) <= CLUSTER_TOL
+        if real:
+            z = complex(z.real, 0.0)
+        elif z.imag < 0:
+            continue
         # a multiplicity-r root is a simple root of the (r-1)-th derivative,
         # where Newton's step is well conditioned; at the root itself both
         # P and P' sit at rounding-noise level and their ratio is garbage
-        p = poly
-        for _ in range(r - 1):
-            p = p.derivative()
-        pv = _horner(p.coeffs, z)
-        dv = _horner(p.derivative().coeffs, z)
-        if dv == 0:
-            return z
-        return z - pv / dv
-
-    finals = []
-    for z, r in real_reps:
-        zp = polish(z, r)
-        if abs(zp.imag) < 1e-30:
+        t = _taylor(coeffs, z, r + 1)
+        zp = z if t[r] == 0 else z - t[r - 1] / (r * t[r])
+        if real and abs(zp.imag) < 1e-30:
             zp = complex(zp.real, 0.0)
         finals.append((zp, r, abs(zp - z)))
-    for z, r in paired:
-        zp = polish(z, r)
-        finals.append((zp, r, abs(zp - z)))
-        finals.append((np.conj(zp), r, abs(zp - z)))
+        if not real:
+            finals.append((zp.conjugate(), r, abs(zp - z)))
 
-    finals.sort(key=lambda t: (t[0].real, t[0].imag))
-    roots = tuple(complex(t[0]) for t in finals)
-    mults = tuple(int(t[1]) for t in finals)
-    moves = [t[2] for t in finals]
+    finals.sort(key=lambda f: (f[0].real, f[0].imag))
+    roots = tuple(f[0] for f in finals)
+    mults = tuple(f[1] for f in finals)
 
     total = sum(mults)
     if total != m - 1:
@@ -283,17 +244,17 @@ def unit_disk_roots(model: RiskModel) -> RootSet:
         if abs(z) > 1.0 + BOUNDARY_TOL or abs(z - 1.0) <= ONE_EXCLUSION or z == 0:
             raise RootQualityError(
                 f"polished root {z:.9g} left the admissible region")
-        if r > 1 and not _confirm_multiplicity(poly, z, r, CLUSTER_TOL):
+        if r > 1 and not _confirm_multiplicity(coeffs, z, r, CLUSTER_TOL):
             raise RootQualityError(
                 f"root {z:.9g} clustered with multiplicity {r} but the "
                 "derivative magnitudes do not confirm it")
 
-    checked = [_step_residual(model, z) for z, _, _ in finals]
+    checked = [_step_residual(model, z) for z in roots]
     for z, (res, floor) in zip(roots, checked):
         if res > max(RESIDUAL_TOL, 4.0 * floor):
             raise RootQualityError(
                 f"root {z:.9g} has residual |G(s) - 1| = {res:.3e} "
                 f"(> {RESIDUAL_TOL}, noise floor {floor:.1e})")
 
-    return RootSet(roots=roots, multiplicities=mults, m=m,
+    return RootSet(roots=roots, multiplicities=mults,
                    residuals=tuple(res for res, _ in checked))

@@ -176,7 +176,7 @@ def _ladder_factor(model: RiskModel, roots: RootSet) -> np.ndarray:
     c prod (s - beta_k), which scaled to constant term 1 is
     prod (1 - s/beta_k) = 1 - H(s) (Wiener-Hopf).
     """
-    a = _divide_out(char_poly(model).coeffs.astype(complex), roots)
+    a = _divide_out(char_poly(model).astype(complex), roots)
     a = _deflate(a, 1.0).real
     return a / a[0]
 
@@ -268,7 +268,7 @@ def xi_coeffs(model: RiskModel, init: InitialValues, n: int,
     for t in range(m):
         num[t] = math.fsum(init.pi[i] * model.F(-m + t - i)
                            for i in range(t + 1))
-    den = _divide_out(poly.coeffs.astype(complex), roots)
+    den = _divide_out(poly.astype(complex), roots)
     num = _divide_out(num, roots)
     c = np.zeros(n, dtype=complex)
     for k in range(n):

@@ -154,7 +154,7 @@ class TestBuildSystem:
         elif case == "triple_fake_root":
             # rows n = 0..2 of one root carry the n! scaling
             cases = [(make_example2(), rw.RootSet(
-                roots=(0.3 + 0j,), multiplicities=(3,), m=4,
+                roots=(0.3 + 0j,), multiplicities=(3,),
                 residuals=(0.0,)))]
         elif case == "random":
             rng = np.random.default_rng(2024)
@@ -265,7 +265,7 @@ class TestSolveLinear:
     def test_duplicate_root_rows_are_singular(self):
         model = make_example3(0.5)
         a = complex(example3_double_root(0.5))
-        fake = rw.RootSet(roots=(a, a), multiplicities=(1, 1), m=3,
+        fake = rw.RootSet(roots=(a, a), multiplicities=(1, 1),
                           residuals=(0.0, 0.0))
         with pytest.raises(rw.SystemSingularError) as exc:
             rw.solve_linear(rw.build_system(model, fake))
@@ -345,7 +345,7 @@ class TestClosedForm:
         zs[k] = complex(zs[k].real, np.nextafter(zs[k].imag, 0.0))
         bent = rw.RootSet(roots=tuple(zs),
                           multiplicities=ex2.roots.multiplicities,
-                          m=ex2.roots.m, residuals=ex2.roots.residuals)
+                          residuals=ex2.roots.residuals)
         with pytest.raises(rw.NumericalError, match="conjugate pairs"):
             rw.solve_closed_form(ex2.model, bent)
 
@@ -354,7 +354,7 @@ class TestClosedForm:
         # the double range
         model = rw.build_model(rw.Pmf.from_weights(0, [1e-310, 1 - 1e-310]),
                                rw.Pmf.point(2))
-        fake = rw.RootSet(roots=(0.5 + 0j,), multiplicities=(1,), m=2,
+        fake = rw.RootSet(roots=(0.5 + 0j,), multiplicities=(1,),
                           residuals=(0.0,))
         with pytest.raises(rw.NumericalError, match="overflow"):
             rw.solve_closed_form(model, fake)

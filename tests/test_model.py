@@ -342,6 +342,23 @@ class TestModelFiles:
         model = cfg.build()
         assert model.max_drop == 2
 
+    @pytest.mark.parametrize("weights", [[0.5, 0.5 - 1e-13],
+                                         [0.5, 0.5 + 1e-13],
+                                         [0.5 - 3e-13, 0.5 - 1e-13]])
+    def test_explicit_pmf_near_one_is_scaled_to_one(self, weights):
+        # Example 1 with a claim law off 1 by ~1e-13: read as given, the
+        # ladder table lies 2.6e-11 from phi(u, T = 400), below or above
+        def doc(w):
+            return {"claim": {"pmf": {"weights": w}},
+                    "interarrival": {"pmf": {"weights": [0.5, 0, 0.5]}}}
+        model = rw.parse_model_config(doc(weights)).build()
+        assert abs(math.fsum(model.claim.weights) - 1.0) <= 2.0 ** -52
+        ult = rw.ultimate_survival(model, u_max=60).phis
+        fin = rw.finite_survival(model, 60, 400).phis
+        assert np.max(np.abs(ult - fin)) <= 1e-13
+        with pytest.raises(rw.ModelError, match="not 1 within"):
+            rw.parse_model_config(doc([0.5, 0.5 - 1e-11]))
+
     def test_infinite_interarrival_needs_cap(self):
         cfg = rw.parse_model_config({
             "claim": {"family": "poisson", "lambda": 1.0},

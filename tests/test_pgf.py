@@ -2,10 +2,13 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 import ruinwalk as rw
+from ruinwalk.pgf import _taylor
 
 from conftest import (example3_double_root, make_example1, make_example3,
                       make_example4, random_admissible_model)
@@ -38,29 +41,93 @@ class TestCharPoly:
     def test_example1_coefficients(self):
         # (1/2 + s/2)(1/2 s^2 + 1/2) - s^2 expanded by hand
         poly = rw.char_poly(make_example1())
-        np.testing.assert_allclose(poly.coeffs, [0.25, 0.25, -0.75, 0.25],
+        np.testing.assert_allclose(poly, [0.25, 0.25, -0.75, 0.25],
                                    atol=1e-16)
-        roots = np.sort(np.roots(poly.coeffs[::-1]).real)
+        roots = np.sort(np.roots(poly[::-1]).real)
         np.testing.assert_allclose(
             roots, [1 - math.sqrt(2), 1.0, 1 + math.sqrt(2)], atol=1e-12)
 
     def test_degenerate_step_against_unit_drop(self):
         poly = rw.char_poly(rw.build_model(rw.Pmf.point(0), rw.Pmf.point(1)))
-        np.testing.assert_allclose(poly.coeffs, [1.0, -1.0], atol=0)
+        np.testing.assert_allclose(poly, [1.0, -1.0], atol=0)
 
     def test_degree_and_root_at_one(self):
         model = rw.ModelConfig(
             claim_dist=rw.ParametricDist.geometric(0.5),
             interarrival_dist=rw.ParametricDist.binomial(4, 0.5)).build()
         poly = rw.char_poly(model)
-        assert poly.degree == model.max_drop + model.step.support_max
-        assert abs(poly.eval(1.0)) <= 1e-10
+        assert len(poly) - 1 == model.max_drop + model.step.support_max
+        assert abs(polyval(1.0, poly)) <= 1e-10
 
     def test_root_at_one_random(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             poly = rw.char_poly(random_admissible_model(rng))
-            assert abs(poly.eval(1.0)) <= 1e-10
+            assert abs(polyval(1.0, poly)) <= 1e-10
+
+
+def _taylor_reference(coeffs, z, k):
+    """P^(k)(z) / k! to 50 digits, and the magnitude sum that bounds the
+    rounding error of any Horner-type evaluation of it."""
+    with mp.workdps(50):
+        zm = mp.mpc(z)
+        val = mp.fsum(math.comb(j, k) * mp.mpf(float(c)) * zm ** (j - k)
+                      for j, c in enumerate(coeffs) if j >= k)
+        mag = math.fsum(math.comb(j, k) * abs(float(c)) * abs(z) ** (j - k)
+                        for j, c in enumerate(coeffs) if j >= k)
+        return complex(val), mag
+
+
+class TestTaylor:
+    EPS = float(np.finfo(float).eps)
+
+    def check(self, coeffs, z):
+        got = _taylor(coeffs, z, 4)
+        assert len(got) == 4
+        for k in range(4):
+            ref, mag = _taylor_reference(coeffs, z, k)
+            assert abs(got[k] - ref) <= 64.0 * self.EPS * mag, (k, z)
+
+    def test_random_polynomials(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            coeffs = rng.standard_normal(int(rng.integers(4, 25)))
+            z = complex(*rng.uniform(-1.2, 1.2, 2))
+            self.check(coeffs, z)
+            self.check(coeffs, z.real)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_example3_double_root(self, p):
+        coeffs = rw.char_poly(make_example3(p))
+        z = example3_double_root(p)
+        self.check(coeffs, z)
+        # a double root: P and P' vanish to rounding, P''/2 does not
+        t = _taylor(coeffs, z, 3)
+        assert abs(t[0]) <= 1e-14 and abs(t[1]) <= 1e-14
+        assert abs(t[2]) >= 1e-3
+
+
+def _conjugation_models():
+    rng = np.random.default_rng(7)
+    return ([make_example4(m).build() for m in range(10, 21)]
+            + [random_admissible_model(rng) for _ in range(200)])
+
+
+def test_companion_eigenvalues_are_exact_conjugate_pairs():
+    # unit_disk_roots keeps the upper half-plane and conjugates it, which
+    # relies on np.roots of a real polynomial being closed under
+    # conjugation to the last bit
+    for model in _conjugation_models():
+        zs = np.roots(rw.char_poly(model)[::-1])
+        np.testing.assert_array_equal(np.sort(zs), np.sort(zs.conj()))
+
+
+def test_unit_disk_roots_are_exact_conjugate_pairs():
+    for model in _conjugation_models():
+        roots = rw.unit_disk_roots(model)
+        mult = dict(zip(roots.roots, roots.multiplicities))
+        for z, r in mult.items():
+            assert mult.get(z.conjugate()) == r, z
 
 
 class TestUnitDiskRoots:
@@ -96,7 +163,7 @@ class TestUnitDiskRoots:
                                rw.Pmf.point(1))
         roots = rw.unit_disk_roots(model)
         assert len(roots.roots) == 0
-        assert roots.m == 1
+        assert roots.total_multiplicity == 0
 
     def test_net_profit_precondition(self):
         model = rw.build_model(rw.Pmf.point(1), rw.Pmf.point(1))

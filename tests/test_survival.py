@@ -245,7 +245,7 @@ class TestXiCoefficients:
         np.testing.assert_allclose(
             xs, [2 - SQ2, 2 * (SQ2 - 1), 8 - 5 * SQ2], atol=1e-12)
         poly = rw.char_poly(ex1.model)
-        np.testing.assert_allclose(4.0 * poly.coeffs, [1, 1, -3, 1], atol=0)
+        np.testing.assert_allclose(4.0 * poly, [1, 1, -3, 1], atol=0)
 
     def test_example2_printed_rational_form(self, ex2):
         # the compact printed form scales numerator and denominator by
@@ -260,7 +260,7 @@ class TestXiCoefficients:
             scaled_num, [0.0435771, 0.224482, 0.516629, 0.750506, -0.535194],
             atol=5e-7)
         assert scaled_num[4] == pytest.approx(-ex2.table.phis[0], abs=1e-12)
-        D = rw.char_poly(model).coeffs[: m + 2]
+        D = rw.char_poly(model)[: m + 2]
         scaled_den = 2 * D - np.concatenate([[0.0], D[:-1]])
         np.testing.assert_allclose(
             scaled_den, [0.0625, 0.25, 0.375, 0.25, -1.9375, 1.0][: m + 2],
