@@ -3,9 +3,12 @@
 The probabilities pi_0..pi_{m-1} of the walk's maximum solve an m x m
 linear system: one row per unit-disk root (derivative rows for multiple
 roots) plus a final mean row, with right-hand side (0, ..., 0, -drift).
-Two independent routes are provided: a pivoted complex linear solve (the
-paper's route) and the closed-form cascade over elementary symmetric
-polynomials of the roots (the verification path).
+The system is complex, as the paper states it, but its non-real rows come
+in exact conjugate pairs and its solution is real. Two independent routes
+are provided: a pivoted linear solve of the system in its real form, one
+real and one imaginary part per conjugate pair (the paper's route), and
+the closed-form cascade over elementary symmetric polynomials of the roots
+(the verification path).
 
 Both routes run in integer arithmetic: every input, the double roots and
 the double cdf and pmf values, is an exact dyadic rational n / 2**e, so
@@ -15,6 +18,7 @@ each system entry and each closed-form pi is exact and rounded once.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -26,7 +30,6 @@ from .model import RiskModel
 from .pgf import RootSet
 
 PIVOT_TOL = 1e-13       # relative pivot below this means singular
-IMAG_DUST = 1e-9        # largest imaginary part tolerated in a probability
 _REFINE_STEPS = 2
 _BITS = 160             # mantissa bits of a stored system entry
 
@@ -61,7 +64,11 @@ class InitSystem:
     the entry rounding of the stored matrix by 1/f(-m)-sized factors, and
     agreement between the two solution routes is only achievable against
     exact-input residuals. A system given by its double matrix alone
-    takes those doubles as its exact entries."""
+    takes those doubles as its exact entries.
+
+    The system keeps the paper's complex form; build_system gives the rows
+    of conj(z) as the exact conjugates of the rows of z, which is what
+    lets solve_linear work on its real form."""
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -81,15 +88,11 @@ class InitSystem:
 
 @dataclass(frozen=True)
 class InitialValues:
-    """pi[i] = P(walk maximum = i), i < m, plus solve diagnostics.
-
-    imag_dust is the largest imaginary part stripped from the solution.
-    """
+    """pi[i] = P(walk maximum = i), i < m, plus solve diagnostics."""
 
     pi: np.ndarray
     drift_pos: float
     residual: float
-    imag_dust: float = 0.0
 
     @property
     def m(self) -> int:
@@ -140,39 +143,47 @@ def _root_rows(z: complex, mult: int, N: list, g: int) -> list:
     Column i is c_i(s) = s^i Q_{m-1-i}(s), with the prefix sums
     Q_L(s) = sum_{j<=L} F(-m+j) s^j, and row n is n! times the h^n
     coefficient of its Taylor series in h = s - z. The series are
-    truncated to mult terms and held exactly: with z = Z / 2**e (Z a
-    Gaussian integer, held as a (re, im) pair), by their numerators over
-    a power of two. One pass over j carries s^j and Q_j(s) up to
-    c_0 = Q_{m-1}; the columns then follow from
+    truncated to mult terms and held exactly: with z = (a + i b) / 2**e,
+    by the real and imaginary parts of their numerators over a power of
+    two, in integer lists updated in place. One pass over j carries s^j
+    and Q_j(s) up to c_0 = Q_{m-1}; the columns then follow from
     c_{i+1}(s) = s (c_i(s) - F(-1-i) s^(m-1)), whose numerators over
     2**(g + e (m-1)) stay integers, so every step costs time linear in
-    their length.
+    their length. Multiplying by s = z + h adds term n-1 to term n, so
+    the terms are updated from the highest down.
     """
     m = len(N)
     (a, b), e = _over((z.real, z.imag))
-
-    def times_s(ser: list) -> list:
-        """s p(s) from p(s), its numerators over a further 2**e."""
-        return [(a * pr - b * pi + (ur << e), a * pi + b * pr + (ui << e))
-                for (pr, pi), (ur, ui) in zip(ser, [(0, 0)] + ser[:-1])]
-
-    pw = [(1, 0)] + [(0, 0)] * (mult - 1)     # s^j over 2**(e j)
-    col = [(0, 0)] * mult                      # Q_j(s) over 2**(g + e j)
-    for j, nj in enumerate(N):
-        if j:
-            pw = times_s(pw)
-        col = [((qr << e) + nj * pr, (qi << e) + nj * pi)
-               for (qr, qi), (pr, pi) in zip(col, pw)]
+    down = range(mult - 1, -1, -1)
+    wr, wi = [1] + [0] * (mult - 1), [0] * mult    # s^j over 2**(e j)
+    cr, ci = [N[0]] + [0] * (mult - 1), [0] * mult  # Q_j(s), 2**(g + e j)
+    for nj in N[1:]:
+        for n in down:
+            x, y = wr[n], wi[n]
+            x, y = a * x - b * y, a * y + b * x
+            if n:
+                x += wr[n - 1] << e
+                y += wi[n - 1] << e
+            wr[n], wi[n] = x, y
+            cr[n] = (cr[n] << e) + nj * x
+            ci[n] = (ci[n] << e) + nj * y
     den = g + e * (m - 1)
+    scale = [math.factorial(n) for n in range(mult)]
     rows = [[] for _ in range(mult)]
     for i in range(m):
-        for n, (row, (re, im)) in enumerate(zip(rows, col)):
-            k = math.factorial(n)
-            row.append((*_round(k * re, den), *_round(k * im, den)))
         nf = N[m - 1 - i]
-        col = [(x >> e, y >> e) for x, y in times_s(
-            [(cr - nf * wr, ci - nf * wi)
-             for (cr, ci), (wr, wi) in zip(col, pw)])]
+        for n in down:
+            x, y = cr[n], ci[n]
+            k = scale[n]
+            rows[n].append((*_round(k * x, den), *_round(k * y, den)))
+            cr[n], ci[n] = x - nf * wr[n], y - nf * wi[n]
+        for n in down:
+            x, y = cr[n], ci[n]
+            x, y = (a * x - b * y) >> e, (a * y + b * x) >> e
+            if n:
+                x += cr[n - 1]
+                y += ci[n - 1]
+            cr[n], ci[n] = x, y
     return rows
 
 
@@ -248,7 +259,7 @@ def _gepp_factor(A: np.ndarray, kinds) -> tuple:
 
 def _lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = lu.shape[0]
-    x = b[perm].astype(complex)
+    x = b[perm]
     for k in range(1, n):
         x[k] -= lu[k, :k] @ x[:k]
     for k in range(n - 1, -1, -1):
@@ -256,57 +267,85 @@ def _lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _finalize_pi(x: np.ndarray, drift_pos: float, residual: float) -> InitialValues:
-    worst = float(np.max(np.abs(x.imag))) if len(x) else 0.0
-    if worst > IMAG_DUST:
-        raise NumericalError(
-            f"initial values carry imaginary part {worst:.3e} "
-            f"(> {IMAG_DUST}); conjugate symmetry of the system is broken")
-    pi = x.real.copy()
+def _finalize_pi(pi: np.ndarray, drift_pos: float,
+                 residual: float) -> InitialValues:
     if np.any(pi < -1e-10):
         raise NumericalError(
             f"negative initial probability {pi.min():.3e} (< -1e-10)")
     if math.fsum(pi) > 1.0 + 1e-9:
         raise NumericalError(
             f"initial probabilities sum to {math.fsum(pi)!r} > 1 + 1e-9")
-    return InitialValues(pi=pi, drift_pos=drift_pos, residual=residual,
-                         imag_dust=worst)
+    return InitialValues(pi=pi, drift_pos=drift_pos, residual=residual)
 
 
-def _vector(v) -> tuple:
-    """A complex double vector as exact Gaussian integers over one power
-    of two: (re, im, e) with v[k] == (re[k] + 1j im[k]) / 2**e."""
-    v = np.asarray(v, dtype=complex)
+def _common(ns: tuple, es: tuple) -> tuple:
+    """Entries ns[i] / 2**es[i] over one power of two: (E, ns') with
+    ns'[i] / 2**E equal to entry i."""
+    E = max(es)
+    return E, [n << E - e for n, e in zip(ns, es)]
+
+
+def _real_form(sys: InitSystem) -> tuple:
+    """The system as real equations in the same real unknowns.
+
+    A real row (entries and right-hand side) stays as it is. A non-real
+    row must have an exact conjugate twin; the pair becomes the real part
+    of the first row, in its place, and its imaginary part, in the twin's.
+    Returns (A, b, rows, twins): the real double matrix and right-hand
+    side, each row's exact entries in _common's form, and the
+    (first, twin) index pairs."""
+    A, b = sys.matrix.real.copy(), sys.rhs.real.copy()
+    rows, twins, waiting = [], [], {}
+    for k, (row, z) in enumerate(zip(sys.entries, sys.rhs)):
+        mr, er, mi, ei = zip(*row)
+        z = complex(z)
+        real = not z.imag and not any(mi)
+        first = None if real else waiting.get((mr, er, mi, ei, z))
+        if first:
+            j, mj, ej = first.pop()
+            twins.append((j, k))
+            rows.append(_common(mj, ej))
+            A[k], b[k] = sys.matrix[j].imag, sys.rhs[j].imag
+            continue
+        if not real:
+            waiting.setdefault((mr, er, tuple(map(operator.neg, mi)), ei,
+                                z.conjugate()), []).append((k, mi, ei))
+        rows.append(_common(mr, er))
+    lone = [k for ks in waiting.values() for k, _, _ in ks]
+    if lone:
+        k = min(lone)
+        raise NumericalError(
+            f"row {k} ({sys.row_kinds[k]}) has no exact conjugate twin; "
+            "conjugate symmetry of the system is broken")
+    return A, b, rows, twins
+
+
+def _vector(v: np.ndarray) -> tuple:
+    """A double vector as exact integers over one power of two: (ns, e)
+    with v[k] == ns[k] / 2**e."""
     if not np.all(np.isfinite(v)):
         raise NumericalError("linear solve produced a non-finite value")
-    ns, e = _over(np.concatenate([v.real, v.imag]))
-    return ns[: len(v)], ns[len(v):], e
+    return _over(v)
 
 
 def _add(u: tuple, v: tuple) -> tuple:
     """The exact sum of two vectors of _vector's form."""
-    (ur, ui, eu), (vr, vi, ev) = u, v
+    (us, eu), (vs, ev) = u, v
     e = max(eu, ev)
-    return ([(p << e - eu) + (q << e - ev) for p, q in zip(ur, vr)],
-            [(p << e - eu) + (q << e - ev) for p, q in zip(ui, vi)], e)
+    return [(p << e - eu) + (q << e - ev) for p, q in zip(us, vs)], e
 
 
-def _residual(entries: tuple, tops: list, b: tuple, x: tuple) -> np.ndarray:
-    """b - A x over the stored entries of A, each component summed exactly
-    and rounded once to double. Row k is summed over 2**tops[k], the
-    largest exponent in it; b and x are of _vector's form."""
-    (xr, xi, ex), (br, bi, eb) = x, b
+def _residual(rows: list, b: tuple, x: tuple) -> np.ndarray:
+    """b - A x over the exact entries of A (_real_form's rows), each
+    component summed exactly and rounded once to double; b and x are of
+    _vector's form."""
+    (xs, ex), (bs, eb) = x, b
     out = []
-    for row, E, pr, pi in zip(entries, tops, br, bi):
-        sr = si = 0
-        for (mr, er, mi, ei), vr, vi in zip(row, xr, xi):
-            sr += (mr * vr << E - er) - (mi * vi << E - ei)
-            si += (mr * vi << E - er) + (mi * vr << E - ei)
+    for (E, ns), p in zip(rows, bs):
         d = max(E + ex, eb)
-        out.append(complex(
-            _to_double((pr << d - eb) - (sr << d - E - ex), d),
-            _to_double((pi << d - eb) - (si << d - E - ex), d)))
-    return np.array(out, dtype=complex)
+        s = sum(map(operator.mul, ns, xs))
+        out.append(_to_double((p << d - eb) - (s << d - E - ex), d))
+    return np.array(out)
 
 
 def solve_linear(sys: InitSystem) -> InitialValues:
@@ -314,13 +353,20 @@ def solve_linear(sys: InitSystem) -> InitialValues:
     refinement against exact-input residuals. x is kept as the exact sum
     of the double corrections, and each residual is summed exactly.
 
+    The unknowns are real, and a system built from the roots of a real
+    polynomial has its non-real rows in exact conjugate pairs, so it is
+    solved in its real form (_real_form): each entry of a residual is one
+    product of integers. A non-real row without an exact twin raises
+    NumericalError. The reported residual is the largest modulus of the
+    complex residual, a pair's being the modulus of its two real ones.
+
     Rows and columns are equilibrated first: a root of small modulus
     produces a uniformly tiny row (entries scale with F(-m) ... F(-1)
     times its powers) and the last column scales with f(-m) alpha^(m-1),
     so an absolute pivot threshold is only meaningful on the scaled
     matrix.
     """
-    A, b = sys.matrix, sys.rhs
+    A, b, rows, twins = _real_form(sys)
     rowmax = np.max(np.abs(A), axis=1)
     if np.any(rowmax == 0.0):
         dead = int(np.argmin(rowmax))
@@ -339,18 +385,17 @@ def solve_linear(sys: InitSystem) -> InitialValues:
     def scaled_solve(rhs: np.ndarray) -> np.ndarray:
         return _lu_solve(lu, perm, rhs / rowmax) / colmax
 
-    tops = [max(max(er, ei) for _, er, _, ei in row) for row in sys.entries]
     bx = _vector(b)
     xs = _vector(scaled_solve(b))
     for _ in range(_REFINE_STEPS + 1):
-        r = _residual(sys.entries, tops, bx, xs)
-        xs = _add(xs, _vector(scaled_solve(r)))
-    xr, xi, ex = xs
-    x = np.array([complex(_to_double(p, ex), _to_double(q, ex))
-                  for p, q in zip(xr, xi)])
-    resid = float(np.max(np.abs(_residual(sys.entries, tops, bx,
-                                          _vector(x.real)))))
-    return _finalize_pi(x, drift_pos=float(b[-1].real), residual=resid)
+        xs = _add(xs, _vector(scaled_solve(_residual(rows, bx, xs))))
+    ns, ex = xs
+    pi = np.array([_to_double(n, ex) for n in ns])
+    r = _residual(rows, bx, _vector(pi)).astype(complex)
+    for k, j in twins:
+        r[k] = r[j] = complex(r[k].real, r[j].real)
+    return _finalize_pi(pi, drift_pos=float(sys.rhs[-1].real),
+                        residual=float(np.max(np.abs(r))))
 
 
 def solve_closed_form(model: RiskModel, roots: RootSet,

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import ruinwalk as rw
+from ruinwalk import initial_values as iv
 
 from conftest import (example3_double_root, make_example1, make_example2,
-                      make_example3, random_admissible_model,
+                      make_example3, make_example4, random_admissible_model,
                       random_simple_root_model)
 
 
@@ -112,6 +113,70 @@ def mp_closed_form(model: rw.RiskModel, roots: rw.RootSet) -> np.ndarray:
             tilde.append(val)
         dp = mp.mpf(model.drift_pos)
         return np.array([complex(t * dp) for t in tilde])
+
+
+def complex_refined_solve(sys_: rw.InitSystem) -> tuple:
+    """The linear route as it ran before the real form: complex GEPP on
+    the equilibrated matrix and refinement against complex exact-input
+    residuals (four integer products per entry), x kept as the exact sum
+    of the complex double corrections. Returns the real part of the
+    solution and the residual of that real part, both as the package
+    reports them."""
+    A, b = sys_.matrix, sys_.rhs
+    rowmax = np.max(np.abs(A), axis=1)
+    As = A / rowmax[:, None]
+    colmax = np.max(np.abs(As), axis=0)
+    lu = As / colmax[None, :]
+    n = len(b)
+    perm = np.arange(n)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        lu[[k, p]] = lu[[p, k]]
+        perm[[k, p]] = perm[[p, k]]
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+
+    def solve(rhs):
+        x = (rhs / rowmax)[perm].astype(complex)
+        for k in range(1, n):
+            x[k] -= lu[k, :k] @ x[:k]
+        for k in range(n - 1, -1, -1):
+            x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
+        return x / colmax
+
+    def vector(v):
+        ns, e = iv._over(np.concatenate([v.real, v.imag]))
+        return ns[:n], ns[n:], e
+
+    def add(u, v):
+        (ur, ui, eu), (vr, vi, ev) = u, v
+        e = max(eu, ev)
+        return ([(p << e - eu) + (q << e - ev) for p, q in zip(ur, vr)],
+                [(p << e - eu) + (q << e - ev) for p, q in zip(ui, vi)], e)
+
+    tops = [max(max(er, ei) for _, er, _, ei in row) for row in sys_.entries]
+
+    def residual(x):
+        (xr, xi, ex), (br, bi, eb) = x, bx
+        out = []
+        for row, E, pr, pi in zip(sys_.entries, tops, br, bi):
+            sr = si = 0
+            for (mr, er, mi, ei), vr, vi in zip(row, xr, xi):
+                sr += (mr * vr << E - er) - (mi * vi << E - ei)
+                si += (mr * vi << E - er) + (mi * vr << E - ei)
+            d = max(E + ex, eb)
+            out.append(complex(
+                iv._to_double((pr << d - eb) - (sr << d - E - ex), d),
+                iv._to_double((pi << d - eb) - (si << d - E - ex), d)))
+        return np.array(out)
+
+    bx = vector(b)
+    xs = vector(solve(b))
+    for _ in range(3):
+        xs = add(xs, vector(solve(residual(xs))))
+    xr, _, ex = xs
+    pi = np.array([iv._to_double(p, ex) for p in xr])
+    return pi, float(np.max(np.abs(residual(vector(pi.astype(complex))))))
 
 
 def dyadic(n: int, e: int) -> Fraction:
@@ -260,16 +325,82 @@ class TestSolveLinear:
     def test_residual_small_on_goldens(self, ex1, ex2, ex3, ex4):
         for solved in (ex1, ex2, *ex3.values(), *ex4.values()):
             assert solved.init.residual <= 1e-10
-            assert solved.init.imag_dust <= 1e-9
 
     def test_duplicate_root_rows_are_singular(self):
         model = make_example3(0.5)
         a = complex(example3_double_root(0.5))
         fake = rw.RootSet(roots=(a, a), multiplicities=(1, 1),
                           residuals=(0.0, 0.0))
+        sys_ = rw.build_system(model, fake)
         with pytest.raises(rw.SystemSingularError) as exc:
-            rw.solve_linear(rw.build_system(model, fake))
-        assert any(k.kind == "root" for k in exc.value.row_kinds)
+            rw.solve_linear(sys_)
+        assert exc.value.row_kinds == list(sys_.row_kinds)
+
+    def test_duplicate_conjugate_pair_rows_are_singular(self):
+        # one conjugate pair of Example 4 (cap 10) in place of another:
+        # the real form holds two equal pairs of rows
+        model = make_example4(10).build()
+        zs = list(rw.unit_disk_roots(model).roots)
+        k = [i for i, z in enumerate(zs) if z.imag < 0][:2]
+        zs[k[1]:k[1] + 2] = zs[k[0]:k[0] + 2]
+        fake = rw.RootSet(roots=tuple(zs), multiplicities=(1,) * len(zs),
+                          residuals=(0.0,) * len(zs))
+        sys_ = rw.build_system(model, fake)
+        with pytest.raises(rw.SystemSingularError) as exc:
+            rw.solve_linear(sys_)
+        assert exc.value.row_kinds == list(sys_.row_kinds)
+
+    @pytest.mark.parametrize("case", ["goldens", "example4_caps",
+                                      "poisson_geometric", "random"])
+    def test_bit_identical_to_complex_refinement(self, case, ex1, ex2, ex3,
+                                                 ex4):
+        # the real form and the complex solve refine to the same doubles,
+        # and report the same residual
+        if case == "goldens":
+            cases = [(s.model, s.roots)
+                     for s in (ex1, ex2, *ex3.values(), *ex4.values())]
+        else:
+            if case == "example4_caps":
+                models = [make_example4(cap).build() for cap in range(10, 21)]
+            elif case == "poisson_geometric":
+                models = [poisson_geometric_model(6.0, m)
+                          for m in (30, 70, 80)]
+            else:
+                rng = np.random.default_rng(7)
+                models = [random_admissible_model(rng, m_max=12)
+                          for _ in range(220)]
+            cases = [(mo, rw.unit_disk_roots(mo)) for mo in models]
+        for model, roots in cases:
+            sys_ = rw.build_system(model, roots)
+            init = rw.solve_linear(sys_)
+            pi, residual = complex_refined_solve(sys_)
+            assert np.array_equal(init.pi, pi)
+            assert init.residual == residual
+        multiple = sum(not roots.all_simple for _, roots in cases)
+        assert (len(cases), multiple) == {
+            "goldens": (7, 3), "example4_caps": (11, 0),
+            "poisson_geometric": (3, 0), "random": (220, 0)}[case]
+
+    def test_broken_conjugate_twin_raises(self, ex2):
+        # the last bit of one entry of the upper root's row flipped: the
+        # pair is no longer conjugate, and the real form would drop it
+        sys_ = rw.build_system(ex2.model, ex2.roots)
+        k = next(i for i, kind in enumerate(sys_.row_kinds)
+                 if kind.kind == "root" and kind.root.imag > 0)
+        A = sys_.matrix.copy()
+        A.real.view(np.int64)[k, 1] ^= 1
+        bent = rw.InitSystem(matrix=A, rhs=sys_.rhs,
+                             row_kinds=sys_.row_kinds)
+        with pytest.raises(rw.NumericalError, match="conjugate symmetry"):
+            rw.solve_linear(bent)
+
+    def test_complex_row_without_twin_raises(self):
+        sys_ = rw.InitSystem(matrix=np.array([[1 + 1j, 2], [1, 1]]),
+                             rhs=np.array([0, 1], dtype=complex),
+                             row_kinds=(rw.RowKind("root", 0.5j),
+                                        rw.RowKind("mean")))
+        with pytest.raises(rw.NumericalError, match="conjugate symmetry"):
+            rw.solve_linear(sys_)
 
 
 class TestClosedForm:
