@@ -5,10 +5,10 @@ linear system: one row per unit-disk root (derivative rows for multiple
 roots) plus a final mean row, with right-hand side (0, ..., 0, -drift).
 The system is complex, as the paper states it, but its non-real rows come
 in exact conjugate pairs and its solution is real. Two independent routes
-are provided: a pivoted linear solve of the system in its real form, one
-real and one imaginary part per conjugate pair (the paper's route), and
-the closed-form cascade over elementary symmetric polynomials of the roots
-(the verification path).
+are provided: a LAPACK solve of the system in its real form, one real
+and one imaginary part per conjugate pair, refined against exact
+residuals (the paper's route), and the closed-form cascade over
+elementary symmetric polynomials of the roots (the verification path).
 
 Both routes run in integer arithmetic: every input, the double roots and
 the double cdf and pmf values, is an exact dyadic rational n / 2**e, so
@@ -29,7 +29,7 @@ from .errors import ModelError, NetProfitError, NumericalError, \
 from .model import RiskModel
 from .pgf import RootSet
 
-PIVOT_TOL = 1e-13       # relative pivot below this means singular
+SINGULAR_TOL = 1e-13    # 1 / (largest row sum of the equilibrated inverse)
 _REFINE_STEPS = 2
 _BITS = 160             # mantissa bits of a stored system entry
 
@@ -238,35 +238,6 @@ def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
                       entries=tuple(map(tuple, rows)))
 
 
-def _gepp_factor(A: np.ndarray, kinds) -> tuple:
-    """In-place LU with partial pivoting; pivots below PIVOT_TOL raise."""
-    n = A.shape[0]
-    lu = A.copy()
-    perm = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < PIVOT_TOL:
-            raise SystemSingularError(
-                f"pivot {abs(lu[p, k]):.3e} below {PIVOT_TOL} at "
-                f"elimination step {k}", row_kinds=kinds)
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, perm
-
-
-def _lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = lu.shape[0]
-    x = b[perm]
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return x
-
-
 def _finalize_pi(pi: np.ndarray, drift_pos: float,
                  residual: float) -> InitialValues:
     if np.any(pi < -1e-10):
@@ -349,7 +320,7 @@ def _residual(rows: list, b: tuple, x: tuple) -> np.ndarray:
 
 
 def solve_linear(sys: InitSystem) -> InitialValues:
-    """Gaussian elimination with partial pivoting, plus iterative
+    """One LAPACK inverse of the equilibrated real system, plus iterative
     refinement against exact-input residuals. x is kept as the exact sum
     of the double corrections, and each residual is summed exactly.
 
@@ -363,8 +334,10 @@ def solve_linear(sys: InitSystem) -> InitialValues:
     Rows and columns are equilibrated first: a root of small modulus
     produces a uniformly tiny row (entries scale with F(-m) ... F(-1)
     times its powers) and the last column scales with f(-m) alpha^(m-1),
-    so an absolute pivot threshold is only meaningful on the scaled
-    matrix.
+    so an absolute singularity threshold is only meaningful on the scaled
+    matrix. The system is singular, SystemSingularError, when LAPACK
+    finds it exactly so or when the largest row sum of the equilibrated
+    inverse reaches 1 / SINGULAR_TOL.
     """
     A, b, rows, twins = _real_form(sys)
     rowmax = np.max(np.abs(A), axis=1)
@@ -380,10 +353,20 @@ def solve_linear(sys: InitSystem) -> InitialValues:
         raise SystemSingularError(f"column {dead} of the system is zero",
                                   row_kinds=sys.row_kinds)
     As = Ar / colmax[None, :]
-    lu, perm = _gepp_factor(As, sys.row_kinds)
+    try:
+        inv = np.linalg.inv(As)
+    except np.linalg.LinAlgError:
+        norm = math.inf
+    else:
+        norm = np.abs(inv).sum(axis=1).max()
+    if norm >= 1 / SINGULAR_TOL:
+        raise SystemSingularError(
+            "the equilibrated system is singular: the largest row sum of "
+            f"its inverse is {norm:.3e} (>= {1 / SINGULAR_TOL:.0e})",
+            row_kinds=sys.row_kinds)
 
     def scaled_solve(rhs: np.ndarray) -> np.ndarray:
-        return _lu_solve(lu, perm, rhs / rowmax) / colmax
+        return inv @ (rhs / rowmax) / colmax
 
     bx = _vector(b)
     xs = _vector(scaled_solve(b))

@@ -9,13 +9,15 @@ eigenvalues, followed by clustering into multiplicities and one Newton
 polish step per cluster in the closed upper half-plane; the lower one
 holds the conjugates.
 
-One evaluator, `_taylor`, gives P and every Taylor coefficient
-P^(k)(s) / k! the polish and the multiplicity check read. It runs in
-numpy's `clongdouble`, the 80-bit x87 extended type on x86-64 Linux. The
-polish relies on those extra bits: with `complex128` in its place, as on
-platforms whose long double is plain double (Windows, macOS on Apple
-silicon), the closed form of Poisson(6) claims against geometric(0.05)
-interarrival times capped at 80 raises on pi = -8.1e-9.
+One Horner routine, `_divide`, gives P, its Taylor coefficients and
+every deflation. `_taylor` runs it in numpy's `clongdouble`, the 80-bit
+x87 extended type on x86-64 Linux, for P and the Taylor coefficients
+P^(k)(s) / k! the polish and the multiplicity check read; the ladder
+factor in `survival` runs it in double. The polish relies on the extra
+bits: with `complex128` in its place, as on platforms whose long double
+is plain double (Windows, macOS on Apple silicon), the closed form of
+Poisson(6) claims against geometric(0.05) interarrival times capped at
+80 raises on pi = -8.1e-9.
 """
 
 from __future__ import annotations
@@ -36,6 +38,20 @@ RESIDUAL_TOL = 1e-8     # |G(root) - 1| after polish
 MAX_POLISH_MOVE = 1e-6  # polish displacement beyond this flags a bad cluster
 
 
+def _divide(q: list, z) -> list:
+    """Synthetic division of a polynomial by (x - z), q its coefficients
+    from the highest down: the quotient in the same order, with the
+    remainder, the value at z, appended. It runs in the arithmetic of its
+    arguments. From the leading coefficient down is the stable direction
+    for |z| <= 1."""
+    acc = q[0]
+    out = [acc]
+    for c in q[1:]:
+        acc = acc * z + c
+        out.append(acc)
+    return out
+
+
 def _taylor(coeffs: np.ndarray, s: complex, n: int = 1) -> list:
     """P^(k)(s) / k! for k < n, P given by ascending coefficients.
 
@@ -47,13 +63,8 @@ def _taylor(coeffs: np.ndarray, s: complex, n: int = 1) -> list:
     z = np.clongdouble(s)
     out = []
     for _ in range(n):
-        acc = np.clongdouble(0)
-        quot = []
-        for c in q:
-            acc = acc * z + c
-            quot.append(acc)
-        out.append(complex(quot.pop()))
-        q = quot
+        q = _divide(q, z)
+        out.append(complex(q.pop()))
     return out
 
 

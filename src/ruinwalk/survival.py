@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ModelError, NetProfitError, NumericalBlowupError
 from .model import RiskModel
-from .pgf import RootSet, char_poly, unit_disk_roots
+from .pgf import RootSet, _divide, char_poly, unit_disk_roots
 
 if TYPE_CHECKING:              # the paper's system loads only when asked for
     from .initial_values import InitialValues
@@ -128,6 +128,13 @@ def _recurrence_residual(model: RiskModel, phi: np.ndarray) -> float:
     return float(np.max(np.abs(phi[:n] - conv[m : m + n])))
 
 
+def _check_length(init: InitialValues | None, m: int) -> None:
+    """Raise unless `init`, if given, holds pi_0..pi_{m-1}."""
+    if init is not None and init.m != m:
+        raise ModelError(
+            f"initial values have length {init.m}, model needs {m}")
+
+
 def _check_table(phi: np.ndarray) -> None:
     """Raise at the first u where phi escapes [0, 1] or drops below
     phi(u-1), each beyond MONOTONE_TOL; nothing is clamped."""
@@ -146,24 +153,16 @@ def _check_table(phi: np.ndarray) -> None:
             "monotonicity broke beyond tolerance", u=u)
 
 
-def _deflate(coeffs: np.ndarray, z: complex) -> np.ndarray:
-    """Divide an ascending-coefficient polynomial by (s - z), dropping the
-    remainder. Synthetic division from the leading coefficient is the
-    stable direction for |z| <= 1."""
-    n = len(coeffs) - 1
-    q = np.zeros(n, dtype=complex)
-    q[n - 1] = coeffs[n]
-    for k in range(n - 1, 0, -1):
-        q[k - 1] = coeffs[k] + z * q[k]
-    return q
-
-
-def _divide_out(coeffs: np.ndarray, roots: RootSet) -> np.ndarray:
-    """Deflate every unit-disk root, repeated by its multiplicity."""
-    for z, mult in zip(roots.roots, roots.multiplicities):
-        for _ in range(mult):
-            coeffs = _deflate(coeffs, z)
-    return coeffs
+def _divide_out(coeffs: np.ndarray, zs) -> np.ndarray:
+    """Divide (s - z) out of an ascending-coefficient polynomial for every
+    z in zs, dropping each remainder. The polynomial is held as a list of
+    Python complex numbers, highest term first, and each division is one
+    `pgf._divide` in double."""
+    q = np.asarray(coeffs, dtype=complex)[::-1].tolist()
+    for z in zs:
+        q = _divide(q, z)
+        q.pop()
+    return np.array(q[::-1])
 
 
 def _ladder_factor(model: RiskModel, roots: RootSet) -> np.ndarray:
@@ -176,8 +175,7 @@ def _ladder_factor(model: RiskModel, roots: RootSet) -> np.ndarray:
     c prod (s - beta_k), which scaled to constant term 1 is
     prod (1 - s/beta_k) = 1 - H(s) (Wiener-Hopf).
     """
-    a = _divide_out(char_poly(model).astype(complex), roots)
-    a = _deflate(a, 1.0).real
+    a = _divide_out(char_poly(model), roots.expanded() + [1.0]).real
     return a / a[0]
 
 
@@ -229,9 +227,7 @@ def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
             f"mean step is {model.drift:+.6g} >= 0; the net profit condition "
             "fails")
     m = model.max_drop
-    if init is not None and init.m != m:
-        raise ModelError(
-            f"initial values have length {init.m}, model needs {m}")
+    _check_length(init, m)
     if roots is None:
         roots = unit_disk_roots(model)
     a = _ladder_factor(model, roots)
@@ -258,9 +254,10 @@ def xi_coeffs(model: RiskModel, init: InitialValues, n: int,
     so the common factors are deflated from both sides first; what remains
     has no roots inside the disk and divides stably.
     """
+    m = model.max_drop
+    _check_length(init, m)
     if n <= 0:
         return np.zeros(0)
-    m = model.max_drop
     poly = char_poly(model)        # raises if the constant term vanishes
     if roots is None:
         roots = unit_disk_roots(model)
@@ -268,8 +265,8 @@ def xi_coeffs(model: RiskModel, init: InitialValues, n: int,
     for t in range(m):
         num[t] = math.fsum(init.pi[i] * model.F(-m + t - i)
                            for i in range(t + 1))
-    den = _divide_out(poly.astype(complex), roots)
-    num = _divide_out(num, roots)
+    den = _divide_out(poly, roots.expanded())
+    num = _divide_out(num, roots.expanded())
     c = np.zeros(n, dtype=complex)
     for k in range(n):
         acc = num[k] if k < len(num) else 0.0

@@ -350,6 +350,18 @@ class TestSolveLinear:
             rw.solve_linear(sys_)
         assert exc.value.row_kinds == list(sys_.row_kinds)
 
+    def test_near_singular_system_raises(self):
+        # not exactly singular, so LAPACK inverts it; the inverse's row
+        # sums, about 2e15, are past 1 / SINGULAR_TOL
+        kinds = (rw.RowKind("root", 0.5), rw.RowKind("mean"))
+        sys_ = rw.InitSystem(matrix=np.array([[1, 1], [1, 1 + 1e-15]],
+                                             dtype=complex),
+                             rhs=np.array([0, 1], dtype=complex),
+                             row_kinds=kinds)
+        with pytest.raises(rw.SystemSingularError) as exc:
+            rw.solve_linear(sys_)
+        assert exc.value.row_kinds == list(kinds)
+
     @pytest.mark.parametrize("case", ["goldens", "example4_caps",
                                       "poisson_geometric", "random"])
     def test_bit_identical_to_complex_refinement(self, case, ex1, ex2, ex3,

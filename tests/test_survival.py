@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ruinwalk as rw
+from ruinwalk import survival
 from ruinwalk.survival import _check_table
 
 from conftest import (make_example1, make_example2, make_example3,
@@ -25,6 +26,21 @@ def recurrence_residual_loop(model, phi) -> float:
         s = math.fsum(phi[i] * model.f(u - i) for i in range(lo, u + m + 1))
         worst = max(worst, abs(phi[u] - s))
     return worst
+
+
+def divide_out_loop(coeffs, zs) -> np.ndarray:
+    """The deflation as it ran before pgf._divide: for every z, a numpy
+    complex128 array filled one coefficient at a time from the leading
+    one down, the remainder dropped."""
+    a = np.asarray(coeffs, dtype=complex)
+    for z in zs:
+        n = len(a) - 1
+        q = np.zeros(n, dtype=complex)
+        q[n - 1] = a[n]
+        for k in range(n - 1, 0, -1):
+            q[k - 1] = a[k] + z * q[k]
+        a = q
+    return a
 
 
 class TestUltimate:
@@ -149,6 +165,39 @@ class TestLadderRoute:
             xs = rw.xi_coeffs(model, solved.init, 60, solved.roots)
             np.testing.assert_allclose(xs, solved.table.phis[1:], rtol=0,
                                        atol=1e-9)
+
+
+class TestDeflation:
+    @pytest.mark.parametrize("case", ["goldens", "example4_caps", "random"])
+    def test_bit_identical_to_loop_reference(self, case, monkeypatch, ex1,
+                                             ex2, ex3, ex4):
+        # the ladder factor and the deflated generating-function division
+        # give the same bits through pgf._divide as through the loop
+        if case == "goldens":
+            cases = [(s.model, s.roots, s.init)
+                     for s in (ex1, ex2, *ex3.values(), *ex4.values())]
+        else:
+            if case == "example4_caps":
+                models = [make_example4(cap).build() for cap in range(10, 21)]
+            else:
+                rng = np.random.default_rng(7)
+                models = [random_admissible_model(rng, m_max=12)
+                          for _ in range(220)]
+            cases = []
+            for model in models:
+                roots = rw.unit_disk_roots(model)
+                cases.append((model, roots, rw.solve_linear(
+                    rw.build_system(model, roots))))
+        out = [(survival._ladder_factor(model, roots).tobytes(),
+                rw.xi_coeffs(model, init, 30, roots).tobytes())
+               for model, roots, init in cases]
+        monkeypatch.setattr(survival, "_divide_out", divide_out_loop)
+        ref = [(survival._ladder_factor(model, roots).tobytes(),
+                rw.xi_coeffs(model, init, 30, roots).tobytes())
+               for model, roots, init in cases]
+        assert out == ref
+        assert len(cases) == {"goldens": 7, "example4_caps": 11,
+                              "random": 220}[case]
 
 
 class TestRecurrenceResidual:
@@ -280,6 +329,13 @@ class TestXiCoefficients:
             xs = rw.xi_coeffs(solved.model, solved.init, n, solved.roots)
             gap = np.max(np.abs(xs - solved.table.phis[1 : n + 1]))
             assert gap <= 1e-9
+
+    def test_initial_values_of_another_model_raise(self, ex2, ex4):
+        # Example 4 at cap 10 has m = 10, Example 2 has m = 4
+        for solved, other in ((ex2, ex4[10]), (ex4[10], ex2)):
+            with pytest.raises(rw.ModelError,
+                               match="initial values have length"):
+                rw.xi_coeffs(solved.model, other.init, 5, solved.roots)
 
 
 class TestTruncationBounds:
