@@ -375,30 +375,40 @@ def build_model(claim: Pmf, interarrival: Pmf) -> RiskModel:
 # ---------------------------------------------------------------------------
 # Model files
 
+def _json_number(value, what: str, integer: bool = False):
+    """`value` if it is a JSON number (an integer when `integer`); no bool."""
+    kind = "integer" if integer else "number"
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ModelError(f"{what}={value!r} must be a JSON {kind}")
+    return value
+
+
 def _dist_from_spec(spec: dict, what: str) -> ParametricDist:
     if not isinstance(spec, dict):
         raise ModelError(f"{what} specification must be an object")
     if "pmf" in spec:
         p = spec["pmf"]
         try:
-            w = np.asarray(p["weights"], dtype=float)
+            w = np.array([_json_number(x, f"{what} pmf weight") for x in p["weights"]])
             # weights within _MASS_TOL of 1 are scaled to a proper law, so
             # every route reads the same one; any further off, Pmf refuses
-            if w.ndim == 1 and np.all(np.isfinite(w)):
+            if np.all(np.isfinite(w)):
                 total = math.fsum(w)
                 if abs(total - 1.0) <= _MASS_TOL:
                     w = w / total
-            return ParametricDist.explicit(Pmf.from_weights(p.get("offset", 0), w))
+            return ParametricDist.explicit(Pmf.from_weights(_json_number(
+                p.get("offset", 0), f"{what} pmf offset", integer=True), w))
         except (KeyError, TypeError) as exc:
             raise ModelError(f"bad explicit pmf for {what}: {exc}") from exc
     fam = spec.get("family")
     try:
         if fam == "poisson":
-            return ParametricDist.poisson(spec["lambda"])
+            return ParametricDist.poisson(_json_number(spec["lambda"], f"{what} lambda"))
         if fam == "geometric":
-            return ParametricDist.geometric(spec["p"])
+            return ParametricDist.geometric(_json_number(spec["p"], f"{what} p"))
         if fam == "binomial":
-            return ParametricDist.binomial(spec["n"], spec["p"])
+            return ParametricDist.binomial(_json_number(spec["n"], f"{what} n", True),
+                                           _json_number(spec["p"], f"{what} p"))
     except KeyError as exc:
         raise ModelError(f"{what}: missing parameter {exc} for family {fam!r}") from exc
     raise ModelError(f"{what}: unknown family {fam!r}")
@@ -449,18 +459,15 @@ def parse_model_config(doc: dict) -> ModelConfig:
     for key in ("claim", "interarrival"):
         if key not in doc:
             raise ModelError(f"model file is missing the {key!r} field")
-    tm = doc.get("truncate_m")
-    if tm is not None and (not isinstance(tm, int) or tm < 1):
-        raise ModelError(f"truncate_m={tm!r} must be a positive integer")
-    rl = doc.get("rebalance_l")
-    if rl is not None and (not isinstance(rl, int) or rl < 1):
-        raise ModelError(f"rebalance_l={rl!r} must be a positive integer")
+    for key in ("truncate_m", "rebalance_l"):
+        if doc.get(key) is not None and _json_number(doc[key], key, True) < 1:
+            raise ModelError(f"{key}={doc[key]!r} must be a positive integer")
     return ModelConfig(
         claim_dist=_dist_from_spec(doc["claim"], "claim"),
         interarrival_dist=_dist_from_spec(doc["interarrival"], "interarrival"),
-        truncate_m=tm,
-        rebalance_l=rl,
-        tail_eps=float(doc.get("tail_eps", DEFAULT_TAIL_EPS)),
+        truncate_m=doc.get("truncate_m"),
+        rebalance_l=doc.get("rebalance_l"),
+        tail_eps=_json_number(doc.get("tail_eps", DEFAULT_TAIL_EPS), "tail_eps"),
     )
 
 

@@ -8,11 +8,11 @@ maximum of the walk then follows a renewal recurrence of nonnegative
 terms, which is forward-stable for every u. phi(0) is the one-step
 balance. Bounds and monotonicity are checked, never clamped.
 
-Finite-horizon tables come from the first-step convolution recursion. One
-pass to horizon T produces every level t = 1..T exactly, so a grid over
-T = 1..t_max is a single pass of t_max levels, and the number of
-convolutions is linear in t_max. The bounds scan and the re-substitution
-residual run as whole-array operations.
+Finite-horizon tables apply the first-step map `_first_step` once per
+level. One pass to horizon T produces every level t = 1..T exactly, so a
+grid over T = 1..t_max is a single pass of t_max levels, and the number of
+convolutions is linear in t_max. The same map, applied once to the
+ultimate table, gives its re-substitution residual.
 """
 
 from __future__ import annotations
@@ -53,40 +53,47 @@ class SurvivalTable:
         return float(self.phis[u])
 
 
+def _first_step(model: RiskModel, lvl: np.ndarray, n: int) -> np.ndarray:
+    """(T lvl)(u) = sum_{i>=1} lvl(i) f(u - i) for u = 0..n, lvl(i) read
+    as 1 past the end of `lvl`: those terms sum to F(u - len(lvl)), which
+    is 0 below u = len(lvl) - m. As step.weights[k] = f(k - m), the rest
+    is entry u + m - 1 of the convolution of lvl(1..) with the weights,
+    which starts at u = 1 - m."""
+    m = model.max_drop
+    lo, k = max(0, 1 - m), max(0, len(lvl) - m)
+    out = np.zeros(n + 1)
+    out[k:] = model.F(np.arange(k, n + 1) - len(lvl))
+    if len(lvl) > 1 and n >= lo:
+        conv = np.convolve(lvl[1:], model.step.weights)[lo + m - 1 : n + m]
+        out[lo : lo + len(conv)] += conv
+    return out
+
+
 def _finite_table(model: RiskModel, u_max: int, T: int):
     """Yield phi(0..u_max, t) for t = 1..T from one pass of the first-step
-    convolution recursion: T levels, one convolution each.
+    map: T levels, one convolution each.
 
-    Level t is stored only up to width_t = min(u_max + (T-t)m, t*max_up)
-    because phi(u, t) = 1 exactly once u exceeds t times the maximal
-    upward step; reads past the stored width substitute the cdf tail in
-    closed form. Every level of the pass is therefore exact for u <= u_max, not only
-    the last. Each yielded level is a fresh array of length u_max + 1, so
-    a caller that keeps it does not keep the wider working level alive.
+    Level t is stored up to width_t = min(u_max + (T-t)m, t*max_up), m
+    clipped at 0: later levels read at most m past their own width, and
+    phi(u, t) = 1 once u exceeds t times the maximal upward step, which
+    is how `_first_step` reads past the stored width. So every level is
+    exact for u <= u_max, not only the last. Each yielded level is a
+    fresh array of length u_max + 1, so a caller that keeps it does not
+    keep the wider working level alive.
     """
     if T < 1:
         raise ModelError(f"horizon T={T} must be >= 1")
     if u_max < 0:
         raise ModelError(f"u_max={u_max} must be >= 0")
-    m = model.max_drop
+    m = max(model.max_drop, 0)
     max_up = max(model.step.support_max, 0)
-    fw = model.step.weights
 
     def width(t: int) -> int:
         return max(0, min(u_max + (T - t) * m, t * max_up))
 
     lvl = np.ones(1)               # phi(., 0) = 1: nothing has happened yet
     for t in range(1, T + 1):
-        wp = len(lvl) - 1
-        wt = width(t)
-        u = np.arange(wt + 1)
-        new = model.F(u - wp - 1)
-        if wp >= 1:
-            conv = np.convolve(lvl[1:], fw)
-            j = u + m - 1
-            ok = (j >= 0) & (j < len(conv))
-            new[ok] += conv[j[ok]]
-        lvl = new
+        lvl = _first_step(model, lvl, width(t))
         out = np.ones(u_max + 1)
         n = min(len(lvl), u_max + 1)
         out[:n] = lvl[:n]
@@ -110,22 +117,6 @@ def finite_grid(model: RiskModel, u_max: int, t_max: int):
     horizon t_max: t_max levels, one convolution each, so the number of
     convolutions is linear in t_max."""
     yield from enumerate(_finite_table(model, u_max, t_max), start=1)
-
-
-def _recurrence_residual(model: RiskModel, phi: np.ndarray) -> float:
-    """max |phi(u) - sum_{i>=1} phi(i) f(u-i)| over u = 0..len(phi)-m-1.
-
-    step.weights[k] = f(k - m), so entry u + m of the convolution of phi
-    (with phi(0) zeroed) and the weights is the sum on the right.
-    """
-    m = model.max_drop
-    n = len(phi) - m
-    if n <= 0:
-        return 0.0
-    head = phi.copy()
-    head[0] = 0.0
-    conv = np.convolve(head, model.step.weights)
-    return float(np.max(np.abs(phi[:n] - conv[m : m + n])))
 
 
 def _check_length(init: InitialValues | None, m: int) -> None:
@@ -215,10 +206,12 @@ def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
     q_0 = 1 - H(1), q_n = sum_k h_k q_{n-k}, a recurrence of nonnegative
     terms that is forward-stable for every u, and phi(u) = P(M < u) for
     u >= 1; the table keeps q_0..q_{m-1}, the paper's pi, as `q`. phi(0)
-    is the one-step balance sum_{i<=m} phi(i) f(-i). An `init`, if given,
-    is checked for its length only; its partial sums are the paper's
-    route to phi(1..m) and verify this one. A value escaping [0, 1] or
-    out of order beyond tolerance raises at its u; nothing is clamped.
+    is the one-step balance sum_{i<=m} phi(i) f(-i), and `residual` is
+    max |phi - T phi|, T the first-step map, over u <= u_max - m. An
+    `init`, if given, is checked for its length only; its partial sums are
+    the paper's route to phi(1..m) and verify this one. A value escaping
+    [0, 1] or out of order beyond tolerance raises at its u; nothing is
+    clamped.
     """
     if u_max is None or u_max < 0:
         raise ModelError(f"u_max={u_max} must be >= 0")
@@ -237,8 +230,10 @@ def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
     phi[0] = math.fsum(phi[i] * model.f(-i) for i in range(1, m + 1))
     phi = phi[: u_max + 1]
     _check_table(phi)
-    return SurvivalTable(phis=phi, kind="ultimate",
-                         residual=_recurrence_residual(model, phi),
+    n = len(phi) - m               # below n, T phi reads no phi past u_max
+    residual = 0.0 if n <= 0 else float(np.max(np.abs(
+        phi[:n] - _first_step(model, phi, n - 1))))
+    return SurvivalTable(phis=phi, kind="ultimate", residual=residual,
                          q=q[:m].copy())
 
 
@@ -247,12 +242,13 @@ def xi_coeffs(model: RiskModel, init: InitialValues, n: int,
     """First n Taylor coefficients of the survival generating function
     Xi(s) = sum_u phi(u+1) s^u.
 
-    Xi is the ratio of N(s) = sum_i pi_i sum_j s^(i+j) F(-m+j) to the
-    cleared-denominator polynomial s^m (G_step(s) - 1). Both share the
-    unit-disk roots (N vanishes there to the same multiplicity), and the
-    raw long division is unstable at rate 1/|alpha_min| per coefficient,
-    so the common factors are deflated from both sides first; what remains
-    has no roots inside the disk and divides stably.
+    Xi is the ratio of N(s) = sum_i pi_i sum_j s^(i+j) F(-m+j), of degree
+    m - 1, to the cleared-denominator polynomial s^m (G_step(s) - 1). Both
+    vanish at the m - 1 unit-disk roots, where the raw long division is
+    unstable, so those factors go: N keeps only N_{m-1} = sum_i pi_i
+    F(-1-i), and the rest of the denominator divides stably. pi enters
+    only through that one sum; the check that sees every pi is
+    `solve --verify`'s "linear solve vs ladder table".
     """
     m = model.max_drop
     _check_length(init, m)
@@ -261,15 +257,11 @@ def xi_coeffs(model: RiskModel, init: InitialValues, n: int,
     poly = char_poly(model)        # raises if the constant term vanishes
     if roots is None:
         roots = unit_disk_roots(model)
-    num = np.zeros(m, dtype=complex)
-    for t in range(m):
-        num[t] = math.fsum(init.pi[i] * model.F(-m + t - i)
-                           for i in range(t + 1))
+    top = math.fsum(init.pi[i] * model.F(-1 - i) for i in range(m))
     den = _divide_out(poly, roots.expanded())
-    num = _divide_out(num, roots.expanded())
     c = np.zeros(n, dtype=complex)
     for k in range(n):
-        acc = num[k] if k < len(num) else 0.0
+        acc = top if k == 0 else 0.0
         lo = max(0, k - len(den) + 1)
         acc -= sum(c[l] * den[k - l] for l in range(lo, k))
         c[k] = acc / den[0]

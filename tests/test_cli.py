@@ -203,6 +203,33 @@ class TestSolve:
                               "noclaim.json")
         assert main(["solve", noclaim]) == 2
 
+    @pytest.mark.parametrize("field, doc", [
+        ("truncate_m", dict(EX4_10_DOC, truncate_m=True)),
+        ("rebalance_l", dict(EX4_10_DOC, rebalance_l=True)),
+        ("n", {"claim": {"family": "geometric", "p": 0.5},
+               "interarrival": {"family": "binomial", "n": 4.5, "p": 0.5}}),
+        ("offset", dict(EX1_DOC, claim={"pmf": {"offset": 0.5,
+                                                "weights": [0.5, 0.5]}})),
+        ("tail_eps", dict(EX1_DOC, tail_eps="x")),
+        ("tail_eps", dict(EX1_DOC, tail_eps=None)),
+        ("weight", dict(EX1_DOC, claim={"pmf": {"weights": "ab"}})),
+        ("lambda", dict(EX4_10_DOC, claim={"family": "poisson",
+                                           "lambda": "1"})),
+        ("p", dict(EX1_DOC, claim={"family": "geometric", "p": True})),
+    ], ids=["truncate_m_true", "rebalance_l_true", "n_float", "offset_float",
+            "tail_eps_string", "tail_eps_null", "weights_string",
+            "lambda_string", "p_true"])
+    def test_field_of_wrong_json_type_exits_2(self, tmp_path, capsys, field,
+                                              doc):
+        # a bool is a Python int and a float cut by int() loses its part:
+        # neither may slip through as a number of another kind
+        out = tmp_path / "phi.csv"
+        assert main(["solve", write_model(tmp_path, doc),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{field}=" in err
+        assert not out.exists()
+
     def test_binomial_past_double_range_exits_2(self, tmp_path, capsys):
         # comb(1100, 550) overflows a double inside the binomial pmf
         doc = {"claim": {"family": "binomial", "n": 1100, "p": 0.5},

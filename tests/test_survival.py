@@ -43,6 +43,47 @@ def divide_out_loop(coeffs, zs) -> np.ndarray:
     return a
 
 
+def xi_coeffs_deflating_numerator(model, init, n, roots) -> np.ndarray:
+    """xi_coeffs as it ran with the whole numerator: all m coefficients of
+    N(s) built, the unit-disk roots divided out of them as out of the
+    denominator, then the same long division."""
+    m = model.max_drop
+    num = np.zeros(m, dtype=complex)
+    for t in range(m):
+        num[t] = math.fsum(init.pi[i] * model.F(-m + t - i)
+                           for i in range(t + 1))
+    den = survival._divide_out(rw.char_poly(model), roots.expanded())
+    num = survival._divide_out(num, roots.expanded())
+    c = np.zeros(n, dtype=complex)
+    for k in range(n):
+        acc = num[k] if k < len(num) else 0.0
+        lo = max(0, k - len(den) + 1)
+        acc -= sum(c[l] * den[k - l] for l in range(lo, k))
+        c[k] = acc / den[0]
+    return c.real.copy()
+
+
+@pytest.fixture(scope="module", params=["goldens", "example4_caps", "random"])
+def deflation_cases(request, ex1, ex2, ex3, ex4):
+    """(case, [(model, roots, init)]): the goldens, Example 4 at caps
+    10..20, or 220 random models with m up to 12."""
+    case = request.param
+    if case == "goldens":
+        return case, [(s.model, s.roots, s.init)
+                      for s in (ex1, ex2, *ex3.values(), *ex4.values())]
+    if case == "example4_caps":
+        models = [make_example4(cap).build() for cap in range(10, 21)]
+    else:
+        rng = np.random.default_rng(7)
+        models = [random_admissible_model(rng, m_max=12) for _ in range(220)]
+    cases = []
+    for model in models:
+        roots = rw.unit_disk_roots(model)
+        cases.append((model, roots, rw.solve_linear(
+            rw.build_system(model, roots))))
+    return case, cases
+
+
 class TestUltimate:
     def test_example1_closed_forms(self, ex1):
         expect = [SQ2 / 4, 2 - SQ2, 2 * (SQ2 - 1), 8 - 5 * SQ2]
@@ -168,26 +209,11 @@ class TestLadderRoute:
 
 
 class TestDeflation:
-    @pytest.mark.parametrize("case", ["goldens", "example4_caps", "random"])
-    def test_bit_identical_to_loop_reference(self, case, monkeypatch, ex1,
-                                             ex2, ex3, ex4):
+    def test_bit_identical_to_loop_reference(self, deflation_cases,
+                                             monkeypatch):
         # the ladder factor and the deflated generating-function division
         # give the same bits through pgf._divide as through the loop
-        if case == "goldens":
-            cases = [(s.model, s.roots, s.init)
-                     for s in (ex1, ex2, *ex3.values(), *ex4.values())]
-        else:
-            if case == "example4_caps":
-                models = [make_example4(cap).build() for cap in range(10, 21)]
-            else:
-                rng = np.random.default_rng(7)
-                models = [random_admissible_model(rng, m_max=12)
-                          for _ in range(220)]
-            cases = []
-            for model in models:
-                roots = rw.unit_disk_roots(model)
-                cases.append((model, roots, rw.solve_linear(
-                    rw.build_system(model, roots))))
+        case, cases = deflation_cases
         out = [(survival._ladder_factor(model, roots).tobytes(),
                 rw.xi_coeffs(model, init, 30, roots).tobytes())
                for model, roots, init in cases]
@@ -198,6 +224,14 @@ class TestDeflation:
         assert out == ref
         assert len(cases) == {"goldens": 7, "example4_caps": 11,
                               "random": 220}[case]
+
+    def test_xi_numerator_is_its_leading_coefficient(self, deflation_cases):
+        # dividing the m - 1 unit-disk roots out of the degree m - 1
+        # numerator leaves its leading coefficient, bit for bit
+        _, cases = deflation_cases
+        for model, roots, init in cases:
+            assert rw.xi_coeffs(model, init, 60, roots).tobytes() == \
+                xi_coeffs_deflating_numerator(model, init, 60, roots).tobytes()
 
 
 class TestRecurrenceResidual:
@@ -279,6 +313,28 @@ class TestFiniteHorizon:
         ult = rw.ultimate_survival(model, u_max=60).phis
         fin = rw.finite_survival(model, 60, T).phis
         assert np.max(ult - fin) <= 1e-15
+
+    @pytest.mark.parametrize("claim, inter", [
+        (rw.Pmf.from_weights(1, [0.5, 0.5]), rw.Pmf.from_weights(0, [0.5, 0.5])),
+        (rw.Pmf.from_weights(5, [0.5, 0.5]), rw.Pmf.from_weights(0, [0.5, 0.5])),
+        (rw.Pmf.point(0), rw.Pmf.from_weights(0, [0.25, 0.25, 0.5])),
+    ], ids=["max_drop_0", "max_drop_-4", "never_up"])
+    def test_boundary_models_match_enumeration(self, claim, inter):
+        # the first-step map's convolution starts at u = 1 - m; a walk that
+        # always steps up still needs every grid level to u_max, and one
+        # that never steps up leaves every level one entry wide; below
+        # u_max = -m the always-up walk's convolution has no entry to add
+        model = rw.build_model(claim, inter)
+        exact = {T: [rw.enumerate_finite(model, u, T) for u in range(9)]
+                 for T in range(1, 6)}
+        for u_max in range(9):
+            grid = dict(rw.finite_grid(model, u_max, 5))
+            for T in range(1, 6):
+                want = exact[T][:u_max + 1]
+                np.testing.assert_allclose(grid[T], want, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(
+                    rw.finite_survival(model, u_max, T).phis, want,
+                    rtol=0, atol=1e-15)
 
     def test_domain_errors(self, ex1):
         with pytest.raises(rw.ModelError):
