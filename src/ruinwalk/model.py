@@ -5,13 +5,16 @@ variables: the claim amount X and the premium-scaled interarrival time
 c*theta, the latter with finite support bound m. Everything downstream
 (roots, initial values, survival tables) depends on them only through the
 step distribution X - c*theta, represented here as a dense Pmf with an
-integer offset.
+integer offset. Every pmf value, tail, cut, cap and excess mean of a law
+is read from one run of its weights, walked once and cached.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +33,9 @@ _MASS_TOL = 1e-12
 # The binomial pmf multiplies the exact comb(n, k) by floats; from n = 1030
 # on, comb(n, n // 2) exceeds the largest double.
 _BINOMIAL_N_MAX = 1029
+
+# Longest walk of a named law: Poisson lambda <= 2.8e9, geometric p >= 1.8e-4.
+_RUN_MAX = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -106,6 +112,9 @@ class ParametricDist:
 
     Families: geometric(p) with P(V=k) = (1-p)^k p on k >= 0, poisson(lam),
     binomial(n, p), or explicit(pmf).
+
+    Every query reads the cached `run`: `pmf_at` looks a weight up, `sf`
+    sums the run past j, and `materialize`, `truncate`, `excess_mean` slice it.
     """
 
     family: str
@@ -155,58 +164,46 @@ class ParametricDist:
         return self.family in ("binomial", "explicit") or \
             (self.family == "geometric" and self.p == 1.0)
 
-    def exact_mean(self) -> float:
-        if self.family == "geometric":
-            return (1.0 - self.p) / self.p
-        if self.family == "poisson":
-            return self.lam
-        if self.family == "binomial":
-            return self.n * self.p
-        return self.pmf.mean()
+    @functools.cached_property
+    def run(self) -> tuple:
+        """(lo, w) with w[i] = P(V = lo + i): an explicit pmf's weights, or a
+        named law's from the first positive one to the last before 0 (or n)."""
+        fam, p, lam, n = self.family, self.p, self.lam, self.n
+        if fam == "explicit":
+            return self.pmf.offset, self.pmf.weights.tolist()
+        lo, hi = 0, n + 1 if fam == "binomial" else 0
+        if fam == "geometric":
+            # (1-p)^k p < 2^-1075 once -k log(1-p) > 745.2
+            rate = -math.log(1.0 - p) if p < 1.0 else math.inf
+            hi = 746.0 / rate + 2.0 if rate > 0.0 else math.inf
+        elif fam == "poisson":
+            # log P(V = k) <= -lam h(k/lam), h(x) = x log x - x + 1: < -800 at
+            # k <= lam - 40 sqrt(lam), < -746 at k >= hi - 2 by h(1+u) >= u^2/(2+2u/3)
+            lo = max(0, math.floor(lam - 40.0 * math.sqrt(lam)))
+            hi = lam + 250.7 + math.sqrt(248.7 ** 2 + 1492.0 * lam)
+        if hi - lo > _RUN_MAX:
+            raise ModelError(f"{fam} law spans more than {_RUN_MAX} weights; the limit "
+                             "admits poisson lambda <= 2.8e9 and geometric p >= 1.8e-4")
+        ks = range(lo, int(hi))
+        if fam == "geometric":
+            w = [(1.0 - p) ** k * p for k in ks]
+        elif fam == "poisson":
+            log_lam = math.log(lam)
+            w = [math.exp(k * log_lam - math.lgamma(k + 1) - lam) for k in ks]
+        else:
+            w = [math.comb(n, k) * p ** k * (1.0 - p) ** (n - k) for k in ks]
+        w.append(0.0)
+        i = next(i for i, x in enumerate(w) if x > 0.0)
+        return lo + i, w[i:w.index(0.0, i)]
 
     def sf(self, j: int) -> float:
         """P(V > j) for integer j."""
-        if j < 0:
-            return 1.0
-        if self.family == "geometric":
-            return (1.0 - self.p) ** (j + 1)
-        if self.family == "explicit":
-            # summed in full: zero weights past the mean end _pmf_run early
-            k = j + 1 - self.pmf.offset
-            return 1.0 if k <= 0 else math.fsum(self.pmf.weights[k:])
-        return math.fsum(_pmf_run(self, j + 1, 2.0 ** -53))
+        lo, w = self.run
+        return 1.0 if j < lo else math.fsum(w[j + 1 - lo:])
 
     def pmf_at(self, k: int) -> float:
-        if k < 0:
-            return 0.0
-        if self.family == "geometric":
-            return (1.0 - self.p) ** k * self.p
-        if self.family == "poisson":
-            return math.exp(k * math.log(self.lam) - math.lgamma(k + 1) - self.lam)
-        if self.family == "binomial":
-            if k > self.n:
-                return 0.0
-            return math.comb(self.n, k) * self.p ** k \
-                * (1.0 - self.p) ** (self.n - k)
-        return self.pmf.mass_at(k)
-
-
-def _pmf_run(dist: ParametricDist, k: int, rel: float) -> list:
-    """[pmf_at(k), pmf_at(k + 1), ...] up to, not including, the first term
-    past the mean that is at most rel times the sum of the terms before it.
-
-    The named laws are unimodal with tails that fall off at least
-    geometrically, so the terms left out sum to O(rel) of the run.
-    """
-    mean = dist.exact_mean()
-    run, total = [], 0.0
-    while True:
-        w = dist.pmf_at(k)
-        if k > mean and w <= rel * total:
-            return run
-        run.append(w)
-        total += w
-        k += 1
+        lo, w = self.run
+        return w[k - lo] if lo <= k < lo + len(w) else 0.0
 
 
 def materialize(dist: ParametricDist | Pmf, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
@@ -214,7 +211,9 @@ def materialize(dist: ParametricDist | Pmf, tail_eps: float = DEFAULT_TAIL_EPS) 
 
     Families with finite support come back exact. Infinite families are
     cut at the smallest K with P(V > K) <= tail_eps, and `truncate` lumps
-    the tail P(V >= K) onto K, the same rule as an interarrival cap.
+    the tail P(V >= K) onto K, the same rule as an interarrival cap. The
+    tails are summed from the small end of the law's run up, and the run
+    reaches the weights' underflow, so they are accurate far past tail_eps.
     """
     if isinstance(dist, Pmf):
         return dist
@@ -222,13 +221,12 @@ def materialize(dist: ParametricDist | Pmf, tail_eps: float = DEFAULT_TAIL_EPS) 
         raise ModelError(f"tail_eps={tail_eps!r} outside (0, 1e-6]")
     if dist.family == "explicit":
         return dist.pmf
+    lo, w = dist.run
     if dist.has_finite_support:
-        return Pmf.from_weights(0, _pmf_run(dist, 0, 0.0))
-    # run far enough that the tails near tail_eps are summed to full
-    # precision; tails[k] = P(V >= k), summed from the small end up
-    w = np.array(_pmf_run(dist, 0, tail_eps * 2.0 ** -53))
+        return Pmf.from_weights(lo, w)
+    # tails[i] = P(V >= lo + i)
     tails = np.append(np.cumsum(w[::-1])[::-1], 0.0)
-    K = int(np.argmax(tails[1:] <= tail_eps))
+    K = lo + int(np.argmax(tails[1:] <= tail_eps))
     return truncate(dist, K) if K else Pmf.point(0)
 
 
@@ -238,8 +236,10 @@ def truncate(dist: ParametricDist | Pmf, m: int) -> Pmf:
     This is the one rule for every cut and cap: the interarrival cap
     `truncate_m`, the cut of an infinite law in `materialize` and the
     SUPPORT_DUST trim in `build_model`. The result agrees with the input on
-    {0..m-1} and carries P(V >= m) on m. A pmf already supported within
-    [0, m] is returned unchanged.
+    {0..m-1} and carries P(V >= m) on m. It is a slice of the law's run
+    plus sf(m - 1), so its cost is bounded by the run, not by m: a cap at
+    or past the run's end gives the run itself, and a pmf already supported
+    within [0, m] is returned unchanged.
     """
     if m <= 0:
         raise ModelError(f"truncation bound m={m} must be >= 1")
@@ -247,21 +247,16 @@ def truncate(dist: ParametricDist | Pmf, m: int) -> Pmf:
         dist = ParametricDist.explicit(dist)
     if dist.family == "explicit" and dist.pmf.support_max <= m:
         return dist.pmf
-    return Pmf.from_weights(
-        0, [dist.pmf_at(k) for k in range(m)] + [dist.sf(m - 1)])
+    lo, w = dist.run
+    lo = min(lo, m)
+    return Pmf.from_weights(lo, np.append(w[:m - lo], dist.sf(m - 1)))
 
 
 def excess_mean(interarrival: ParametricDist, m: int) -> float:
     """sum_{i>=1} i * P(V = m + i), the mean mass beyond a cap at m."""
-    if interarrival.family == "explicit":
-        pmf = interarrival.pmf
-        s = 0.0
-        for j in range(m + 1, pmf.support_max + 1):
-            s += (j - m) * pmf.mass_at(j)
-        return s
-    # E(V) - E(V capped at m), both exact for the named families
-    capped = truncate(interarrival, m)
-    return interarrival.exact_mean() - capped.mean()
+    lo, w = interarrival.run
+    k0 = max(m + 1, lo)
+    return math.fsum((k - m) * x for k, x in enumerate(w[k0 - lo:], k0))
 
 
 def rebalance_claim(claim: ParametricDist | Pmf, interarrival: ParametricDist,
@@ -275,22 +270,22 @@ def rebalance_claim(claim: ParametricDist | Pmf, interarrival: ParametricDist,
     if l <= 0:
         raise ModelError(f"rebalance point l={l} must be a positive integer")
     pmf = materialize(claim) if isinstance(claim, ParametricDist) else claim
-    delta = excess_mean(interarrival, m) / l
-    if delta == 0.0:
+    excess = excess_mean(interarrival, m)
+    if excess == 0.0:
         return pmf
-    lo = min(pmf.offset, 0)
-    hi = max(pmf.support_max, l)
-    w = np.zeros(hi - lo + 1)
-    w[pmf.offset - lo : pmf.offset - lo + len(pmf.weights)] = pmf.weights
-    if w[l - lo] - delta < 0.0:
-        shift = delta * l
-        feasible = [j for j in range(1, hi + 1)
-                    if j != 0 and w[j - lo] >= shift / j]
-        hint = feasible[0] if feasible else None
-        msg = f"claim mass at l={l} is {w[l - lo]:.3e}, below the required shift {delta:.3e}"
+    # l is divided into the excess only where the claim has mass: past its
+    # support, l may lie beyond the double range
+    w_l = pmf.mass_at(l)
+    if w_l == 0.0 or w_l - excess / l < 0.0:
+        hint = next((j for j in range(max(pmf.offset, 1), pmf.support_max + 1)
+                     if pmf.mass_at(j) >= excess / j), None)
+        msg = f"claim mass at l={l} is {w_l:.3e}, below the required shift {excess:.3e}/l"
         msg += f"; smallest feasible l is {hint}" if hint is not None \
             else "; no feasible l exists for this claim"
         raise InfeasibleRebalanceError(msg, min_feasible_l=hint)
+    delta = excess / l
+    lo = min(pmf.offset, 0)
+    w = np.concatenate([np.zeros(pmf.offset - lo), pmf.weights])
     w[l - lo] -= delta
     w[0 - lo] += delta
     return Pmf.from_weights(lo, w)
@@ -376,11 +371,15 @@ def build_model(claim: Pmf, interarrival: Pmf) -> RiskModel:
 # Model files
 
 def _json_number(value, what: str, integer: bool = False):
-    """`value` if it is a JSON number (an integer when `integer`); no bool."""
+    """`value` if it is a JSON number (an integer when `integer`, else as a
+    float); no bool."""
     kind = "integer" if integer else "number"
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise ModelError(f"{what}={value!r} must be a JSON {kind}")
-    return value
+    try:
+        return value if integer else float(value)
+    except OverflowError:
+        raise ModelError(f"{what}={reprlib.repr(value)} overflows a double") from None
 
 
 def _dist_from_spec(spec: dict, what: str) -> ParametricDist:
@@ -477,6 +476,6 @@ def load_model_config(path: str) -> ModelConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ModelError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"model file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:   # bad JSON, or an int past the digit limit
+        raise ModelError(f"model file {path} is not readable JSON: {exc}") from exc
     return parse_model_config(doc)

@@ -216,13 +216,20 @@ class TestSolve:
         ("lambda", dict(EX4_10_DOC, claim={"family": "poisson",
                                            "lambda": "1"})),
         ("p", dict(EX1_DOC, claim={"family": "geometric", "p": True})),
+        ("lambda", dict(EX4_10_DOC, claim={"family": "poisson",
+                                           "lambda": 10 ** 400})),
+        ("p", dict(EX4_10_DOC, claim={"family": "geometric", "p": 10 ** 400})),
+        ("p", dict(EX1_DOC, claim={"family": "binomial", "n": 3,
+                                   "p": 10 ** 400})),
     ], ids=["truncate_m_true", "rebalance_l_true", "n_float", "offset_float",
             "tail_eps_string", "tail_eps_null", "weights_string",
-            "lambda_string", "p_true"])
+            "lambda_string", "p_true", "lambda_past_double_range",
+            "geometric_p_past_double_range", "binomial_p_past_double_range"])
     def test_field_of_wrong_json_type_exits_2(self, tmp_path, capsys, field,
                                               doc):
         # a bool is a Python int and a float cut by int() loses its part:
-        # neither may slip through as a number of another kind
+        # neither may slip through as a number of another kind; nor may an
+        # integer beyond the double range end in an OverflowError
         out = tmp_path / "phi.csv"
         assert main(["solve", write_model(tmp_path, doc),
                      "--out", str(out)]) == 2
@@ -239,6 +246,53 @@ class TestSolve:
                      "--out", str(out)]) == 2
         assert "binomial parameter n=1100" in capsys.readouterr().err
         assert not out.exists()
+
+
+def run_cli(tmp_path, doc, command, *args):
+    """`ruinwalk COMMAND MODEL ARGS` in a fresh interpreter, cut after 20 s,
+    so work linear in a model parameter fails rather than hangs."""
+    src = os.path.dirname(os.path.dirname(rw.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "ruinwalk.cli", command,
+         write_model(tmp_path, doc), *args],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=20)
+
+
+class TestParameterRanges:
+    def test_huge_lambda_exits_2(self, tmp_path):
+        # 1e308 passes the parameter check; the span check refuses it
+        # before any weight is walked
+        doc = dict(EX4_10_DOC, claim={"family": "poisson", "lambda": 1e308})
+        got = run_cli(tmp_path, doc, "solve", "--out", str(tmp_path / "x.csv"))
+        assert got.returncode == 2
+        assert "poisson law spans more than 4194304 weights" in got.stderr
+
+    @pytest.mark.parametrize("l", [30, 10 ** 12, 10 ** 400],
+                             ids=["30", "1e12", "1e400"])
+    def test_rebalance_point_without_mass_exits_2(self, tmp_path, l):
+        # refused before an array of length l is built or l is divided
+        # into the excess mean
+        got = run_cli(tmp_path, dict(EX4_10_DOC, rebalance_l=l), "solve",
+                      "--out", str(tmp_path / "x.csv"))
+        assert got.returncode == 2
+        assert got.stderr.startswith(f"error: claim mass at l={l} is 0.000e+00")
+        assert "smallest feasible l is 1" in got.stderr
+
+    def test_cap_past_the_law_is_the_cap16_model(self, tmp_path):
+        # cap 10^12 gives the whole interarrival run, which SUPPORT_DUST
+        # trims to the cap-16 model, bit for bit
+        out = tmp_path / "capped.json"
+        got = run_cli(tmp_path, dict(EX4_10_DOC, truncate_m=10 ** 12),
+                      "truncate", "--out", str(out))
+        assert got.returncode == 0
+        assert "m = 16 (cap 1000000000000 cut by SUPPORT_DUST)" in got.stdout
+        capped = rw.parse_model_config(json.loads(out.read_text())).build()
+        cap16 = rw.parse_model_config(dict(EX4_10_DOC, truncate_m=16)).build()
+        for name in ("claim", "interarrival", "step"):
+            a, b = getattr(capped, name), getattr(cap16, name)
+            assert a.offset == b.offset
+            assert a.weights.tolist() == b.weights.tolist()
 
 
 class TestRoots:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -143,6 +144,47 @@ class TestMaterialize:
         rw.materialize(rw.ParametricDist.poisson(1e4))
 
 
+class TestRun:
+    def test_named_laws_walk_to_underflow(self):
+        # geometric(1/2) down to 2^-1074, the smallest subnormal; the run
+        # is cached, so a law is walked once however often it is read
+        dist = rw.ParametricDist.geometric(0.5)
+        assert dist.run == (0, [2.0 ** -(k + 1) for k in range(1074)])
+        assert dist.run is dist.run
+        lo, w = rw.ParametricDist.poisson(1.01).run
+        assert lo == 0 and w[-1] > 0.0
+        assert rw.ParametricDist.poisson(1.01).pmf_at(len(w)) == 0.0
+        lo, w = rw.ParametricDist.binomial(4, 1.0).run
+        assert (lo, w) == (4, [1.0])
+
+    def test_large_lambda_starts_near_the_mode(self):
+        # weights below lam - 40 sqrt(lam) are exactly 0, so the run
+        # starts there and the head below it reads P(V > j) = 1
+        dist = rw.ParametricDist.poisson(1e6)
+        lo, w = dist.run
+        assert 960_000 < lo < 1e6 and len(w) < 80_000
+        assert dist.sf(10) == 1.0 and dist.pmf_at(lo - 1) == 0.0
+        out = rw.truncate(dist, 10)
+        assert (out.offset, list(out.weights)) == (10, [1.0])
+
+    @pytest.mark.parametrize("dist", [
+        rw.ParametricDist.poisson(3e9), rw.ParametricDist.poisson(1e308),
+        rw.ParametricDist.geometric(1.7e-4),
+        rw.ParametricDist.geometric(1e-300)])
+    def test_span_past_the_limit_is_refused(self, dist):
+        with pytest.raises(rw.ModelError, match="spans more than 4194304"):
+            dist.run
+
+    def test_cap_past_the_run_is_the_run(self):
+        # no per-term call and no list of length m: a cap of 10^12 costs
+        # what the run does
+        dist = rw.ParametricDist.poisson(1.01)
+        lo, w = dist.run
+        for m in (lo + len(w) - 1, 10 ** 12):
+            out = rw.truncate(dist, m)
+            assert (out.offset, list(out.weights)) == (lo, w)
+
+
 class TestStepPmf:
     def test_point_masses(self):
         step = rw.step_pmf(rw.Pmf.point(0), rw.Pmf.point(1))
@@ -231,11 +273,23 @@ class TestRebalance:
         # delta verified against the direct series for sum i P(V = m+i)
         delta = capped_excess_series(1.01, 10)
         assert excess_mean(rw.ParametricDist.poisson(1.01), 10) == \
-            pytest.approx(delta, rel=1e-10)
+            pytest.approx(delta, rel=1e-10, abs=0)
         xm = rw.rebalance_claim(rw.ParametricDist.poisson(1.0),
                                 rw.ParametricDist.poisson(1.01), 10, 1)
         capped = rw.truncate(rw.ParametricDist.poisson(1.01), 10)
         assert xm.mean() - capped.mean() == pytest.approx(-0.01, abs=1e-10)
+
+    def test_excess_mean_against_mpmath(self):
+        # one sum over the run: E(V) - E(V capped at m) cancels, to
+        # -1.1e-16 for Poisson(0.5) at cap 15 where the sum is 4.7e-19
+        for lam in (0.5, 1.01, 3.0, 10.0):
+            dist = rw.ParametricDist.poisson(lam)
+            with mp.workdps(50):
+                x = mp.mpf(lam)
+                pmf = [mp.exp(-x) * x ** k / mp.factorial(k) for k in range(250)]
+                for m in range(5, 31):
+                    ref = float(mp.fsum((k - m) * pmf[k] for k in range(m + 1, 250)))
+                    assert excess_mean(dist, m) == pytest.approx(ref, rel=1e-13, abs=0)
 
     def test_geometric_l2_mean_equality(self):
         xm = rw.rebalance_claim(rw.ParametricDist.geometric(0.5),
