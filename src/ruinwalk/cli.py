@@ -3,7 +3,8 @@
 Subcommands: solve (ultimate-time table), finite (finite-horizon grid),
 roots (unit-disk roots as CSV and optional SVG), simulate (Monte Carlo
 check), truncate (cap an interarrival law and report the induced bounds).
-Exit codes: 0 success, 2 model or domain error, 3 numerical failure.
+Exit codes: 0 success, 2 model or domain error (a table too large to
+allocate included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -359,7 +360,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ModelError, ResourceError) as exc:
+    except (ModelError, ResourceError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except NumericalError as exc:

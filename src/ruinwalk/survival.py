@@ -3,10 +3,12 @@
 Ultimate-time values come from the Wiener-Hopf ladder factorisation of
 the step polynomial P(s) = s^m (G(s) - 1): dividing its unit-disk roots
 and s = 1 out of P leaves 1 - H(s), where H is the generating function of
-the strict ascending ladder height (Feller, Vol. II, ch. XII). The
-maximum of the walk then follows a renewal recurrence of nonnegative
-terms, which is forward-stable for every u. phi(0) is the one-step
-balance. Bounds and monotonicity are checked, never clamped.
+the strict ascending ladder height (Feller, Vol. II, ch. XII). The ruin
+tail psi(u) = 1 - phi(u) then follows the defective renewal equation
+psi(u) = sum_k h_k psi(u - k) from psi = 1 below zero (ch. XI), a
+recurrence of nonnegative terms that is forward-stable for every u.
+phi(0) is the one-step balance. Bounds and monotonicity are checked,
+never clamped.
 
 Finite-horizon tables apply the first-step map `_first_step` once per
 level. One pass to horizon T produces every level t = 1..T exactly, so a
@@ -170,8 +172,9 @@ def _ladder_factor(model: RiskModel, roots: RootSet) -> np.ndarray:
     return a / a[0]
 
 
-def _ladder_pmf(h: np.ndarray, q0: float, n: int) -> np.ndarray:
-    """q_0 .. q_{n-1} of the renewal recurrence q_n = sum_k h_k q_{n-k}.
+def _ladder_tail(h: np.ndarray, n: int) -> np.ndarray:
+    """psi(0) .. psi(n) of the defective renewal equation
+    psi(u) = sum_k h_k psi(u - k) for u >= 1, with psi = 1 on u <= 0.
 
     Blocks of up to _BLOCK terms come from one product with the matrix
     that maps the last K = len(h) terms to the next block. Its rows are
@@ -180,19 +183,16 @@ def _ladder_pmf(h: np.ndarray, q0: float, n: int) -> np.ndarray:
     every entry and every product is a sum of nonnegative terms.
     """
     k = len(h)
-    q = np.zeros(k + n)            # q[k + j] = q_j; the k zeros are q_{<0}
-    q[k] = q0
-    if k == 0 or n <= 1:
-        return q[k:]
-    block = min(_BLOCK, n - 1)
+    psi = np.ones(k + 1 + n)       # psi[k + u] = psi(u); psi(-k..0) = 1
+    block = min(_BLOCK, n)
     rows = np.vstack([np.eye(k), h[::-1]])
     while len(rows) - k < block:
         rows = np.vstack([rows, rows[k:] @ rows[len(rows) - k :]])
     step = rows[k : k + block]
-    for j in range(1, n, block):
+    for j in range(0, n, block):
         e = min(j + block, n)
-        q[k + j : k + e] = step[: e - j] @ q[j : j + k]
-    return q[k:]
+        psi[k + 1 + j : k + 1 + e] = step[: e - j] @ psi[j + 1 : j + 1 + k]
+    return psi[k:]
 
 
 def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
@@ -202,10 +202,11 @@ def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
 
     The unit-disk roots and s = 1 divided out of the step polynomial leave
     1 - H(s), H the strict ascending ladder-height generating function
-    with coefficients h_k >= 0. The maximum M of the walk has the pmf
-    q_0 = 1 - H(1), q_n = sum_k h_k q_{n-k}, a recurrence of nonnegative
-    terms that is forward-stable for every u, and phi(u) = P(M < u) for
-    u >= 1; the table keeps q_0..q_{m-1}, the paper's pi, as `q`. phi(0)
+    with coefficients h_k >= 0. The ruin tail psi(u) = P(M >= u) of the
+    walk's maximum M runs psi(u) = sum_k h_k psi(u-k) from psi = 1 on
+    u <= 0, a recurrence of nonnegative terms that is forward-stable for
+    every u, and phi(u) = 1 - psi(u) for u >= 1; the table keeps
+    P(M = i) = psi(i) - psi(i+1), i < m, the paper's pi, as `q`. phi(0)
     is the one-step balance sum_{i<=m} phi(i) f(-i), and `residual` is
     max |phi - T phi|, T the first-step map, over u <= u_max - m. An
     `init`, if given, is checked for its length only; its partial sums are
@@ -223,10 +224,8 @@ def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
     _check_length(init, m)
     if roots is None:
         roots = unit_disk_roots(model)
-    a = _ladder_factor(model, roots)
-    q = _ladder_pmf(-a[1:], a.sum(), max(u_max, m))
-    phi = np.empty(len(q) + 1)
-    phi[1:] = np.cumsum(q)
+    psi = _ladder_tail(-_ladder_factor(model, roots)[1:], max(u_max, m))
+    phi = 1.0 - psi
     phi[0] = math.fsum(phi[i] * model.f(-i) for i in range(1, m + 1))
     phi = phi[: u_max + 1]
     _check_table(phi)
@@ -234,7 +233,7 @@ def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
     residual = 0.0 if n <= 0 else float(np.max(np.abs(
         phi[:n] - _first_step(model, phi, n - 1))))
     return SurvivalTable(phis=phi, kind="ultimate", residual=residual,
-                         q=q[:m].copy())
+                         q=psi[:m] - psi[1 : m + 1])
 
 
 def xi_coeffs(model: RiskModel, init: InitialValues, n: int,

@@ -259,6 +259,19 @@ def run_cli(tmp_path, doc, command, *args):
         timeout=20)
 
 
+class TestUnallocatableTable:
+    # 10**15 doubles are 7.11 PiB: numpy refuses them at once, before any
+    # CSV is opened; an unmapped MemoryError would raise out of main
+    @pytest.mark.parametrize("cmd", ["solve", "finite"])
+    def test_huge_u_max_exits_2(self, cmd, tmp_path, capsys):
+        out = tmp_path / "phi.csv"
+        assert main([cmd, str(GOLDEN_DIR / "ex4_cap10.json"), "--u-max",
+                     str(10**15), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
 class TestParameterRanges:
     def test_huge_lambda_exits_2(self, tmp_path):
         # 1e308 passes the parameter check; the span check refuses it
@@ -473,6 +486,20 @@ class TestDefaultOutputNames:
         monkeypatch.chdir(tmp_path)
         assert main(["solve", model, "--u-max", "2"]) == 0
         assert (tmp_path / "ex1_phi.csv").exists()
+
+    def test_walk_that_never_steps_up_report(self, tmp_path, capsys):
+        # steps -1 and -2 only: no ladder height, so psi = 0 above zero and
+        # all of the maximum's mass sits at 0, with no negative zero
+        doc = {"claim": {"pmf": {"offset": 0, "weights": [1.0]}},
+               "interarrival": {"pmf": {"offset": 1, "weights": [0.5, 0.5]}}}
+        model = write_model(tmp_path, doc, "down.json")
+        assert main(["solve", model, "--out", str(tmp_path / "d.csv")]) == 0
+        assert "pi: 1, 0" in capsys.readouterr().out.splitlines()
+        table = rw.ultimate_survival(rw.load_model_config(model).build(),
+                                     u_max=5)
+        np.testing.assert_array_equal(table.q, [1.0, 0.0])
+        assert not np.signbit(table.q).any()
+        np.testing.assert_array_equal(table.phis[1:], 1.0)
 
     def test_rootless_model_report(self, tmp_path, capsys):
         doc = {"claim": {"pmf": {"offset": 0, "weights": [0.5, 0.3, 0.2]}},

@@ -1,7 +1,9 @@
 """Survival tables: recurrence, finite horizon, generating function, bounds."""
 
 import math
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from conftest import (make_example1, make_example2, make_example3,
                       random_admissible_model, solve_pipeline)
 
 SQ2 = math.sqrt(2.0)
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+GOLDENS = ["ex1", "ex2", "ex3_p05", "ex4_cap10", "ex4_cap15"]
 
 
 def recurrence_residual_loop(model, phi) -> float:
@@ -178,7 +182,8 @@ class TestLadderRoute:
         table = rw.ultimate_survival(model, u_max=40)
         ref = rw.finite_survival(model, 40, 500).phis
         np.testing.assert_allclose(table.phis, ref, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(np.cumsum(table.q), table.phis[1:16])
+        np.testing.assert_allclose(np.cumsum(table.q), table.phis[1:16],
+                                   rtol=0, atol=2**-52)
 
     def test_example4_cap15_long_table(self):
         model = make_example4(15).build()
@@ -206,6 +211,29 @@ class TestLadderRoute:
             xs = rw.xi_coeffs(model, solved.init, 60, solved.roots)
             np.testing.assert_allclose(xs, solved.table.phis[1:], rtol=0,
                                        atol=1e-9)
+
+
+class TestRuinTail:
+    """phi = 1 - psi, psi(u) = sum_k h_k psi(u - k) from psi = 1 below
+    zero: no running sum of the maximum's pmf to drift past 1."""
+
+    def test_example1_matches_closed_form(self):
+        # phi(u) = 1 - (sqrt 2 - 1)^u, the reference in 40 digits
+        table = rw.ultimate_survival(make_example1(), u_max=20_000)
+        with mp.workdps(40):
+            r, tail, ref = mp.sqrt(2) - 1, mp.mpf(1), []
+            for _ in range(20_000):
+                tail *= r
+                ref.append(float(1 - tail))
+        np.testing.assert_allclose(table.phis[1:], ref, rtol=0, atol=1.2e-16)
+
+    @pytest.mark.parametrize("name", GOLDENS)
+    def test_goldens_never_exceed_one(self, name):
+        model = rw.load_model_config(GOLDEN_DIR / f"{name}.json").build()
+        phis = rw.ultimate_survival(model, u_max=20_000).phis
+        assert np.all(phis <= 1.0)
+        if name.startswith("ex4"):
+            assert phis[-1] == 1.0
 
 
 class TestDeflation:
