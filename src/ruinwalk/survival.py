@@ -10,11 +10,13 @@ recurrence of nonnegative terms that is forward-stable for every u.
 phi(0) is the one-step balance. Bounds and monotonicity are checked,
 never clamped.
 
-Finite-horizon tables apply the first-step map `_first_step` once per
-level. One pass to horizon T produces every level t = 1..T exactly, so a
-grid over T = 1..t_max is a single pass of t_max levels, and the number of
-convolutions is linear in t_max. The same map, applied once to the
-ultimate table, gives its re-substitution residual.
+Finite-horizon tables step the ruin tail too: the first-step map
+`_first_step`, (T psi)(u) = sum_k f(k) psi(u - k) with psi = 1 below
+zero, is a sum of nonnegative terms, so phi(u, t) = 1 - psi(u, t) <= 1.
+One pass to horizon T produces every level t = 1..T exactly, so a grid
+over T = 1..t_max is a single pass of t_max levels, one convolution each.
+The same map, applied once to the ladder tail, gives its re-substitution
+residual.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ if TYPE_CHECKING:              # the paper's system loads only when asked for
 
 MONOTONE_TOL = 1e-9       # tolerated [0,1] / monotonicity slack
 _BLOCK = 512              # ladder-recurrence terms per matrix product
+_PSI_FLOOR = 2.0**-600
+"""A level of psi ends at its first entry past u = 0 below this floor:
+the products of an underflowing tail with the step weights are subnormal
+and slow in `np.convolve`. The floor sits some 550 binades below the
+half ulp of 1 at which 1 - psi rounds, so it moves no bit of phi."""
 
 
 @dataclass(frozen=True)
@@ -41,8 +48,6 @@ class SurvivalTable:
     """phi(u) for u = 0..u_max (ultimate) or phi(u, T) at fixed T (finite)."""
 
     phis: np.ndarray
-    kind: str                      # "ultimate" or "finite"
-    horizon: int | None = None     # T for finite tables
     residual: float = 0.0          # max recurrence re-substitution residual
     warnings: tuple = ()           # free-text notes; the ladder route adds none
     q: np.ndarray | None = None    # ultimate: P(M = i), i = 0..m-1
@@ -55,63 +60,55 @@ class SurvivalTable:
         return float(self.phis[u])
 
 
-def _first_step(model: RiskModel, lvl: np.ndarray, n: int) -> np.ndarray:
-    """(T lvl)(u) = sum_{i>=1} lvl(i) f(u - i) for u = 0..n, lvl(i) read
-    as 1 past the end of `lvl`: those terms sum to F(u - len(lvl)), which
-    is 0 below u = len(lvl) - m. As step.weights[k] = f(k - m), the rest
-    is entry u + m - 1 of the convolution of lvl(1..) with the weights,
-    which starts at u = 1 - m."""
-    m = model.max_drop
-    lo, k = max(0, 1 - m), max(0, len(lvl) - m)
-    out = np.zeros(n + 1)
-    out[k:] = model.F(np.arange(k, n + 1) - len(lvl))
-    if len(lvl) > 1 and n >= lo:
-        conv = np.convolve(lvl[1:], model.step.weights)[lo + m - 1 : n + m]
-        out[lo : lo + len(conv)] += conv
-    return out
+def _first_step(model: RiskModel, psi: np.ndarray, n: int) -> np.ndarray:
+    """(T psi)(u) = sum_k f(k) psi(u - k) for u = 0..n, psi read as 1 on
+    v <= 0 and as 0 from its first entry past u = 0 below _PSI_FLOOR, or
+    past its end; psi(0) is never read. The ones stand for v = -max_up..0,
+    so the map is one slice of one convolution with step.weights[j] =
+    f(j - m). The slice ends early where T psi is 0 for every larger u."""
+    pad = max(model.step.support_max, 0) + 1
+    lo = model.max_drop + pad - 1
+    below = np.flatnonzero(psi[1:] < _PSI_FLOOR)
+    end = below[0] + 1 if below.size else len(psi)
+    x = np.concatenate([np.ones(pad), psi[1:end]])
+    return np.convolve(x, model.step.weights)[lo : lo + n + 1]
 
 
 def _finite_table(model: RiskModel, u_max: int, T: int):
     """Yield phi(0..u_max, t) for t = 1..T from one pass of the first-step
-    map: T levels, one convolution each.
+    map on the ruin tail: psi(., 0) = 0 on u >= 1, one convolution per
+    level, and phi = 1 - psi, exactly 1 past the stored level.
 
-    Level t is stored up to width_t = min(u_max + (T-t)m, t*max_up), m
-    clipped at 0: later levels read at most m past their own width, and
-    phi(u, t) = 1 once u exceeds t times the maximal upward step, which
-    is how `_first_step` reads past the stored width. So every level is
-    exact for u <= u_max, not only the last. Each yielded level is a
-    fresh array of length u_max + 1, so a caller that keeps it does not
-    keep the wider working level alive.
+    Level t is asked for up to u_max + (T - t)m, m clipped at 0, as later
+    levels read at most m past their own width; so every level is exact
+    for u <= u_max, not only the last. The next level reads it up to its
+    first entry below _PSI_FLOOR, which also drops the exact zeros past t
+    times the largest up-step, so the width stops growing once psi has
+    decayed. Each yielded level is a fresh array of length u_max + 1, so a
+    caller that keeps it does not keep the working level alive.
     """
     if T < 1:
         raise ModelError(f"horizon T={T} must be >= 1")
     if u_max < 0:
         raise ModelError(f"u_max={u_max} must be >= 0")
     m = max(model.max_drop, 0)
-    max_up = max(model.step.support_max, 0)
-
-    def width(t: int) -> int:
-        return max(0, min(u_max + (T - t) * m, t * max_up))
-
-    lvl = np.ones(1)               # phi(., 0) = 1: nothing has happened yet
+    psi = np.zeros(1)              # psi(u, 0) = 0: nothing has happened yet
     for t in range(1, T + 1):
-        lvl = _first_step(model, lvl, width(t))
+        psi = _first_step(model, psi, u_max + (T - t) * m)
         out = np.ones(u_max + 1)
-        n = min(len(lvl), u_max + 1)
-        out[:n] = lvl[:n]
+        out[: len(psi)] -= psi[: u_max + 1]
         yield out
 
 
 def finite_survival(model: RiskModel, u_max: int, T: int) -> SurvivalTable:
     """Survival through the first T steps, phi(u, T) for u = 0..u_max.
 
-    phi(u, 1) = F(u-1); deeper horizons condition on the first step k,
-    which must stay below u, giving phi(u, T) =
-    sum_{k=-m}^{u-1} phi(u-k, T-1) f(k).
+    phi(u, 1) = F(u-1), and conditioning on the first step k < u gives
+    phi(u, T) = sum_{k=-m}^{u-1} phi(u-k, T-1) f(k).
     """
     for lvl in _finite_table(model, u_max, T):
         pass
-    return SurvivalTable(phis=lvl, kind="finite", horizon=T)
+    return SurvivalTable(phis=lvl)
 
 
 def finite_grid(model: RiskModel, u_max: int, t_max: int):
@@ -208,7 +205,7 @@ def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
     every u, and phi(u) = 1 - psi(u) for u >= 1; the table keeps
     P(M = i) = psi(i) - psi(i+1), i < m, the paper's pi, as `q`. phi(0)
     is the one-step balance sum_{i<=m} phi(i) f(-i), and `residual` is
-    max |phi - T phi|, T the first-step map, over u <= u_max - m. An
+    max |phi + T psi - 1|, T the first-step map, over u <= u_max - m. An
     `init`, if given, is checked for its length only; its partial sums are
     the paper's route to phi(1..m) and verify this one. A value escaping
     [0, 1] or out of order beyond tolerance raises at its u; nothing is
@@ -229,10 +226,12 @@ def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
     phi[0] = math.fsum(phi[i] * model.f(-i) for i in range(1, m + 1))
     phi = phi[: u_max + 1]
     _check_table(phi)
-    n = len(phi) - m               # below n, T phi reads no phi past u_max
-    residual = 0.0 if n <= 0 else float(np.max(np.abs(
-        phi[:n] - _first_step(model, phi, n - 1))))
-    return SurvivalTable(phis=phi, kind="ultimate", residual=residual,
+    n = max(len(phi) - m, 0)       # below n, T psi reads no psi past u_max
+    gap = phi[:n] - 1.0
+    tpsi = _first_step(model, psi[: u_max + 1], n - 1)
+    gap[: len(tpsi)] += tpsi
+    residual = float(np.max(np.abs(gap), initial=0.0))
+    return SurvivalTable(phis=phi, residual=residual,
                          q=psi[:m] - psi[1 : m + 1])
 
 

@@ -48,6 +48,15 @@ def make_example4(m: int) -> rw.ModelConfig:
                           truncate_m=m)
 
 
+def poisson_geometric_model(lam: float, cap: int) -> rw.RiskModel:
+    """Poisson(lam) claims against geometric(0.05) interarrival times
+    capped at cap: m = cap with f(-m) far from tiny, so large systems
+    stay solvable."""
+    return rw.ModelConfig(claim_dist=rw.ParametricDist.poisson(lam),
+                          interarrival_dist=rw.ParametricDist.geometric(0.05),
+                          truncate_m=cap).build()
+
+
 @dataclass(frozen=True)
 class Solved:
     model: rw.RiskModel

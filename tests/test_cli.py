@@ -124,6 +124,16 @@ class TestSolve:
                     if "determinant identity" in ln)
         assert float(line.split("relative gap ")[1]) < 1e-8
 
+    def test_verify_skips_closed_form_on_a_double_root(self, tmp_path,
+                                                       capsys):
+        model = str(GOLDEN_DIR / "ex3_p05.json")
+        assert main(["solve", model, "--out", str(tmp_path / "phi.csv"),
+                     "--verify"]) == 0
+        shown = capsys.readouterr().out
+        assert "closed form skipped (multiple roots)" in shown
+        assert "determinant identity" not in shown
+        assert "linear solve vs ladder table" in shown
+
     def test_verify_takes_pi_from_closed_form(self, tmp_path, capsys,
                                               monkeypatch):
         def fail(system):
@@ -474,6 +484,20 @@ class TestTruncate:
         assert len(shown["16"]) == 2
         assert "P(X - c*theta <= -17)" in shown["16"][0]
         assert shown["20"] == shown["16"]
+
+    def test_cap_that_breaks_net_profit_has_no_bounds(self, tmp_path,
+                                                      capsys):
+        # at m = 1 the capped walk drifts up (+0.364): the capped model is
+        # still written, with no defect bounds
+        out = tmp_path / "capped.json"
+        assert main(["truncate", str(GOLDEN_DIR / "ex4_cap10.json"),
+                     "--m", "1", "--out", str(out)]) == 0
+        shown = capsys.readouterr().out
+        assert ("net profit condition fails for the capped model; "
+                "no defect bounds") in shown
+        assert "defect bounds on" not in shown
+        doc = json.loads(out.read_text())
+        assert rw.parse_model_config(doc).build().m == 1
 
     def test_needs_a_bound(self, tmp_path):
         model = write_model(tmp_path, EX1_DOC)

@@ -11,17 +11,8 @@ import ruinwalk as rw
 from ruinwalk import initial_values as iv
 
 from conftest import (example3_double_root, make_example1, make_example2,
-                      make_example3, make_example4, random_admissible_model,
-                      random_simple_root_model)
-
-
-def poisson_geometric_model(lam: float, cap: int) -> rw.RiskModel:
-    """Poisson(lam) claims against geometric(0.05) interarrival times
-    capped at cap: m = cap with f(-m) far from tiny, so large systems
-    stay solvable."""
-    return rw.ModelConfig(claim_dist=rw.ParametricDist.poisson(lam),
-                          interarrival_dist=rw.ParametricDist.geometric(0.05),
-                          truncate_m=cap).build()
+                      make_example3, make_example4, poisson_geometric_model,
+                      random_admissible_model, random_simple_root_model)
 
 
 def horner_rows(model: rw.RiskModel, roots: rw.RootSet) -> list:
@@ -257,6 +248,21 @@ class TestBuildSystem:
                     assert abs(dyadic(mr, er) - xr) <= abs(xr) * 2 ** -159
                     assert abs(dyadic(mi, ei) - xi) <= abs(xi) * 2 ** -159
 
+    def test_net_profit_guard(self):
+        model = rw.build_model(rw.Pmf.point(1), rw.Pmf.point(1))
+        none = rw.RootSet(roots=(), multiplicities=(), residuals=())
+        with pytest.raises(rw.NetProfitError):
+            rw.build_system(model, none)
+
+    def test_root_set_of_the_wrong_multiplicity(self, ex2):
+        # Example 2 has m = 4 and needs three roots; one is dropped
+        short = rw.RootSet(roots=ex2.roots.roots[:-1],
+                           multiplicities=ex2.roots.multiplicities[:-1],
+                           residuals=ex2.roots.residuals[:-1])
+        with pytest.raises(rw.ModelError,
+                           match="multiplicity 2, expected 3"):
+            rw.build_system(ex2.model, short)
+
     def test_unit_drop_reduces_to_mean_row(self):
         # one unknown: pi_0 = E(c*theta - X) / f(-1)
         model = rw.build_model(rw.Pmf.from_weights(0, [0.5, 0.2, 0.3]),
@@ -349,6 +355,19 @@ class TestSolveLinear:
         with pytest.raises(rw.SystemSingularError) as exc:
             rw.solve_linear(sys_)
         assert exc.value.row_kinds == list(sys_.row_kinds)
+
+    @pytest.mark.parametrize("matrix, message", [
+        ([[0, 0], [1, 1]], r"row 0 \(root\(0.5\)\) of the system is zero"),
+        ([[1, 0], [2, 0]], "column 1 of the system is zero"),
+    ], ids=["zero_row", "zero_column"])
+    def test_zero_row_or_column_is_singular(self, matrix, message):
+        kinds = (rw.RowKind("root", 0.5), rw.RowKind("mean"))
+        sys_ = rw.InitSystem(matrix=np.array(matrix, dtype=complex),
+                             rhs=np.array([0, 1], dtype=complex),
+                             row_kinds=kinds)
+        with pytest.raises(rw.SystemSingularError, match=message) as exc:
+            rw.solve_linear(sys_)
+        assert exc.value.row_kinds == list(kinds)
 
     def test_near_singular_system_raises(self):
         # not exactly singular, so LAPACK inverts it; the inverse's row

@@ -189,6 +189,20 @@ class TestUnitDiskRoots:
             assert roots.total_multiplicity == model.max_drop - 1
             assert max(roots.residuals, default=0.0) <= 1e-8
 
+    def test_root_count_error_carries_every_candidate(self, ex2,
+                                                     monkeypatch):
+        # an exclusion ball of radius 2 around s = 1 holds the whole unit
+        # disk, so no root survives the filter
+        monkeypatch.setattr("ruinwalk.pgf.ONE_EXCLUSION", 2.0)
+        with pytest.raises(rw.RootCountError,
+                           match="found 0 unit-disk roots") as exc:
+            rw.unit_disk_roots(ex2.model)
+        degree = len(rw.char_poly(ex2.model)) - 1
+        assert degree == 53
+        assert len(exc.value.roots) == degree
+        for z, modulus in exc.value.roots:
+            assert modulus == abs(z)
+
     def test_cluster_tolerance_failure_is_loud(self, ex2, monkeypatch):
         monkeypatch.setattr("ruinwalk.pgf.CLUSTER_TOL", 0.8)
         with pytest.raises((rw.RootCountError, rw.RootQualityError)):

@@ -12,8 +12,9 @@ from ruinwalk import survival
 from ruinwalk.survival import _check_table
 
 from conftest import (make_example1, make_example2, make_example3,
-                      make_example4, poisson_sf_series,
-                      random_admissible_model, solve_pipeline)
+                      make_example4, poisson_geometric_model,
+                      poisson_sf_series, random_admissible_model,
+                      solve_pipeline)
 
 SQ2 = math.sqrt(2.0)
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
@@ -332,15 +333,57 @@ class TestFiniteHorizon:
         (make_example1, 400), (lambda: make_example3(0.5), 400),
         (lambda: make_example4(10).build(), 400),
         (lambda: make_example4(15).build(), 400),
+        (lambda: poisson_geometric_model(6.0, 30), 1600),
     ], ids=["ex2_T400", "ex2_T1600", "ex1_T400", "ex3_p05_T400",
-            "ex4_cap10_T400", "ex4_cap15_T400"])
+            "ex4_cap10_T400", "ex4_cap15_T400", "pg6_cap30_T1600"])
     def test_ultimate_never_above_finite(self, make, T):
         # phi(u, T) >= phi(u) holds for the one proper law both routes
-        # read; a tail kept out of the weights breaks it on Example 2
+        # read; a tail kept out of the weights breaks it on Example 2. The
+        # cap-30 step law sums to 1 - 1e-15: a DP on phi loses that mass
+        # at every step (1.2e-12 at T = 1600), one on psi converges
         model = make()
         ult = rw.ultimate_survival(model, u_max=60).phis
         fin = rw.finite_survival(model, 60, T).phis
         assert np.max(ult - fin) <= 1e-15
+
+    @pytest.mark.parametrize("cap", [10, 15, 20])
+    def test_never_above_one(self, cap):
+        # psi >= 0 and phi = 1 - psi: no level reads past 1.0, where a DP
+        # on phi gave 1 + 2.2e-16 from T = 2
+        model = make_example4(cap).build()
+        for T in (2, 50, 400):
+            assert np.max(rw.finite_survival(model, 100, T).phis) <= 1.0
+
+    def test_grid_never_rises_in_T(self):
+        # phi(u, T) is nonincreasing in T; a DP on phi rose 1 897 times on
+        # this grid
+        model = make_example4(10).build()
+        prev = np.ones(101)
+        for _, lvl in rw.finite_grid(model, 100, 400):
+            assert np.all(lvl <= prev)
+            prev = lvl
+
+    def test_floor_moves_no_phi_bit(self, monkeypatch):
+        # reading psi as 0 below _PSI_FLOOR changes neither a finite table
+        # nor a residual, and these models do have positive psi below it
+        models = [rw.load_model_config(GOLDEN_DIR / f"{name}.json").build()
+                  for name in GOLDENS]
+        floor, step, cut = survival._PSI_FLOOR, survival._first_step, []
+
+        def watched(model, psi, n):
+            cut.append(bool(np.any((0.0 < psi[1:]) & (psi[1:] < floor))))
+            return step(model, psi, n)
+
+        def run():
+            return [(rw.finite_survival(model, 60, 400).phis.tobytes(),
+                     rw.ultimate_survival(model, u_max=2000).residual)
+                    for model in models]
+
+        monkeypatch.setattr(survival, "_first_step", watched)
+        floored = run()
+        assert any(cut)
+        monkeypatch.setattr(survival, "_PSI_FLOOR", 0.0)
+        assert run() == floored
 
     @pytest.mark.parametrize("claim, inter", [
         (rw.Pmf.from_weights(1, [0.5, 0.5]), rw.Pmf.from_weights(0, [0.5, 0.5])),
