@@ -30,11 +30,7 @@ DEFAULT_TAIL_EPS = 1e-15
 
 _MASS_TOL = 1e-12
 
-# The binomial pmf multiplies the exact comb(n, k) by floats; from n = 1030
-# on, comb(n, n // 2) exceeds the largest double.
-_BINOMIAL_N_MAX = 1029
-
-# Longest walk of a named law: Poisson lambda <= 2.8e9, geometric p >= 1.8e-4.
+# Longest walk of a named law: Poisson lambda <= 2.8e9, geometric p >= 1.8e-4, binomial n < 2^22.
 _RUN_MAX = 2 ** 22
 
 
@@ -132,9 +128,8 @@ class ParametricDist:
             if self.lam is None or not (self.lam > 0.0) or not math.isfinite(self.lam):
                 raise ModelError(f"poisson parameter lambda={self.lam!r} must be > 0")
         elif fam == "binomial":
-            if self.n is None or not (0 <= self.n <= _BINOMIAL_N_MAX):
-                raise ModelError(f"binomial parameter n={self.n!r} outside "
-                                 f"[0, {_BINOMIAL_N_MAX}]")
+            if self.n is None or self.n < 0:
+                raise ModelError(f"binomial parameter n={self.n!r} must be >= 0")
             if self.p is None or not (0.0 <= self.p <= 1.0):
                 raise ModelError(f"binomial parameter p={self.p!r} outside [0, 1]")
         elif fam == "explicit":
@@ -167,7 +162,7 @@ class ParametricDist:
     @functools.cached_property
     def run(self) -> tuple:
         """(lo, w) with w[i] = P(V = lo + i): an explicit pmf's weights, or a
-        named law's from the first positive one to the last before 0 (or n)."""
+        named law's products of P(k+1)/P(k) from its mode, scaled to fsum(w) == 1."""
         fam, p, lam, n = self.family, self.p, self.lam, self.n
         if fam == "explicit":
             return self.pmf.offset, self.pmf.weights.tolist()
@@ -182,19 +177,24 @@ class ParametricDist:
             lo = max(0, math.floor(lam - 40.0 * math.sqrt(lam)))
             hi = lam + 250.7 + math.sqrt(248.7 ** 2 + 1492.0 * lam)
         if hi - lo > _RUN_MAX:
-            raise ModelError(f"{fam} law spans more than {_RUN_MAX} weights; the limit "
-                             "admits poisson lambda <= 2.8e9 and geometric p >= 1.8e-4")
-        ks = range(lo, int(hi))
+            raise ModelError(f"{fam} law spans more than {_RUN_MAX} weights; the limit admits"
+                             " poisson lambda <= 2.8e9, geometric p >= 1.8e-4, binomial n < 2^22")
+        k = np.arange(lo, int(hi) - 1, dtype=float)   # P(k+1)/P(k) = a/b
         if fam == "geometric":
-            w = [(1.0 - p) ** k * p for k in ks]
+            a, b = np.full_like(k, 1.0 - p), np.ones_like(k)
         elif fam == "poisson":
-            log_lam = math.log(lam)
-            w = [math.exp(k * log_lam - math.lgamma(k + 1) - lam) for k in ks]
+            a, b = np.full_like(k, lam), k + 1.0
         else:
-            w = [math.comb(n, k) * p ** k * (1.0 - p) ** (n - k) for k in ks]
-        w.append(0.0)
-        i = next(i for i, x in enumerate(w) if x > 0.0)
-        return lo + i, w[i:w.index(0.0, i)]
+            a, b = (n - k) * p, (k + 1.0) * (1.0 - p)
+        i = int(np.count_nonzero(a >= b))   # a/b falls in k: the mode is lo + i
+        # P(mode-1-j), then P(mode+j), over P(mode): largest first on each side keeps fsum fast
+        down = np.cumprod((b[:i] / a[:i])[::-1])
+        v = np.concatenate([down, np.cumprod(np.append(1.0, a[i:] / b[i:]))])
+        v /= math.fsum(v.tolist())
+        v[i] -= math.fsum([-1.0, *v.tolist()])   # the exact residual to mass 1, on the mode
+        w = np.concatenate([v[:i][::-1], v[i:]])
+        nz = np.flatnonzero(w)
+        return lo + int(nz[0]), w[nz[0]:nz[-1] + 1].tolist()
 
     def sf(self, j: int) -> float:
         """P(V > j) for integer j."""

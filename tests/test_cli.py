@@ -25,6 +25,9 @@ EX4_20_DOC = dict(EX4_10_DOC, truncate_m=20)
 P2_20_DOC = {"claim": {"family": "poisson", "lambda": 1.0},
              "interarrival": {"family": "poisson", "lambda": 2.0},
              "truncate_m": 20}
+POIS6_GEOM_30_DOC = {"claim": {"family": "poisson", "lambda": 6.0},
+                     "interarrival": {"family": "geometric", "p": 0.05},
+                     "truncate_m": 30}
 DRIFTLESS_DOC = {"claim": {"pmf": {"offset": 1, "weights": [1.0]}},
                  "interarrival": {"pmf": {"offset": 1, "weights": [1.0]}}}
 
@@ -247,14 +250,14 @@ class TestSolve:
         assert err.startswith("error:") and f"{field}=" in err
         assert not out.exists()
 
-    def test_binomial_past_double_range_exits_2(self, tmp_path, capsys):
-        # comb(1100, 550) overflows a double inside the binomial pmf
-        doc = {"claim": {"family": "binomial", "n": 1100, "p": 0.5},
+    def test_binomial_past_the_span_limit_exits_2(self, tmp_path, capsys):
+        # n + 1 weights: n = 2^22 is one past the walk's span limit
+        doc = {"claim": {"family": "binomial", "n": 2 ** 22, "p": 0.5},
                "interarrival": {"family": "binomial", "n": 4, "p": 0.5}}
         out = tmp_path / "phi.csv"
         assert main(["solve", write_model(tmp_path, doc),
                      "--out", str(out)]) == 2
-        assert "binomial parameter n=1100" in capsys.readouterr().err
+        assert "binomial law spans more than 4194304" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -433,18 +436,21 @@ class TestSimulate:
 
 
 class TestTruncate:
-    def test_emits_capped_model_and_bounds(self, tmp_path, capsys):
-        model = write_model(tmp_path, EX4_10_DOC)
+    @pytest.mark.parametrize("doc", [EX4_10_DOC, POIS6_GEOM_30_DOC],
+                             ids=["ex4_cap10", "pois6_geom_cap30"])
+    def test_emits_capped_model_and_bounds(self, tmp_path, capsys, doc):
+        # the written laws sum to exactly 1.0, so they read back bit for bit
+        model = write_model(tmp_path, doc)
         out = tmp_path / "capped.json"
-        assert main(["truncate", model, "--m", "10", "--out", str(out)]) == 0
+        assert main(["truncate", model, "--out", str(out)]) == 0
         shown = capsys.readouterr().out
         assert "defect bounds" in shown
-        doc = json.loads(out.read_text())
-        rebuilt = rw.parse_model_config(doc).build()
+        rebuilt = rw.parse_model_config(json.loads(out.read_text())).build()
         original = rw.load_model_config(model).build()
-        np.testing.assert_allclose(rebuilt.interarrival.weights,
-                                   original.interarrival.weights, atol=0)
-        assert rebuilt.m == 10
+        for part in ("claim", "interarrival", "step"):
+            assert getattr(rebuilt, part).weights.tolist() == \
+                getattr(original, part).weights.tolist()
+        assert rebuilt.m == doc["truncate_m"]
 
     def test_example4_cap15_bounds_without_note(self, tmp_path, capsys):
         model = write_model(tmp_path, EX4_15_DOC)

@@ -85,9 +85,7 @@ class TestMaterialize:
                     poisson_pmf_series(lam, k), rel=1e-13)
             assert out.weights[top] == pytest.approx(
                 poisson_sf_series(lam, top - 1), rel=1e-12)
-            # proper up to the lgamma rounding of the weights (3.3e-15 at
-            # lambda = 30)
-            assert math.fsum(out.weights) == pytest.approx(1.0, abs=1e-14)
+            assert math.fsum(out.weights) == 1.0
 
     def test_cut_at_the_smallest_k(self):
         # P(V > 16) = 1.1e-15 and P(V > 17) = 6.1e-17 for Poisson(1)
@@ -106,6 +104,7 @@ class TestMaterialize:
                 assert list(out.weights[:k]) == \
                     [dist.pmf_at(j) for j in range(k)]
                 assert out.weights[k] == dist.sf(k - 1)
+                assert math.fsum(out.weights) == 1.0
 
     def test_binomial_exact(self):
         out = rw.materialize(rw.ParametricDist.binomial(4, 0.5), 1e-12)
@@ -127,21 +126,17 @@ class TestMaterialize:
             rw.ParametricDist.poisson(-1.0)
         with pytest.raises(rw.ModelError):
             rw.ParametricDist.binomial(3, 1.5)
-        # the largest n whose binomial coefficients all fit in a double
-        assert rw.materialize(rw.ParametricDist.binomial(1029, 0.5)) \
-            .weights.size == 1030
-        with pytest.raises(rw.ModelError):
-            rw.ParametricDist.binomial(1030, 0.5)
+        # n is bounded only by the walk's span of n + 1 weights
+        out = rw.materialize(rw.ParametricDist.binomial(1030, 0.5))
+        assert out.weights.size == 1031 and math.fsum(out.weights) == 1.0
+        with pytest.raises(rw.ModelError, match="spans more than"):
+            rw.ParametricDist.binomial(2 ** 22, 0.5).run
         with pytest.raises(rw.ModelError):
             rw.materialize(rw.ParametricDist.poisson(1.0), 1e-3)
 
-    @pytest.mark.xfail(strict=True, raises=rw.ModelError,
-                       reason="lgamma-form Poisson weights sum to "
-                              "1 + 8.9e-12 at lambda = 1e4, past the mass "
-                              "check; accurate weights (Loader's saddle-"
-                              "point form) are still open")
     def test_large_lambda_poisson_builds(self):
-        rw.materialize(rw.ParametricDist.poisson(1e4))
+        out = rw.materialize(rw.ParametricDist.poisson(1e4))
+        assert math.fsum(out.weights) == 1.0
 
 
 class TestRun:
@@ -156,6 +151,30 @@ class TestRun:
         assert rw.ParametricDist.poisson(1.01).pmf_at(len(w)) == 0.0
         lo, w = rw.ParametricDist.binomial(4, 1.0).run
         assert (lo, w) == (4, [1.0])
+
+    @pytest.mark.parametrize("family, args", [
+        ("poisson", (1e3,)), ("poisson", (1e4,)), ("poisson", (1e6,)),
+        ("binomial", (1030, 0.5)), ("binomial", (10 ** 5, 0.3))],
+        ids=["poisson_1e3", "poisson_1e4", "poisson_1e6", "binomial_1030",
+             "binomial_1e5"])
+    def test_weights_against_mpmath(self, family, args):
+        # the walk of ratios from the mode holds every weight to 1e-12
+        # relative at the mode, +-1 sd and +-5 sd, and the mass to exactly 1
+        dist = getattr(rw.ParametricDist, family)(*args)
+        if family == "poisson":
+            lam = mp.mpf(dist.lam)
+            mean, sd = dist.lam, math.sqrt(dist.lam)
+            ref = lambda k: mp.exp(k * mp.log(lam) - mp.loggamma(k + 1) - lam)
+        else:
+            n, p = dist.n, mp.mpf(dist.p)
+            mean, sd = n * dist.p, math.sqrt(n * dist.p * (1.0 - dist.p))
+            ref = lambda k: mp.binomial(n, k) * p ** k * (1 - p) ** (n - k)
+        lo, w = dist.run
+        mode = lo + int(np.argmax(w))
+        with mp.workdps(40):
+            for k in (mode, *(round(mean + j * sd) for j in (-5, -1, 1, 5))):
+                assert abs(dist.pmf_at(k) / ref(k) - 1) <= 1e-12
+        assert math.fsum(w) == 1.0 and dist.sf(lo) <= 1.0
 
     def test_large_lambda_starts_near_the_mode(self):
         # weights below lam - 40 sqrt(lam) are exactly 0, so the run
