@@ -30,16 +30,18 @@ DEFAULT_SEED = 90125
 EXIT_OK, EXIT_MODEL, EXIT_NUMERIC = 0, 2, 3
 
 
-def _fmt(x: float) -> str:
-    """Shortest round-trip decimal form; keeps artifacts byte-identical."""
-    return repr(float(x))
-
-
-def _write_csv(path: str, header: str, rows) -> None:
+def _write_csv(path: str, header: str, lines) -> None:
+    """Write the header and the lines, each already ending in a newline.
+    Values are Python floats from `tolist()`, written by `repr`: the
+    shortest decimal that reads back to the same double. The first line
+    is made before the file is opened, so a producer that refuses its
+    arguments before its first line leaves no file; one that fails later
+    leaves the lines written so far."""
+    lines = iter(lines)
+    first = next(lines, "")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(header + "\n" + first)
+        fh.writelines(lines)
 
 
 def _pmf_echo(name: str, p: Pmf) -> str:
@@ -116,7 +118,7 @@ def _cmd_solve(args) -> int:
     table = ultimate_survival(model, u_max=args.u_max, roots=roots)
     path = _out_path(args, "_phi.csv")
     _write_csv(path, "u,phi",
-               ((str(u), _fmt(table.phis[u])) for u in range(args.u_max + 1)))
+               (f"{u},{p!r}\n" for u, p in enumerate(table.phis.tolist())))
     if args.dump_system or args.verify:
         from .initial_values import build_system
         sysm = build_system(model, roots)
@@ -124,9 +126,10 @@ def _cmd_solve(args) -> int:
         header = "row_kind," + ",".join(
             f"a{i}_re,a{i}_im" for i in range(sysm.size)) + ",rhs_re,rhs_im"
         _write_csv(args.dump_system, header, (
-            [str(kind)] + [_fmt(v) for z in (*row, b)
-                           for v in (z.real, z.imag)]
-            for kind, row, b in zip(sysm.row_kinds, sysm.matrix, sysm.rhs)))
+            ",".join([str(kind)] + [repr(v) for z in (*row, b)
+                                    for v in (z.real, z.imag)]) + "\n"
+            for kind, row, b in zip(sysm.row_kinds, sysm.matrix.tolist(),
+                                    sysm.rhs.tolist())))
     print(RunReport(cfg=cfg, model=model, roots=roots, table=table).render())
     if args.verify:
         print(_verification_block(model, roots, sysm, table))
@@ -187,11 +190,10 @@ def _verification_block(model, roots, sysm, table) -> str:
 def _cmd_finite(args) -> int:
     model = load_model_config(args.model).build()
     path = _out_path(args, "_finite.csv")
-    rows = []
-    for t, lvl in finite_grid(model, args.u_max, args.t_max):
-        for u in range(args.u_max + 1):
-            rows.append((str(u), str(t), _fmt(lvl[u])))
-    _write_csv(path, "u,T,phi", rows)
+    _write_csv(path, "u,T,phi", (
+        f"{u},{t},{p!r}\n"
+        for t, lvl in finite_grid(model, args.u_max, args.t_max)
+        for u, p in enumerate(lvl.tolist())))
     print(f"finite-horizon grid: u = 0..{args.u_max}, T = 1..{args.t_max}")
     print(f"wrote {path}")
     return EXIT_OK
@@ -203,7 +205,7 @@ def _cmd_roots(args) -> int:
     roots = unit_disk_roots(model)
     path = _out_path(args, "_roots.csv")
     _write_csv(path, "re,im,multiplicity,residual",
-               ((_fmt(z.real), _fmt(z.imag), str(r), _fmt(res))
+               (f"{z.real!r},{z.imag!r},{r},{res!r}\n"
                 for z, r, res in zip(roots.roots, roots.multiplicities,
                                      roots.residuals)))
     print(f"{len(roots.roots)} distinct roots, total multiplicity "
@@ -254,9 +256,9 @@ def _cmd_simulate(args) -> int:
                                     seed=args.seed, u_values=args.u))
     path = _out_path(args, "_sim.csv")
     _write_csv(path, "u,estimate,se",
-               ((str(u), _fmt(e), _fmt(s))
-                for u, e, s in zip(res.u_values, res.estimates,
-                                   res.std_errors)))
+               (f"{u},{e!r},{s!r}\n"
+                for u, e, s in zip(res.u_values, res.estimates.tolist(),
+                                   res.std_errors.tolist())))
     for u, e, s in zip(res.u_values, res.estimates, res.std_errors):
         print(f"u={u}: {e:.6f} +- {s:.6f}")
     print(f"seed {args.seed}, {res.n_paths} paths, horizon {res.horizon_T}")

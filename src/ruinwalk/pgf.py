@@ -9,14 +9,17 @@ eigenvalues, followed by clustering into multiplicities and one Newton
 polish step per cluster in the closed upper half-plane; the lower one
 holds the conjugates.
 
-One Horner routine, `_divide`, gives P, its Taylor coefficients and
-every deflation. `_taylor` runs it in numpy's `clongdouble`, the 80-bit
-x87 extended type on x86-64 Linux, for P and the Taylor coefficients
-P^(k)(s) / k! the polish and the multiplicity check read; the ladder
-factor in `survival` runs it in double. The polish relies on the extra
-bits: with `complex128` in its place, as on platforms whose long double
-is plain double (Windows, macOS on Apple silicon), the closed form of
-Poisson(6) claims against geometric(0.05) interarrival times capped at
+One Horner routine, `_divide`, gives P, its Taylor coefficients, every
+generating-function value and every deflation. It runs in the arithmetic
+of its arguments. Only the polish and the multiplicity check run it in
+numpy's `clongdouble`, the 80-bit x87 extended type on x86-64 Linux:
+`_taylor` reads P's coefficients converted once per root search and gives
+the Taylor coefficients P^(k)(s) / k!. Everything else runs it in double:
+`pgf_eval` and so the residual check here, and the ladder deflation and
+the generating-function division in `survival`. The polish relies on the
+extra bits: with `complex128` in its place, as on platforms whose long
+double is plain double (Windows, macOS on Apple silicon), the closed form
+of Poisson(6) claims against geometric(0.05) interarrival times capped at
 80 raises on pi = -8.1e-9.
 """
 
@@ -52,14 +55,19 @@ def _divide(q: list, z) -> list:
     return out
 
 
-def _taylor(coeffs: np.ndarray, s: complex, n: int = 1) -> list:
-    """P^(k)(s) / k! for k < n, P given by ascending coefficients.
+def _extended(coeffs: np.ndarray) -> list:
+    """Ascending coefficients as the list `_taylor` reads: highest first,
+    each a `clongdouble`."""
+    return list(np.asarray(coeffs, dtype=np.clongdouble)[::-1])
+
+
+def _taylor(q: list, s: complex, n: int = 1) -> list:
+    """P^(k)(s) / k! for k < n, P given as `_extended` gives it.
 
     The complete Horner scheme: n synthetic divisions by (x - s) in
     extended precision, each remainder the next Taylor coefficient at s
     and each quotient the polynomial the next division reads.
     """
-    q = list(np.asarray(coeffs, dtype=np.clongdouble)[::-1])
     z = np.clongdouble(s)
     out = []
     for _ in range(n):
@@ -69,7 +77,8 @@ def _taylor(coeffs: np.ndarray, s: complex, n: int = 1) -> list:
 
 
 def pgf_eval(p: Pmf, s: complex) -> complex:
-    """Evaluate sum_k weights[k] * s^(offset + k) by Horner's scheme.
+    """Evaluate sum_k weights[k] * s^(offset + k) by Horner's scheme, one
+    `_divide` in double on the weights as Python floats.
 
     Finite pmfs converge everywhere, but a negative offset makes s = 0 a
     pole. Intended use is |s| <= 1 + 1e-9.
@@ -80,7 +89,7 @@ def pgf_eval(p: Pmf, s: complex) -> complex:
             raise ModelError("generating function has a pole at s = 0 "
                              f"(offset {p.offset})")
         return complex(p.weights[0]) if p.offset == 0 else 0.0 + 0.0j
-    return _taylor(p.weights, s)[0] * s ** p.offset
+    return _divide(p.weights[::-1].tolist(), s)[-1] * s ** p.offset
 
 
 def char_poly(model: RiskModel) -> np.ndarray:
@@ -141,8 +150,10 @@ def _step_residual(model: RiskModel, s: complex) -> tuple:
     The product form is far better conditioned than the cleared
     polynomial divided by s^m, but for roots of very small modulus the
     1/s powers still cancel massively; the floor (machine epsilon times
-    the magnitude sum of the terms) is the smallest residual the
-    evaluation could certify.
+    the term count times the magnitude sum of the terms) is the smallest
+    residual the evaluation could certify. It is the double-precision
+    bound of a Horner sum (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 5.1), and `pgf_eval` runs in double.
     """
     g = pgf_eval(model.claim, s) * pgf_eval(model.interarrival, 1.0 / s)
     mag = pgf_eval(model.claim, abs(s)).real \
@@ -153,10 +164,16 @@ def _step_residual(model: RiskModel, s: complex) -> tuple:
 
 
 def _cluster(points: np.ndarray, tol: float) -> list:
-    """Greedy transitive clustering of complex points at distance tol."""
-    order = np.lexsort((points.imag, points.real))
-    pts = points[order]
-    used = np.zeros(len(pts), dtype=bool)
+    """Greedy transitive clustering of complex points at distance tol.
+
+    The points are sorted by real, then imaginary part; each cluster is a
+    list of Python complex numbers in the order of a depth-first search
+    from its first point, which visits the unused neighbours of a point in
+    sorted order and expands the last one found first."""
+    pts = points[np.lexsort((points.imag, points.real))]
+    near = (np.abs(pts[:, None] - pts[None, :]) < tol).tolist()
+    pts = pts.tolist()
+    used = [False] * len(pts)
     clusters = []
     for i in range(len(pts)):
         if used[i]:
@@ -166,23 +183,22 @@ def _cluster(points: np.ndarray, tol: float) -> list:
         frontier = [i]
         while frontier:
             j = frontier.pop()
-            near = np.nonzero(~used & (np.abs(pts - pts[j]) < tol))[0]
-            for k in near:
-                used[k] = True
-                group.append(int(k))
-                frontier.append(int(k))
-        clusters.append(pts[group])
+            for k, close in enumerate(near[j]):
+                if close and not used[k]:
+                    used[k] = True
+                    group.append(k)
+                    frontier.append(k)
+        clusters.append([pts[k] for k in group])
     return clusters
 
 
-def _confirm_multiplicity(coeffs: np.ndarray, z: complex, r: int,
-                          tol: float) -> bool:
+def _confirm_multiplicity(q: list, z: complex, r: int, tol: float) -> bool:
     """Check |P^(k)(z)| / k! is small against |P^(r)(z)| / r! for k < r.
 
     Near a genuine multiplicity-r root those ratios scale like the
     distance to the root raised to r - k, and the polished point sits
     within the cluster radius of it."""
-    t = [abs(v) for v in _taylor(coeffs, z, r + 1)]
+    t = [abs(v) for v in _taylor(q, z, r + 1)]
     if t[r] == 0.0:
         return False
     return all(t[k] <= t[r] * (100.0 * tol) ** (r - k) for k in range(1, r))
@@ -208,6 +224,7 @@ def unit_disk_roots(model: RiskModel) -> RootSet:
 
     if m == 1:
         return RootSet(roots=(), multiplicities=(), residuals=())
+    q = _extended(coeffs)
 
     # the companion matrix is real, so LAPACK returns its complex
     # eigenvalues as exact conjugate pairs; the filter and the clusters
@@ -218,7 +235,10 @@ def unit_disk_roots(model: RiskModel) -> RootSet:
 
     finals = []
     for c in _cluster(inside, CLUSTER_TOL):
-        z, r = complex(np.mean(c)), len(c)
+        r = len(c)
+        # summed from 0 as np.mean's add.reduce is, so a -0.0 part comes
+        # out +0.0 as it does there
+        z = sum(c) / r
         real = abs(z.imag) <= CLUSTER_TOL
         if real:
             z = complex(z.real, 0.0)
@@ -227,7 +247,7 @@ def unit_disk_roots(model: RiskModel) -> RootSet:
         # a multiplicity-r root is a simple root of the (r-1)-th derivative,
         # where Newton's step is well conditioned; at the root itself both
         # P and P' sit at rounding-noise level and their ratio is garbage
-        t = _taylor(coeffs, z, r + 1)
+        t = _taylor(q, z, r + 1)
         zp = z if t[r] == 0 else z - t[r - 1] / (r * t[r])
         if real and abs(zp.imag) < 1e-30:
             zp = complex(zp.real, 0.0)
@@ -255,7 +275,7 @@ def unit_disk_roots(model: RiskModel) -> RootSet:
         if abs(z) > 1.0 + BOUNDARY_TOL or abs(z - 1.0) <= ONE_EXCLUSION or z == 0:
             raise RootQualityError(
                 f"polished root {z:.9g} left the admissible region")
-        if r > 1 and not _confirm_multiplicity(coeffs, z, r, CLUSTER_TOL):
+        if r > 1 and not _confirm_multiplicity(q, z, r, CLUSTER_TOL):
             raise RootQualityError(
                 f"root {z:.9g} clustered with multiplicity {r} but the "
                 "derivative magnitudes do not confirm it")

@@ -1,6 +1,8 @@
 """Generating-function evaluation and unit-disk root location."""
 
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -8,10 +10,13 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 
 import ruinwalk as rw
-from ruinwalk.pgf import _taylor
+from ruinwalk.pgf import _cluster, _extended, _step_residual, _taylor
 
 from conftest import (example3_double_root, make_example1, make_example3,
-                      make_example4, random_admissible_model)
+                      make_example4, poisson_geometric_model,
+                      random_admissible_model)
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
 class TestPgfEval:
@@ -82,7 +87,7 @@ class TestTaylor:
     EPS = float(np.finfo(float).eps)
 
     def check(self, coeffs, z):
-        got = _taylor(coeffs, z, 4)
+        got = _taylor(_extended(coeffs), z, 4)
         assert len(got) == 4
         for k in range(4):
             ref, mag = _taylor_reference(coeffs, z, k)
@@ -102,9 +107,68 @@ class TestTaylor:
         z = example3_double_root(p)
         self.check(coeffs, z)
         # a double root: P and P' vanish to rounding, P''/2 does not
-        t = _taylor(coeffs, z, 3)
+        t = _taylor(_extended(coeffs), z, 3)
         assert abs(t[0]) <= 1e-14 and abs(t[1]) <= 1e-14
         assert abs(t[2]) >= 1e-3
+
+
+def _exact_pgf(p: rw.Pmf, re: Fraction, im: Fraction) -> tuple:
+    """sum_k weights[k] (re + i im)^(offset + k) in Gaussian rationals, the
+    weights and the point read exactly from their doubles; offset >= 0."""
+    acc_re, acc_im = Fraction(0), Fraction(0)
+    for w in p.weights[::-1].tolist():
+        acc_re, acc_im = (acc_re * re - acc_im * im + Fraction(w),
+                          acc_re * im + acc_im * re)
+    for _ in range(p.offset):
+        acc_re, acc_im = acc_re * re - acc_im * im, acc_re * im + acc_im * re
+    return acc_re, acc_im
+
+
+class TestStepResidual:
+    """The double-precision residual against its exact value
+    |G_X(z) G_ctheta(1/z) - 1| at the double root z."""
+
+    @staticmethod
+    def exact(model, z: complex) -> float:
+        re, im = Fraction(z.real), Fraction(z.imag)
+        norm = re * re + im * im
+        xr, xi = _exact_pgf(model.claim, re, im)
+        tr, ti = _exact_pgf(model.interarrival, re / norm, -im / norm)
+        gr, gi = xr * tr - xi * ti - 1, xr * ti + xi * tr
+        return math.sqrt(gr * gr + gi * gi)
+
+    @pytest.mark.parametrize("model", [
+        *(rw.load_model_config(str(GOLDEN_DIR / f)).build()
+          for f in ("ex1.json", "ex2.json", "ex3_p05.json", "ex4_cap10.json",
+                    "ex4_cap15.json")),
+        poisson_geometric_model(6.0, 80)],
+        ids=["ex1", "ex2", "ex3_p05", "ex4_cap10", "ex4_cap15",
+             "poisson_geometric_cap80"])
+    def test_within_floor_of_exact_value(self, model):
+        roots = rw.unit_disk_roots(model)
+        assert roots.roots
+        for z, res in zip(roots.roots, roots.residuals):
+            got, floor = _step_residual(model, z)
+            assert got == res
+            assert abs(got - self.exact(model, z)) <= floor, z
+
+
+class TestCluster:
+    def test_chain_is_one_cluster_and_isolated_point_stays_alone(self):
+        # |a - b| and |b - c| are below tol, |a - c| is not
+        a, b, c, far = 0.0, 0.8 + 0.1j, 1.6, 5.0 - 1.0j
+        got = _cluster(np.array([c, far, a, b]), 1.0)
+        assert got == [[a, b, c], [far]]
+
+    def test_points_come_out_in_depth_first_order(self):
+        # sorted p0..p4; p0 touches p1 and p3, p1 touches p4, p3 touches
+        # p2: the search expands p3 before p1, so p2 comes before p4; the
+        # order pins the bits of the cluster mean
+        p0, p1, p2, p3, p4 = 0.0, 0.1 + 0.9j, 0.2 - 1.8j, 0.3 - 0.9j, \
+            0.4 + 1.8j
+        got = _cluster(np.array([p2, p4, p3, p1, p0]), 1.0)
+        assert got == [[p0, p1, p3, p2, p4]]
+        assert all(type(z) is complex for z in got[0])
 
 
 def _conjugation_models():
