@@ -24,7 +24,7 @@ from .model import ModelConfig, Pmf, RiskModel, load_model_config, \
 from .oracle import SimConfig, simulate
 from .pgf import RootSet, unit_disk_roots
 from .survival import SurvivalTable, finite_grid, truncation_bounds, \
-    ultimate_survival, xi_coeffs
+    ultimate_survival
 
 DEFAULT_SEED = 90125
 EXIT_OK, EXIT_MODEL, EXIT_NUMERIC = 0, 2, 3
@@ -168,22 +168,18 @@ def _verification_block(model, roots, sysm, table) -> str:
         lines.append(f"  determinant identity: {found}")
     else:
         lines.append("  closed form skipped (multiple roots)")
-    # the paper's route to phi(1..m) against the ladder table; its gap is
-    # the forward error of the trailing pi, which the solve residual misses
-    if init is not None:
-        gap = float(np.max(np.abs(np.cumsum(init.pi) - np.cumsum(table.q))))
-        lines.append(f"  linear solve vs ladder table: max |cumsum(pi) - "
-                     f"phi(1..{model.max_drop})| = {gap:.2e} (solve residual "
-                     f"{init.residual:.1e})")
-    k = min(20, table.u_max)
-    source = init if init is not None else closed
-    if k > 0 and source is None:
-        lines.append("  generating-function coefficients skipped (no pi)")
-    elif k > 0:
-        xs = xi_coeffs(model, source, k, roots)
-        gap = float(np.max(np.abs(xs - table.phis[1 : k + 1])))
-        lines.append(f"  generating-function coefficients vs table: "
-                     f"max gap {gap:.2e} over {k} terms")
+    # the paper's route to phi(1..m) against the ladder table, pi from the
+    # linear solve, else from the closed form; its gap is the forward error
+    # of the trailing pi, which the route's residual misses
+    route, source = "linear solve", init
+    if source is None:
+        route, source = "closed form", closed
+    if source is not None:
+        gap = float(np.max(np.abs(np.cumsum(source.pi)
+                                  - np.cumsum(table.q))))
+        lines.append(f"  {route} vs ladder table: max |cumsum(pi) - "
+                     f"phi(1..{model.max_drop})| = {gap:.2e} ({route} "
+                     f"residual {source.residual:.1e})")
     return "\n".join(lines)
 
 
@@ -312,9 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-system", metavar="CSV",
                    help="also write the assembled matrix/rhs")
     p.add_argument("--verify", action="store_true",
-                   help="run the closed-form, determinant, "
-                        "linear-solve-vs-ladder and generating-function "
-                        "cross-checks")
+                   help="run the closed-form, determinant and "
+                        "paper-route-vs-ladder cross-checks")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("finite", help="finite-horizon survival grid")

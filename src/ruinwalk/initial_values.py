@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, NetProfitError, NumericalError, \
-    SystemSingularError
+from .errors import ModelError, NumericalError, SystemSingularError
 from .model import RiskModel
 from .pgf import RootSet
 
@@ -196,10 +195,7 @@ def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
     the step distribution, so shifted claim supports (no mass at 0) fall
     on the same code path with m = max_drop.
     """
-    if not model.net_profit_holds:
-        raise NetProfitError(
-            f"mean step is {model.drift:+.6g} >= 0; the net profit condition "
-            "fails")
+    model.require_net_profit()
     m = model.max_drop
     if roots.total_multiplicity != m - 1:
         raise ModelError(

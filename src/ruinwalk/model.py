@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleRebalanceError, ModelError
+from .errors import InfeasibleRebalanceError, ModelError, NetProfitError
 
 # Mass below this is treated as numerical dust when inferring the
 # interarrival support bound.
@@ -341,6 +341,12 @@ class RiskModel:
     @property
     def net_profit_holds(self) -> bool:
         return self.drift < 0.0
+
+    def require_net_profit(self) -> None:
+        """Raise NetProfitError unless the mean step is negative."""
+        if not self.net_profit_holds:
+            raise NetProfitError(f"mean step is {self.drift:+.6g} >= 0; the "
+                                 "net profit condition fails")
 
 
 def build_model(claim: Pmf, interarrival: Pmf) -> RiskModel:

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModelError, ModelError, NetProfitError, \
-    RootCountError, RootQualityError
+from .errors import DegenerateModelError, ModelError, RootCountError, \
+    RootQualityError
 from .model import Pmf, RiskModel
 
 # Root-search tolerances.
@@ -215,10 +215,7 @@ def unit_disk_roots(model: RiskModel) -> RootSet:
     displacement, the residual of the defining equation (RESIDUAL_TOL), and
     derivative-based multiplicity confirmation.
     """
-    if not model.net_profit_holds:
-        raise NetProfitError(
-            f"mean step is {model.drift:+.6g} >= 0; the net profit condition "
-            "fails and survival probabilities are identically zero")
+    model.require_net_profit()
     coeffs = char_poly(model)
     m = model.max_drop
 

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ModelError, NetProfitError, NumericalBlowupError
+from .errors import ModelError, NumericalBlowupError
 from .model import RiskModel
 from .pgf import RootSet, _divide, char_poly, unit_disk_roots
 
@@ -213,10 +213,7 @@ def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
     """
     if u_max is None or u_max < 0:
         raise ModelError(f"u_max={u_max} must be >= 0")
-    if not model.net_profit_holds:
-        raise NetProfitError(
-            f"mean step is {model.drift:+.6g} >= 0; the net profit condition "
-            "fails")
+    model.require_net_profit()
     m = model.max_drop
     _check_length(init, m)
     if roots is None:
@@ -238,32 +235,26 @@ def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
 def xi_coeffs(model: RiskModel, init: InitialValues, n: int,
               roots: RootSet | None = None) -> np.ndarray:
     """First n Taylor coefficients of the survival generating function
-    Xi(s) = sum_u phi(u+1) s^u.
+    Xi(s) = sum_u phi(u+1) s^u, with pi taken from `init`.
 
-    Xi is the ratio of N(s) = sum_i pi_i sum_j s^(i+j) F(-m+j), of degree
-    m - 1, to the cleared-denominator polynomial s^m (G_step(s) - 1). Both
-    vanish at the m - 1 unit-disk roots, where the raw long division is
-    unstable, so those factors go: N keeps only N_{m-1} = sum_i pi_i
-    F(-1-i), and the rest of the denominator divides stably. pi enters
-    only through that one sum; the check that sees every pi is
-    `solve --verify`'s "linear solve vs ladder table".
+    Xi is N(s) / (s^m (G_step(s) - 1)), N(s) = sum_i pi_i sum_j s^(i+j)
+    F(-m+j) of degree m - 1. Both vanish at the m - 1 unit-disk roots, so
+    N keeps only its leading coefficient top(pi) = sum_i pi_i F(-1-i), and
+    the denominator keeps a constant times (1 - s)(1 - H(s)), 1 - H the
+    ladder factor of `ultimate_survival`, whose reciprocal is the table's
+    sum_u phi(u+1) s^u. With pi = q, the table's own pi, Xi is that
+    series, so the constant is top(q): Xi is the table scaled by
+    top(pi) / top(q). It sees pi only through that one sum; the check
+    that sees every pi is `solve --verify`'s "vs ladder table" line.
     """
     m = model.max_drop
     _check_length(init, m)
     if n <= 0:
         return np.zeros(0)
-    poly = char_poly(model)        # raises if the constant term vanishes
-    if roots is None:
-        roots = unit_disk_roots(model)
-    top = math.fsum(init.pi[i] * model.F(-1 - i) for i in range(m))
-    den = _divide_out(poly, roots.expanded())
-    c = np.zeros(n, dtype=complex)
-    for k in range(n):
-        acc = top if k == 0 else 0.0
-        lo = max(0, k - len(den) + 1)
-        acc -= sum(c[l] * den[k - l] for l in range(lo, k))
-        c[k] = acc / den[0]
-    return c.real.copy()
+    table = ultimate_survival(model, u_max=n, roots=roots)
+    cdf = model.F(-1 - np.arange(m))
+    kappa = math.fsum(init.pi * cdf) / math.fsum(table.q * cdf)
+    return kappa * table.phis[1:]
 
 
 def truncation_bounds(model_truncated: RiskModel, original_tail: float,

@@ -104,7 +104,7 @@ class TestSolve:
         shown = capsys.readouterr().out
         assert "linear solve failed: negative initial probability" in shown
         assert "closed form failed: negative initial probability" in shown
-        assert "generating-function coefficients skipped" in shown
+        assert "vs ladder table" not in shown
         _, rows = read_csv(out)
         assert len(rows) == 41
 
@@ -148,7 +148,9 @@ class TestSolve:
         shown = capsys.readouterr().out
         assert "linear solve failed: pivot below tolerance" in shown
         assert "closed form vs linear solve" not in shown
-        assert "generating-function coefficients vs table" in shown
+        assert "closed form vs ladder table: max |cumsum(pi) - phi(1..2)|" \
+            in shown
+        assert "(closed form residual " in shown
 
     def test_poisson2_cap20_table(self, tmp_path):
         model = write_model(tmp_path, P2_20_DOC)

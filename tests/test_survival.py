@@ -48,24 +48,14 @@ def divide_out_loop(coeffs, zs) -> np.ndarray:
     return a
 
 
-def xi_coeffs_deflating_numerator(model, init, n, roots) -> np.ndarray:
-    """xi_coeffs as it ran with the whole numerator: all m coefficients of
-    N(s) built, the unit-disk roots divided out of them as out of the
-    denominator, then the same long division."""
-    m = model.max_drop
-    num = np.zeros(m, dtype=complex)
-    for t in range(m):
-        num[t] = math.fsum(init.pi[i] * model.F(-m + t - i)
-                           for i in range(t + 1))
-    den = survival._divide_out(rw.char_poly(model), roots.expanded())
-    num = survival._divide_out(num, roots.expanded())
-    c = np.zeros(n, dtype=complex)
-    for k in range(n):
-        acc = num[k] if k < len(num) else 0.0
-        lo = max(0, k - len(den) + 1)
-        acc -= sum(c[l] * den[k - l] for l in range(lo, k))
-        c[k] = acc / den[0]
-    return c.real.copy()
+def ladder_tail_loop(h, n) -> np.ndarray:
+    """psi(0..n) of psi(u) = sum_k h_k psi(u - k), psi = 1 on u <= 0, one
+    exactly rounded sum of the rounded products per u."""
+    k = len(h)
+    psi = [1.0] * (k + 1)          # psi(-k..0)
+    for _ in range(n):
+        psi.append(math.fsum(h * np.array(psi[-1 : -k - 1 : -1])))
+    return np.array(psi[k:])
 
 
 @pytest.fixture(scope="module", params=["goldens", "example4_caps", "random"])
@@ -199,8 +189,9 @@ class TestLadderRoute:
         np.testing.assert_allclose(xs, phis[1:], rtol=0, atol=1e-9)
 
     def test_random_models_match_paper_routes(self):
-        # the linear solve's partial sums give phi(1..m); the deflated
-        # generating-function division reaches past m
+        # the linear solve's partial sums give phi(1..m); past m, the
+        # residual re-substitutes the table into the first-step equation,
+        # which reads the step pmf and not the ladder factor
         rng = np.random.default_rng(20261018)
         for _ in range(40):
             model = random_admissible_model(rng, m_max=8)
@@ -209,6 +200,7 @@ class TestLadderRoute:
             np.testing.assert_allclose(np.cumsum(solved.init.pi),
                                        solved.table.phis[1 : m + 1],
                                        rtol=0, atol=1e-10)
+            assert solved.table.residual <= 1e-12
             xs = rw.xi_coeffs(model, solved.init, 60, solved.roots)
             np.testing.assert_allclose(xs, solved.table.phis[1:], rtol=0,
                                        atol=1e-9)
@@ -240,27 +232,70 @@ class TestRuinTail:
 class TestDeflation:
     def test_bit_identical_to_loop_reference(self, deflation_cases,
                                              monkeypatch):
-        # the ladder factor and the deflated generating-function division
-        # give the same bits through pgf._divide as through the loop
+        # the ladder factor gives the same bits through pgf._divide as
+        # through the loop
         case, cases = deflation_cases
-        out = [(survival._ladder_factor(model, roots).tobytes(),
-                rw.xi_coeffs(model, init, 30, roots).tobytes())
-               for model, roots, init in cases]
+        out = [survival._ladder_factor(model, roots).tobytes()
+               for model, roots, _ in cases]
         monkeypatch.setattr(survival, "_divide_out", divide_out_loop)
-        ref = [(survival._ladder_factor(model, roots).tobytes(),
-                rw.xi_coeffs(model, init, 30, roots).tobytes())
-               for model, roots, init in cases]
+        ref = [survival._ladder_factor(model, roots).tobytes()
+               for model, roots, _ in cases]
         assert out == ref
         assert len(cases) == {"goldens": 7, "example4_caps": 11,
                               "random": 220}[case]
 
-    def test_xi_numerator_is_its_leading_coefficient(self, deflation_cases):
-        # dividing the m - 1 unit-disk roots out of the degree m - 1
-        # numerator leaves its leading coefficient, bit for bit
+    def test_ladder_tail_matches_fsum_loop(self, deflation_cases):
+        # n on both sides of the _BLOCK edge: one block, a full block, a
+        # block and one term, and three blocks of the doubled matrix
+        assert survival._BLOCK == 512
         _, cases = deflation_cases
-        for model, roots, init in cases:
-            assert rw.xi_coeffs(model, init, 60, roots).tobytes() == \
-                xi_coeffs_deflating_numerator(model, init, 60, roots).tobytes()
+        for model, roots, _ in cases:
+            h = -survival._ladder_factor(model, roots)[1:]
+            ref = ladder_tail_loop(h, 1500)
+            for n in (1, 511, 512, 513, 1500):
+                psi = survival._ladder_tail(h, n)
+                assert len(psi) == n + 1
+                np.testing.assert_allclose(psi, ref[: n + 1], rtol=0,
+                                           atol=4e-15)
+
+    def test_xi_of_the_tables_own_pi_is_the_table(self, deflation_cases):
+        _, cases = deflation_cases
+        for model, roots, _ in cases:
+            table = rw.ultimate_survival(model, u_max=60, roots=roots)
+            own = rw.InitialValues(pi=table.q, drift_pos=-model.drift,
+                                   residual=0.0)
+            assert rw.xi_coeffs(model, own, 60, roots).tobytes() == \
+                table.phis[1:61].tobytes()
+
+    def test_xi_scales_by_the_moved_leading_coefficient(self,
+                                                        deflation_cases):
+        # pi enters Xi only through top(pi) = sum_i pi_i F(-1-i): moving
+        # pi_i by delta scales every coefficient by top(pi) / top(q)
+        _, cases = deflation_cases
+        for model, roots, _ in cases:
+            m = model.max_drop
+            table = rw.ultimate_survival(model, u_max=60, roots=roots)
+            cdf = model.F(-1 - np.arange(m))
+            top = math.fsum(table.q * cdf)
+            i = m - 1
+            pi = table.q.copy()
+            pi[i] += 1e-3
+            moved = rw.InitialValues(pi=pi, drift_pos=-model.drift,
+                                     residual=0.0)
+            kappa = math.fsum(pi * cdf) / top
+            assert kappa == pytest.approx(
+                (top + (pi[i] - table.q[i]) * cdf[i]) / top, rel=2**-52)
+            assert rw.xi_coeffs(model, moved, 60, roots).tobytes() == \
+                (kappa * table.phis[1:61]).tobytes()
+
+    def test_xi_reaches_u_2000_at_the_tables_accuracy(self):
+        # the long division kept s = 1 in a double denominator and read
+        # 3.8e-11 off the table at u = 2 000, where psi is only 2.3e-9
+        model = make_example4(10).build()
+        solved = solve_pipeline(model, 2000)
+        xs = rw.xi_coeffs(model, solved.init, 2000, solved.roots)
+        np.testing.assert_allclose(xs, solved.table.phis[1:], rtol=0,
+                                   atol=1e-13)
 
 
 class TestRecurrenceResidual:
