@@ -40,7 +40,6 @@ from .survival import (
     SurvivalTable,
     finite_grid,
     finite_survival,
-    truncation_bounds,
     ultimate_survival,
     xi_coeffs,
 )
@@ -60,7 +59,7 @@ __all__ = [
     "finite_survival", "load_model_config", "materialize",
     "parse_model_config", "pgf_eval", "rebalance_claim", "simulate",
     "solve_closed_form", "solve_linear", "step_pmf", "truncate",
-    "truncation_bounds", "ultimate_survival", "unit_disk_roots", "xi_coeffs",
+    "ultimate_survival", "unit_disk_roots", "xi_coeffs",
 ]
 
 

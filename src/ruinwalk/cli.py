@@ -2,7 +2,7 @@
 
 Subcommands: solve (ultimate-time table), finite (finite-horizon grid),
 roots (unit-disk roots as CSV and optional SVG), simulate (Monte Carlo
-check), truncate (cap an interarrival law and report the induced bounds).
+check), truncate (cap an interarrival law and write the capped model).
 Exit codes: 0 success, 2 model or domain error (a table too large to
 allocate included), 3 numerical failure.
 """
@@ -23,8 +23,7 @@ from .model import ModelConfig, Pmf, RiskModel, load_model_config, \
     materialize
 from .oracle import SimConfig, simulate
 from .pgf import RootSet, unit_disk_roots
-from .survival import SurvivalTable, finite_grid, truncation_bounds, \
-    ultimate_survival
+from .survival import SurvivalTable, finite_grid, ultimate_survival
 
 DEFAULT_SEED = 90125
 EXIT_OK, EXIT_MODEL, EXIT_NUMERIC = 0, 2, 3
@@ -71,6 +70,15 @@ def _dust_cut(cfg: ModelConfig, model: RiskModel) -> str:
     return ""
 
 
+def _model_lines(cfg: ModelConfig, model: RiskModel) -> list:
+    """The report's lines on the model the routes run on."""
+    return ["model (post-truncation):",
+            _pmf_echo("claim", model.claim) + _claim_cut(cfg),
+            _pmf_echo("interarrival", model.interarrival),
+            f"  m = {model.m}{_dust_cut(cfg, model)}, "
+            f"max drop = {model.max_drop}, drift = {model.drift:.12g}"]
+
+
 @dataclass(frozen=True)
 class RunReport:
     """Everything a solve run produced, rendered for humans."""
@@ -81,12 +89,7 @@ class RunReport:
     table: SurvivalTable
 
     def render(self) -> str:
-        lines = ["model (post-truncation):",
-                 _pmf_echo("claim", self.model.claim) + _claim_cut(self.cfg),
-                 _pmf_echo("interarrival", self.model.interarrival),
-                 f"  m = {self.model.m}{_dust_cut(self.cfg, self.model)}, "
-                 f"max drop = {self.model.max_drop}, "
-                 f"drift = {self.model.drift:.12g}"]
+        lines = _model_lines(self.cfg, self.model)
         if self.roots.roots:
             lines.append("unit-disk roots:")
             for z, r, res in zip(self.roots.roots, self.roots.multiplicities,
@@ -271,18 +274,11 @@ def _cmd_truncate(args) -> int:
     l = args.l if args.l is not None else cfg.rebalance_l
     cfg = replace(cfg, truncate_m=m, rebalance_l=l)
     model = cfg.build()
-    tail = cfg.step_tail_below_cap()
-    cut = _dust_cut(cfg, model)
-    shown = f"{model.m}{cut}" if cut else str(m)
-    print(f"interarrival capped at m = {shown}; drift = {model.drift:.14g}")
-    print(f"uncapped-step tail P(X - c*theta <= -{model.m + 1}) = {tail:.6e}")
-    if model.net_profit_holds:
-        table = ultimate_survival(model, u_max=model.m + 1)
-        lower, upper = truncation_bounds(model, tail, table)
-        print(f"defect bounds on phi(0): [{lower:.6e}, {upper:.6e}]")
-    else:
-        print("net profit condition fails for the capped model; "
-              "no defect bounds")
+    print("\n".join(_model_lines(cfg, model)))
+    print(f"uncapped-step tail P(X - c*theta <= -{model.m + 1}) = "
+          f"{cfg.step_tail_below_cap():.6e}")
+    if not model.net_profit_holds:
+        print("net profit condition fails for the capped model")
     out = _out_path(args, "_truncated.json")
     doc = {"claim": {"pmf": model.claim.to_json_dict()},
            "interarrival": {"pmf": model.interarrival.to_json_dict()}}
@@ -343,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("truncate",
-                       help="cap the interarrival law and report bounds")
+                       help="cap the interarrival law and write the model")
     p.add_argument("model")
     p.add_argument("--m", type=int, default=None, help="truncation bound")
     p.add_argument("--l", type=int, default=None,

@@ -15,12 +15,11 @@ of its arguments. Only the polish and the multiplicity check run it in
 numpy's `clongdouble`, the 80-bit x87 extended type on x86-64 Linux:
 `_taylor` reads P's coefficients converted once per root search and gives
 the Taylor coefficients P^(k)(s) / k!. Everything else runs it in double:
-`pgf_eval` and so the residual check here, and the ladder deflation and
-the generating-function division in `survival`. The polish relies on the
-extra bits: with `complex128` in its place, as on platforms whose long
-double is plain double (Windows, macOS on Apple silicon), the closed form
-of Poisson(6) claims against geometric(0.05) interarrival times capped at
-80 raises on pi = -8.1e-9.
+`pgf_eval` and so the residual check here, and the ladder deflation in
+`survival`. The polish relies on the extra bits: with `complex128` in
+its place, as on platforms whose long double is plain double (Windows,
+macOS on Apple silicon), the closed form of Poisson(6) claims against
+geometric(0.05) interarrival times capped at 80 raises on pi = -8.1e-9.
 """
 
 from __future__ import annotations

@@ -256,23 +256,3 @@ def xi_coeffs(model: RiskModel, init: InitialValues, n: int,
     kappa = math.fsum(init.pi * cdf) / math.fsum(table.q * cdf)
     return kappa * table.phis[1:]
 
-
-def truncation_bounds(model_truncated: RiskModel, original_tail: float,
-                      phis: SurvivalTable) -> tuple:
-    """Bounds on the defect phi(0) - sum_{i<=m} phi(i) f(-i) left by capping
-    the interarrival time at m.
-
-    The defect equals the survival mass carried by drops beyond m, so it
-    lies between phi(m+1) * original_tail (phi is nondecreasing) and
-    original_tail, where original_tail = P(X - c*theta <= -(m+1)) under
-    the uncapped interarrival law.
-    """
-    if original_tail < 0.0:
-        raise ModelError(f"original_tail={original_tail!r} must be >= 0")
-    if original_tail == 0.0:
-        return 0.0, 0.0
-    need = model_truncated.m + 1
-    if phis.u_max < need:
-        raise ModelError(
-            f"survival table must reach u = {need} to estimate the bounds")
-    return float(phis.phis[need]) * original_tail, original_tail

@@ -446,7 +446,9 @@ class TestTruncate:
         out = tmp_path / "capped.json"
         assert main(["truncate", model, "--out", str(out)]) == 0
         shown = capsys.readouterr().out
-        assert "defect bounds" in shown
+        assert (f"uncapped-step tail P(X - c*theta <= "
+                f"-{doc['truncate_m'] + 1}) = ") in shown
+        assert "defect bounds" not in shown
         rebuilt = rw.parse_model_config(json.loads(out.read_text())).build()
         original = rw.load_model_config(model).build()
         for part in ("claim", "interarrival", "step"):
@@ -459,7 +461,8 @@ class TestTruncate:
         out = tmp_path / "capped.json"
         assert main(["truncate", model, "--out", str(out)]) == 0
         shown = capsys.readouterr().out
-        assert "defect bounds" in shown
+        assert "uncapped-step tail P(X - c*theta <= -16) = " in shown
+        assert "defect bounds" not in shown
         assert "note:" not in shown
 
     def test_support_dust_cut_is_reported(self, tmp_path, capsys):
@@ -479,8 +482,8 @@ class TestTruncate:
         assert "cut by" not in capsys.readouterr().out
 
     def test_tail_and_bounds_at_the_solved_m(self, tmp_path, capsys):
-        # cap 20 solves the m = 16 model, so it reports the cap-16 tail
-        # P(X - c*theta <= -17) and bounds, not those of a cap at 20
+        # cap 20 builds the m = 16 model, so it reports the cap-16 tail
+        # P(X - c*theta <= -17), not that of a cap at 20
         doc = {k: EX4_10_DOC[k] for k in ("claim", "interarrival")}
         model = write_model(tmp_path, doc)
         shown = {}
@@ -488,24 +491,59 @@ class TestTruncate:
             assert main(["truncate", model, "--m", m,
                          "--out", str(tmp_path / "capped.json")]) == 0
             shown[m] = [ln for ln in capsys.readouterr().out.splitlines()
-                        if ln.startswith(("uncapped-step", "defect bounds"))]
-        assert len(shown["16"]) == 2
+                        if ln.startswith("uncapped-step")]
+        assert len(shown["16"]) == 1
         assert "P(X - c*theta <= -17)" in shown["16"][0]
         assert shown["20"] == shown["16"]
 
     def test_cap_that_breaks_net_profit_has_no_bounds(self, tmp_path,
                                                       capsys):
         # at m = 1 the capped walk drifts up (+0.364): the capped model is
-        # still written, with no defect bounds
+        # still written
         out = tmp_path / "capped.json"
         assert main(["truncate", str(GOLDEN_DIR / "ex4_cap10.json"),
                      "--m", "1", "--out", str(out)]) == 0
         shown = capsys.readouterr().out
-        assert ("net profit condition fails for the capped model; "
-                "no defect bounds") in shown
-        assert "defect bounds on" not in shown
+        assert "net profit condition fails for the capped model" in shown
+        assert "defect bounds" not in shown
         doc = json.loads(out.read_text())
         assert rw.parse_model_config(doc).build().m == 1
+
+    def test_printed_m_is_the_model_m(self, tmp_path, capsys):
+        # a binomial(4, 1/2) interarrival time is already below cap 10
+        doc = {"claim": EX4_10_DOC["claim"],
+               "interarrival": {"family": "binomial", "n": 4, "p": 0.5}}
+        model = write_model(tmp_path, doc)
+        assert main(["truncate", model, "--m", "10",
+                     "--out", str(tmp_path / "capped.json")]) == 0
+        shown = capsys.readouterr().out
+        assert "  m = 4, max drop = 4, drift = -1" in shown
+        assert "uncapped-step tail P(X - c*theta <= -5) = 0.000000e+00" \
+            in shown
+        assert "m = 10" not in shown
+
+    def test_writes_a_model_the_root_polish_refuses(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # SUPPORT_DUST cuts cap 100 to m = 86, where the root polish fails;
+        # truncate runs no root or survival routine, so it writes the model
+        def refuse(*args, **kwargs):
+            raise AssertionError("truncate ran a solve routine")
+
+        monkeypatch.setattr("ruinwalk.cli.unit_disk_roots", refuse)
+        monkeypatch.setattr("ruinwalk.cli.ultimate_survival", refuse)
+        doc = {"claim": {"family": "poisson", "lambda": 45.0},
+               "interarrival": {"family": "binomial", "n": 100, "p": 0.5}}
+        model = write_model(tmp_path, doc)
+        out = tmp_path / "capped.json"
+        assert main(["truncate", model, "--m", "100", "--out", str(out)]) == 0
+        assert "m = 86 (cap 100 cut by SUPPORT_DUST)" in \
+            capsys.readouterr().out
+        rebuilt = rw.parse_model_config(json.loads(out.read_text())).build()
+        original = rw.parse_model_config(dict(doc, truncate_m=100)).build()
+        assert rebuilt.m == 86
+        for part in ("claim", "interarrival"):
+            assert getattr(rebuilt, part).weights.tolist() == \
+                getattr(original, part).weights.tolist()
 
     def test_needs_a_bound(self, tmp_path):
         model = write_model(tmp_path, EX1_DOC)

@@ -12,8 +12,9 @@ import ruinwalk as rw
 from ruinwalk.cli import main
 from ruinwalk.model import excess_mean
 
-from conftest import (capped_excess_series, poisson_pmf_series,
-                      poisson_sf_series, random_admissible_model)
+from conftest import (capped_excess_series, make_example4,
+                      poisson_pmf_series, poisson_sf_series,
+                      random_admissible_model)
 
 POISSON_1_101 = {"claim": {"family": "poisson", "lambda": 1.0},
                  "interarrival": {"family": "poisson", "lambda": 1.01}}
@@ -279,6 +280,21 @@ class TestTruncate:
     def test_domain_error(self):
         with pytest.raises(rw.ModelError):
             rw.truncate(rw.ParametricDist.poisson(1.0), 0)
+
+
+class TestStepTailBelowCap:
+    def test_example4_tail_against_series(self):
+        tail = make_example4(10).step_tail_below_cap()
+        # independent series: sum_k P(X = k) P(c*theta >= k + 11)
+        claim = rw.materialize(rw.ParametricDist.poisson(1.0))
+        oracle = math.fsum(claim.weights[k] * poisson_sf_series(1.01, k + 10)
+                           for k in range(len(claim.weights)))
+        assert tail == pytest.approx(oracle, rel=1e-10)
+
+    def test_tighter_cap_shrinks_tail_tenfold(self):
+        t10 = make_example4(10).step_tail_below_cap()
+        t15 = make_example4(15).step_tail_below_cap()
+        assert t15 <= t10 / 10.0
 
 
 class TestRebalance:

@@ -13,8 +13,7 @@ from ruinwalk.survival import _check_table
 
 from conftest import (make_example1, make_example2, make_example3,
                       make_example4, poisson_geometric_model,
-                      poisson_sf_series, random_admissible_model,
-                      solve_pipeline)
+                      random_admissible_model, solve_pipeline)
 
 SQ2 = math.sqrt(2.0)
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
@@ -499,34 +498,3 @@ class TestXiCoefficients:
                                match="initial values have length"):
                 rw.xi_coeffs(solved.model, other.init, 5, solved.roots)
 
-
-class TestTruncationBounds:
-    def test_exact_model_has_zero_bounds(self, ex1):
-        assert rw.truncation_bounds(ex1.model, 0.0, ex1.table) == (0.0, 0.0)
-
-    def test_example4_bounds_against_series(self):
-        cfg = make_example4(10)
-        tail = cfg.step_tail_below_cap()
-        # independent series: sum_k P(X = k) P(c*theta >= k + 11)
-        claim = rw.materialize(rw.ParametricDist.poisson(1.0))
-        oracle = math.fsum(claim.weights[k] * poisson_sf_series(1.01, k + 10)
-                           for k in range(len(claim.weights)))
-        assert tail == pytest.approx(oracle, rel=1e-10)
-        model = cfg.build()
-        solved = solve_pipeline(model, 10)
-        table = rw.ultimate_survival(model, solved.init, 11, solved.roots)
-        lower, upper = rw.truncation_bounds(model, tail, table)
-        assert upper == tail
-        assert 0.0 < lower <= upper
-        # consistent with the observed m=10 vs m=15 value gaps
-        assert upper <= 1.9e-7
-
-    def test_tighter_cap_shrinks_bound_tenfold(self):
-        t10 = make_example4(10).step_tail_below_cap()
-        t15 = make_example4(15).step_tail_below_cap()
-        assert t15 <= t10 / 10.0
-
-    def test_requires_table_past_cap(self, ex4):
-        model = ex4[10].model
-        with pytest.raises(rw.ModelError):
-            rw.truncation_bounds(model, 1e-9, ex4[10].table)
