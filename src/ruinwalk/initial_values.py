@@ -118,6 +118,12 @@ def _to_double(n: int, e: int) -> float:
     return n / (1 << e) if e >= 0 else float(n << -e)
 
 
+def _doubles(row: list) -> list:
+    """The complex doubles of a row of exact entries (mr, er, mi, ei)."""
+    return [complex(_to_double(mr, er), _to_double(mi, ei))
+            for mr, er, mi, ei in row]
+
+
 def _round(n: int, e: int) -> tuple:
     """n / 2**e rounded to odd at _BITS mantissa bits, as (n', e').
 
@@ -207,16 +213,22 @@ def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
     # exact here and rounded once, so the fixed-precision factorization
     # sees the true row
     N, g = _over(model.F(np.arange(-m, 0)))
+    doubles = []    # the double rows; those of conj(z) hold twin's at first
+    conj = []       # the indices of the rows of conj(z)
     done = {}
     for z, mult in zip(roots.roots, roots.multiplicities):
         twin = done.get((complex(z).conjugate(), mult))
         if twin is None:
             own = _root_rows(complex(z), mult, N, g)
+            own_d = [_doubles(row) for row in own]
         else:   # the rows of conj(z) are exactly the conjugates of twin's
             own = [[(mr, er, -mi, ei) for mr, er, mi, ei in row]
-                   for row in twin]
-        done[z, mult] = own
+                   for row in twin[0]]
+            own_d = twin[1]
+            conj += range(len(rows), len(rows) + mult)
+        done[z, mult] = own, own_d
         rows += own
+        doubles += own_d
         kinds += [RowKind("root", z)] + [RowKind("derivative", z, n)
                                          for n in range(1, mult)]
     fn, h = _over(model.f(-j) for j in range(1, m + 1))
@@ -226,11 +238,11 @@ def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
     kinds.append(RowKind("mean"))
     rhs = np.zeros(m, dtype=complex)
     rhs[m - 1] = model.drift_pos
-    return InitSystem(matrix=np.array([[complex(_to_double(mr, er),
-                                                _to_double(mi, ei))
-                                        for mr, er, mi, ei in row]
-                                       for row in rows]),
-                      rhs=rhs, row_kinds=tuple(kinds),
+    matrix = np.array(doubles + [_doubles(rows[-1])])
+    # the doubles of conj(z)'s rows are the conjugates of its twin's; + 0.0
+    # gives a zero imaginary part the sign _to_double gives it
+    matrix[conj] = np.conj(matrix[conj]) + 0.0
+    return InitSystem(matrix=matrix, rhs=rhs, row_kinds=tuple(kinds),
                       entries=tuple(map(tuple, rows)))
 
 

@@ -2,9 +2,10 @@
 
 Two checks that share no code with the solver: Monte Carlo simulation of
 the walk's running maximum (PCG64 streams, reproducible bit-for-bit from
-the seed; an int32 walk, each step one guide-table lookup) and exact
-small-instance enumeration of the survival probability by dynamic
-programming over partial-sum distributions.
+the seed; an int32 walk fed two steps per 64-bit word, one from each
+32-bit half, each step one guide-table lookup and rarely 21 more bits)
+and exact small-instance enumeration of the survival probability by
+dynamic programming over partial-sum distributions.
 """
 
 from __future__ import annotations
@@ -21,9 +22,12 @@ from .model import RiskModel
 # per block, so results depend only on (seed, n_paths).
 _BLOCK = 1 << 16
 
-# Buckets of the step sampler's guide table. Scaling a draw by a power of
-# two is exact, so truncating the product gives the draw's bucket exactly.
-_GUIDE = 1 << 12
+# Buckets of the step sampler's guide table: a 32-bit half's top 12 bits
+# are the bucket of every 53-bit value it stands for.
+_GUIDE_BITS = 12
+_GUIDE = 1 << _GUIDE_BITS
+# bits of a 53-bit value below its 32-bit half, drawn only where needed
+_LOW_BITS = 53 - 32
 # step_of of an ambiguous bucket, and the bound on the int32 walk's reach
 _HARD = np.iinfo(np.int32).max
 
@@ -61,46 +65,79 @@ class SimResult:
 
 
 class _StepSampler:
-    """The inverse-cdf step map d -> clip(lo + #{cum <= d}, lo, top).
+    """The inverse-cdf step map k -> clip(lo + #{cum <= k 2^-53}, lo, top)
+    over 53-bit values k, fed two draws per 64-bit PCG64 word.
+
+    Each step of n paths reads ceil(n/2) words from `random_raw`, taken as
+    little-endian 64-bit words and then as their 32-bit halves, so draw 2w
+    is the low half of word w and draw 2w+1 its high half on every
+    platform; an odd n drops the last high half. A half x stands for the
+    53-bit value k = x 2^21 + r, whose low 21 bits r are drawn only where
+    the step depends on them.
 
     A guide table (Chen & Asau, AIIE Trans. 6 (1974); Devroye, Non-Uniform
     Random Variate Generation (1986), III.2.4) replaces the per-draw binary
-    search. For d in bucket b = [b/2^12, (b+1)/2^12), #{cum <= d} lies
-    between #{cum <= b/2^12} and #{cum < (b+1)/2^12}; where the two agree
-    `step_of[b]` holds the step of every draw in the bucket, and the other,
-    ambiguous buckets hold the sentinel `_HARD`: one lookup gives a draw's
-    int32 step or sends it to the search. The map, and so the stream of
-    steps, is exactly that of the binary search. Draws and the table are
-    both scaled by 2^12, which is exact, so the search compares the same
-    pairs of values. The buffers hold up to `size` draws and are reused
-    from call to call.
+    search. For k in bucket b = [b 2^41, (b+1) 2^41), #{cum <= k 2^-53}
+    lies between its values at the bucket's two ends; where they agree
+    `step_of[b]` holds the step of every k in the bucket, and the other,
+    ambiguous buckets hold the sentinel `_HARD`. A half's bucket is x >> 20,
+    so one lookup gives its int32 step or sends it to two searches, at
+    x 2^21 and at x 2^21 + 2^21 - 1. Where these give different steps, a
+    cdf value lies inside the half's interval, and r is the top 21 bits of
+    one extra word; extra words are drawn after the step's words, in draw
+    order. Whether a half takes one depends on the cdf values alone, so
+    the stream of steps does not depend on the guide table. The cdf is
+    held scaled by 2^53, which is exact, and every k below 2^53 is an
+    exact double, so the searches compare the same pairs of values as on
+    k 2^-53. The buffers hold up to `size` draws and are reused from call
+    to call.
     """
 
     def __init__(self, cum: np.ndarray, lo: int, size: int):
-        self.scaled_cum = cum * _GUIDE
+        self.cum_k = cum * 2.0 ** 53
         self.lo = lo
         self.top = lo + len(cum) - 1
-        edges = np.arange(_GUIDE + 1.0)
-        first = np.searchsorted(self.scaled_cum, edges[:-1], side="right")
+        edges = np.arange(_GUIDE + 1.0) * 2.0 ** (53 - _GUIDE_BITS)
+        first = np.searchsorted(self.cum_k, edges[:-1], side="right")
         self.step_of = np.minimum(lo + first, self.top).astype(np.int32)
-        self.step_of[np.searchsorted(self.scaled_cum, edges[1:],
+        self.step_of[np.searchsorted(self.cum_k, edges[1:],
                                      side="left") > first] = _HARD
+        self._words = np.empty((size + 1) // 2, dtype="<u8")
         self._bucket = np.empty(size, dtype=np.intp)
         self._flag = np.empty(size, dtype=bool)
         self._steps = np.empty(size, dtype=np.int32)
 
-    def steps(self, draws: np.ndarray) -> np.ndarray:
-        """Steps of `draws` in [0, 1), which are scaled in place; a view of
-        the sampler's buffer."""
-        n = draws.size
+    def _search(self, k: np.ndarray) -> np.ndarray:
+        """Steps of the 53-bit values `k` by binary search."""
+        found = np.searchsorted(self.cum_k, k.astype(np.float64),
+                                side="right")
+        return np.minimum(self.lo + found, self.top)
+
+    def steps(self, bitgen, n: int) -> np.ndarray:
+        """The next `n` steps drawn from the bit generator `bitgen`; a view
+        of the sampler's buffer."""
+        # copied into a reused little-endian buffer: the halves then come
+        # in the same order on every platform, and random_raw's array is
+        # freed before the step's small allocations (held through them, it
+        # fragmented the heap: about +1 MB peak RSS over 20 horizon ops)
+        words = self._words[:(n + 1) // 2]
+        words[...] = bitgen.random_raw(words.size)
+        halves = words.view("<u4")[:n]
         bucket, flag, steps = self._bucket[:n], self._flag[:n], self._steps[:n]
-        np.multiply(draws, _GUIDE, out=draws)
-        bucket[...] = draws
-        np.take(self.step_of, bucket, out=steps, mode="clip")
+        np.right_shift(halves, 32 - _GUIDE_BITS, out=bucket)
+        # every x >> 20 is a bucket, so no index wraps; "wrap" is the
+        # cheapest mode that writes into `out`
+        np.take(self.step_of, bucket, out=steps, mode="wrap")
         hard = np.flatnonzero(np.equal(steps, _HARD, out=flag))
         if hard.size:
-            found = np.searchsorted(self.scaled_cum, draws[hard], side="right")
-            steps[hard] = np.minimum(self.lo + found, self.top)
+            k = halves[hard].astype(np.int64) << _LOW_BITS
+            found = self._search(k)
+            split = np.flatnonzero(
+                self._search(k + (1 << _LOW_BITS) - 1) != found)
+            if split.size:
+                r = bitgen.random_raw(split.size) >> 64 - _LOW_BITS
+                found[split] = self._search(k[split] + r.astype(np.int64))
+            steps[hard] = found
         return steps
 
 
@@ -108,11 +145,13 @@ def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
     """Sample the running maximum of the step walk over T steps.
 
     Steps are drawn by inverse-cdf lookup through a guide table over the
-    cumulative step table, which maps each draw to the step a binary search
-    would give. The walk is int32: a reach T * max|step| >= 2^31 - 1 raises
-    `ResourceError` before any draw. One pass serves every requested u: each
-    path records its running maximum, and paths whose maximum already
-    reaches max(u) are retired since they fail every requested threshold.
+    cumulative step table, two per PCG64 word, and each maps to the step a
+    binary search would give its 53-bit value (see `_StepSampler`). The
+    walk is int32: a reach T * max|step| >= 2^31 - 1 raises
+    `ResourceError` before any draw. One pass serves every requested u:
+    each path records its running maximum, and paths whose maximum
+    already reaches max(u) are retired since they fail every requested
+    threshold.
     """
     reach = cfg.horizon_T * max(model.max_drop, model.step.support_max)
     if reach >= _HARD:
@@ -121,9 +160,8 @@ def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
     u_sorted = np.array(sorted(set(cfg.u_values)), dtype=np.int64)
     u_big = int(u_sorted[-1])
 
-    width = min(_BLOCK, cfg.n_paths)
-    sampler = _StepSampler(cum, model.step.support_min, width)
-    draw_buf = np.empty(width)
+    sampler = _StepSampler(cum, model.step.support_min,
+                           min(_BLOCK, cfg.n_paths))
     survived = np.zeros(len(u_sorted), dtype=np.int64)
     n_blocks = (cfg.n_paths + _BLOCK - 1) // _BLOCK
     streams = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
@@ -131,14 +169,13 @@ def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
     for b in range(n_blocks):
         size = min(_BLOCK, cfg.n_paths - done)
         done += size
-        rng = np.random.Generator(np.random.PCG64(streams[b]))
+        bitgen = np.random.PCG64(streams[b])
         running = np.zeros(size, dtype=np.int32)
         maxes = np.full(size, np.iinfo(np.int32).min, dtype=np.int32)
         for _ in range(cfg.horizon_T):
             if running.size == 0:
                 break
-            draws = rng.random(out=draw_buf[:running.size])
-            running += sampler.steps(draws)
+            running += sampler.steps(bitgen, running.size)
             np.maximum(maxes, running, out=maxes)
             alive = maxes < u_big
             if not alive.all():

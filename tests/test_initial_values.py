@@ -248,6 +248,33 @@ class TestBuildSystem:
                     assert abs(dyadic(mr, er) - xr) <= abs(xr) * 2 ** -159
                     assert abs(dyadic(mi, ei) - xi) <= abs(xi) * 2 ** -159
 
+    def test_matrix_is_the_bitwise_rounding_of_entries(self, ex1, ex2, ex3,
+                                                       ex4):
+        # the doubles of a conj(z) row are the conjugates of its twin's, and
+        # must equal each entry's own rounding bit for bit, the sign of a
+        # zero included: the pure imaginary pair makes zero imaginary parts
+        # in the row of -0.5j, whose last column is (-0.5j)^2 F(-3)
+        cases = [(s.model, s.roots) for s in (ex1, ex2, *ex3.values(),
+                                               *ex4.values())]
+        imaginary_pair = rw.RootSet(roots=(0.5j, -0.5j),
+                                    multiplicities=(1, 1),
+                                    residuals=(0.0, 0.0))
+        cases.append((make_example3(0.5), imaginary_pair))
+        rng = np.random.default_rng(7)
+        for model in [make_example4(m).build() for m in range(11, 21)] + \
+                [random_admissible_model(rng) for _ in range(10)]:
+            cases.append((model, rw.unit_disk_roots(model)))
+        for model, roots in cases:
+            sys_ = rw.build_system(model, roots)
+            want = np.array([[complex(iv._to_double(mr, er),
+                                      iv._to_double(mi, ei))
+                              for mr, er, mi, ei in row]
+                             for row in sys_.entries])
+            assert sys_.matrix.dtype == want.dtype
+            assert sys_.matrix.tobytes() == want.tobytes()
+            if roots is imaginary_pair:
+                assert sys_.matrix[1, 2].imag == 0.0
+
     def test_net_profit_guard(self):
         model = rw.build_model(rw.Pmf.point(1), rw.Pmf.point(1))
         none = rw.RootSet(roots=(), multiplicities=(), residuals=())

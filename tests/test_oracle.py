@@ -44,6 +44,70 @@ def _step_table(model):
     return np.cumsum(model.step.weights), model.step.support_min
 
 
+def _step_53(cum, lo, k):
+    """The step law on 53-bit values k: clip(lo + #{cum <= k 2^-53})."""
+    found = np.searchsorted(cum, np.asarray(k, dtype=np.int64) * 2.0 ** -53,
+                            side="right")
+    return np.minimum(lo + found, lo + len(cum) - 1)
+
+
+def _reference_simulate(model, cfg):
+    """simulate's survivor counts from a plain walk with no guide table.
+
+    Each step of n live paths reads ceil(n/2) PCG64 words and splits each
+    word w arithmetically into the draws w & (2^32 - 1) and w >> 32, in
+    that order; a draw x stands for k = x 2^21 + r. A draw whose interval
+    [x 2^21, x 2^21 + 2^21 - 1] gives two steps takes r as the top 21 bits
+    of one more word, drawn after the step's words in draw order. The
+    walk is int64, and paths retire as in simulate.
+    """
+    cum, lo = _step_table(model)
+    u = np.array(cfg.u_values, dtype=np.int64)
+    survived = np.zeros(len(u), dtype=np.int64)
+    block = 1 << 16
+    n_blocks = -(-cfg.n_paths // block)
+    streams = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
+    for b in range(n_blocks):
+        bitgen = np.random.PCG64(streams[b])
+        size = min(block, cfg.n_paths - b * block)
+        running = np.zeros(size, dtype=np.int64)
+        maxes = np.full(size, np.iinfo(np.int64).min)
+        for _ in range(cfg.horizon_T):
+            n = running.size
+            if n == 0:
+                break
+            words = bitgen.random_raw(-(-n // 2))
+            draws = np.empty(2 * words.size, dtype=np.int64)
+            draws[0::2] = words & np.uint64(2 ** 32 - 1)
+            draws[1::2] = words >> np.uint64(32)
+            k = draws[:n] << 21
+            steps = _step_53(cum, lo, k)
+            split = np.flatnonzero(_step_53(cum, lo, k + 2 ** 21 - 1)
+                                   != steps)
+            r = bitgen.random_raw(split.size) >> np.uint64(43)
+            steps[split] = _step_53(cum, lo, k[split] + r.astype(np.int64))
+            running += steps
+            maxes = np.maximum(maxes, running)
+            alive = maxes < u.max()
+            running, maxes = running[alive], maxes[alive]
+        survived += [np.count_nonzero(maxes < v) for v in u]
+    return survived
+
+
+class _Words:
+    """A bit generator that hands out given 64-bit words in order."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+        self.used = 0
+
+    def random_raw(self, size):
+        out = self.words[self.used:self.used + size]
+        assert out.size == size, "sampler drew past the crafted words"
+        self.used += size
+        return out.copy()
+
+
 STEP_TABLES = {
     "zero_interior": lambda: _step_table(rw.build_model(
         rw.Pmf.from_weights(0, [0.5, 0.0, 0.0, 0.5]), rw.Pmf.point(2))),
@@ -56,44 +120,74 @@ STEP_TABLES = {
         rw.build_model(rw.Pmf.point(0), rw.Pmf.point(1))),
     # a table that ends far below 1, so whole buckets lie past it
     "short_table": lambda: (np.array([0.25, 0.5]), -1),
+    # cdf values one past the start and at the end of a draw's interval
+    "interval_ends": lambda: (np.array([0.5 + 2.0 ** -53,
+                                        0.75 + (2 ** 21 - 1) * 2.0 ** -53,
+                                        1.0]), 0),
 }
 
 
 class TestStepSampler:
     @pytest.mark.parametrize("law", list(STEP_TABLES))
     def test_matches_binary_search(self, law):
+        # 32-bit draws at 0 and 2^32 - 1, at every bucket edge and one
+        # below, and at the draw that holds each cdf value and its two
+        # neighbours; each draw that straddles a cdf value takes the top
+        # 21 bits of one extra word, here r = 0, 2^21 - 1 and one between,
+        # under low bits that must be ignored. A guide table that sends
+        # every draw to the searches must give the same steps from the same
+        # words, so the stream does not depend on the table.
         cum, lo = STEP_TABLES[law]()
-        edges = np.arange(_GUIDE) / _GUIDE
-        points = np.concatenate([[0.0, 1.0 - 2.0 ** -53], cum, edges])
-        draws = np.concatenate([points, np.nextafter(points, -1.0),
-                                np.nextafter(points, 2.0)])
-        draws = draws[(draws >= 0.0) & (draws < 1.0)]
-        expect = np.clip(lo + np.searchsorted(cum, draws, side="right"),
-                         lo, lo + len(cum) - 1)
-        got = _StepSampler(cum, lo, draws.size).steps(draws)
-        assert got.dtype == np.int32        # the walk's dtype in simulate
-        np.testing.assert_array_equal(got, expect)
+        edges = np.arange(_GUIDE, dtype=np.int64) << 20
+        held = np.floor(cum * 2.0 ** 32).astype(np.int64)
+        draws = np.concatenate([[0, 2 ** 32 - 1], edges, edges - 1,
+                                held - 1, held, held + 1])
+        draws = draws[(draws >= 0) & (draws < 2 ** 32)]
+        if draws.size % 2 == 0:     # an odd n drops the last high half
+            draws = draws[:-1]
+        n = draws.size
+        k = draws << 21
+        split = np.flatnonzero(_step_53(cum, lo, k)
+                               != _step_53(cum, lo, k + 2 ** 21 - 1))
+        # a cdf value of at most 32 bits starts a draw's interval and
+        # splits none
+        assert split.size or law in ("zero_interior", "point_mass",
+                                     "short_table")
+        padded = np.append(draws, 2 ** 32 - 1).astype(np.uint64)
+        words = padded[0::2] | padded[1::2] << np.uint64(32)
+        searched = _StepSampler(cum, lo, n)
+        searched.step_of[:] = np.iinfo(np.int32).max
+        for r in (0, 2 ** 21 - 1, 0x15A5A5):
+            extra = np.full(split.size, r << 43 | 0x5A5A5A5A5A5,
+                            dtype=np.uint64)
+            for sampler in (_StepSampler(cum, lo, n), searched):
+                stub = _Words(np.concatenate([words, extra]))
+                got = sampler.steps(stub, n)
+                assert got.dtype == np.int32    # the walk's dtype
+                assert stub.used == words.size + split.size
+                np.testing.assert_array_equal(got, _step_53(cum, lo, k + r))
 
 
 class TestSimulate:
     @pytest.mark.parametrize("make, n_paths, horizon_T, counts", [
-        (make_example2, 70_000, 60, [37441, 48783, 56214, 66211, 69533]),
+        (make_example2, 70_000, 60, [37463, 48702, 56103, 66169, 69540]),
         (lambda: make_example4(10).build(), 70_000, 60,
-         [3793, 8009, 12965, 27497, 47181]),
+         [3734, 7922, 12962, 27589, 47129]),
         (make_example2, 200_000, 30,
-         [106978, 139459, 160618, 189021, 198670]),
+         [106972, 139539, 160572, 189073, 198753]),
         (lambda: make_example4(10).build(), 200_000, 30,
-         [14908, 31552, 50947, 105144, 165403]),
+         [14589, 31047, 50834, 105497, 165551]),
     ], ids=["example2", "example4_cap10", "example2_4_blocks",
             "example4_cap10_4_blocks"])
     def test_pinned_stream(self, make, n_paths, horizon_T, counts):
         # one full block and one partial, or three full blocks and one
-        # partial; the survivor counts are those of the int64 binary-search
-        # sampler the guide table replaced, so the stream of steps is
-        # unchanged
+        # partial; the survivor counts are those of the reference walk
+        # above, and simulate must match it bit for bit
+        model = make()
         cfg = rw.SimConfig(n_paths=n_paths, horizon_T=horizon_T,
                            seed=20231018, u_values=(0, 1, 2, 5, 10))
-        res = rw.simulate(make(), cfg)
+        np.testing.assert_array_equal(_reference_simulate(model, cfg), counts)
+        res = rw.simulate(model, cfg)
         np.testing.assert_array_equal(res.estimates,
                                       np.array(counts) / n_paths)
 
