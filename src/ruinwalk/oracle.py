@@ -2,8 +2,8 @@
 
 Two checks that share no code with the solver: Monte Carlo simulation of
 the walk's running maximum (PCG64 streams, reproducible bit-for-bit from
-the seed; an int32 walk fed two steps per 64-bit word, one from each
-32-bit half, each step one guide-table lookup and rarely 21 more bits)
+the seed; an int32 walk fed four steps per 64-bit word, one from each
+16-bit lane, each step one table lookup and rarely 37 more bits)
 and exact small-instance enumeration of the survival probability by
 dynamic programming over partial-sum distributions.
 """
@@ -22,13 +22,12 @@ from .model import RiskModel
 # per block, so results depend only on (seed, n_paths).
 _BLOCK = 1 << 16
 
-# Buckets of the step sampler's guide table: a 32-bit half's top 12 bits
-# are the bucket of every 53-bit value it stands for.
-_GUIDE_BITS = 12
-_GUIDE = 1 << _GUIDE_BITS
-# bits of a 53-bit value below its 32-bit half, drawn only where needed
-_LOW_BITS = 53 - 32
-# step_of of an ambiguous bucket, and the bound on the int32 walk's reach
+# bits of a 16-bit draw, and of a 53-bit value below it, drawn only where
+# needed
+_DRAW_BITS = 16
+_LOW_BITS = 53 - _DRAW_BITS
+# step_of of a draw whose interval splits a cdf value, and the bound on
+# the int32 walk's reach
 _HARD = np.iinfo(np.int32).max
 
 ENUM_CELL_BUDGET = 10 ** 7
@@ -66,88 +65,89 @@ class SimResult:
 
 class _StepSampler:
     """The inverse-cdf step map k -> clip(lo + #{cum <= k 2^-53}, lo, top)
-    over 53-bit values k, fed two draws per 64-bit PCG64 word.
+    over 53-bit values k, fed four draws per 64-bit PCG64 word.
 
-    Each step of n paths reads ceil(n/2) words from `random_raw`, taken as
-    little-endian 64-bit words and then as their 32-bit halves, so draw 2w
-    is the low half of word w and draw 2w+1 its high half on every
-    platform; an odd n drops the last high half. A half x stands for the
-    53-bit value k = x 2^21 + r, whose low 21 bits r are drawn only where
-    the step depends on them.
+    Each step of n paths reads ceil(n/4) words from `random_raw`, taken as
+    little-endian 64-bit words and then as their 16-bit lanes, so draw
+    4w+j is bits 16j..16j+15 of word w on every platform; when n is not a
+    multiple of 4, the unused top lanes of the last word are dropped. A
+    draw x stands for the 53-bit value k = x 2^37 + r, whose low 37 bits r
+    are drawn only where the step depends on them.
 
-    A guide table (Chen & Asau, AIIE Trans. 6 (1974); Devroye, Non-Uniform
-    Random Variate Generation (1986), III.2.4) replaces the per-draw binary
-    search. For k in bucket b = [b 2^41, (b+1) 2^41), #{cum <= k 2^-53}
-    lies between its values at the bucket's two ends; where they agree
-    `step_of[b]` holds the step of every k in the bucket, and the other,
-    ambiguous buckets hold the sentinel `_HARD`. A half's bucket is x >> 20,
-    so one lookup gives its int32 step or sends it to two searches, at
-    x 2^21 and at x 2^21 + 2^21 - 1. Where these give different steps, a
-    cdf value lies inside the half's interval, and r is the top 21 bits of
-    one extra word; extra words are drawn after the step's words, in draw
-    order. Whether a half takes one depends on the cdf values alone, so
-    the stream of steps does not depend on the guide table. The cdf is
-    held scaled by 2^53, which is exact, and every k below 2^53 is an
-    exact double, so the searches compare the same pairs of values as on
-    k 2^-53. The buffers hold up to `size` draws and are reused from call
-    to call.
+    `step_of` has one entry per draw. It holds the step of every k in the
+    draw's interval [x 2^37, x 2^37 + 2^37 - 1], or the sentinel `_HARD`
+    where the clipped steps at the interval's two ends differ: there a
+    cdf value splits the interval, which happens with probability at most
+    (number of cdf values) * 2^-16 per draw. A hard draw takes r as the
+    top 37 bits of one extra word, drawn after the step's words in draw
+    order, and its step from one binary search. The cdf is held scaled by
+    2^53, which is exact, and every k below 2^53 is an exact double, so
+    the search compares the same pairs of values as on k 2^-53. The
+    buffers hold up to `size` draws and are reused from call to call.
     """
 
     def __init__(self, cum: np.ndarray, lo: int, size: int):
         self.cum_k = cum * 2.0 ** 53
         self.lo = lo
         self.top = lo + len(cum) - 1
-        edges = np.arange(_GUIDE + 1.0) * 2.0 ** (53 - _GUIDE_BITS)
-        first = np.searchsorted(self.cum_k, edges[:-1], side="right")
-        self.step_of = np.minimum(lo + first, self.top).astype(np.int32)
-        self.step_of[np.searchsorted(self.cum_k, edges[1:],
-                                     side="left") > first] = _HARD
-        self._words = np.empty((size + 1) // 2, dtype="<u8")
-        self._bucket = np.empty(size, dtype=np.intp)
+        # each cdf value in units of a draw's interval: exact, as the
+        # scaling is by a power of 2
+        at = self.cum_k / 2.0 ** _LOW_BITS
+        # draws from ceil(at[i]) on start at or past cdf value i, so the
+        # count #{cum <= x 2^37} steps up there; each run of draws gets
+        # its clipped step, and the int32 table is the only large array
+        n_draws = 1 << _DRAW_BITS
+        first = np.minimum(np.ceil(at), n_draws).astype(np.intp)
+        runs = np.diff(first, prepend=0, append=n_draws)
+        step = np.minimum(np.arange(lo, lo + len(cum) + 1), self.top)
+        self.step_of = np.repeat(step.astype(np.int32), runs)
+        # a cdf value inside a draw's interval, past its start, splits it;
+        # the last cdf value only moves steps the clip already caps
+        head = at[:-1]
+        inside = head[(head != np.floor(head)) & (head < n_draws)]
+        self.step_of[inside.astype(np.intp)] = _HARD
+        self._words = np.empty((size + 3) // 4, dtype="<u8")
+        self._draw = np.empty(size, dtype=np.intp)
         self._flag = np.empty(size, dtype=bool)
         self._steps = np.empty(size, dtype=np.int32)
-
-    def _search(self, k: np.ndarray) -> np.ndarray:
-        """Steps of the 53-bit values `k` by binary search."""
-        found = np.searchsorted(self.cum_k, k.astype(np.float64),
-                                side="right")
-        return np.minimum(self.lo + found, self.top)
 
     def steps(self, bitgen, n: int) -> np.ndarray:
         """The next `n` steps drawn from the bit generator `bitgen`; a view
         of the sampler's buffer."""
-        # copied into a reused little-endian buffer: the halves then come
+        # copied into a reused little-endian buffer: the lanes then come
         # in the same order on every platform, and random_raw's array is
         # freed before the step's small allocations (held through them, it
         # fragmented the heap: about +1 MB peak RSS over 20 horizon ops)
-        words = self._words[:(n + 1) // 2]
+        words = self._words[:(n + 3) // 4]
         words[...] = bitgen.random_raw(words.size)
-        halves = words.view("<u4")[:n]
-        bucket, flag, steps = self._bucket[:n], self._flag[:n], self._steps[:n]
-        np.right_shift(halves, 32 - _GUIDE_BITS, out=bucket)
-        # every x >> 20 is a bucket, so no index wraps; "wrap" is the
+        lanes = words.view("<u2")[:n]
+        draw, flag, steps = self._draw[:n], self._flag[:n], self._steps[:n]
+        # take wants intp indices; copying them into a reused buffer spares
+        # it a fresh cast of every step's draws
+        np.copyto(draw, lanes)
+        # every 16-bit draw is an entry, so no index wraps; "wrap" is the
         # cheapest mode that writes into `out`
-        np.take(self.step_of, bucket, out=steps, mode="wrap")
+        np.take(self.step_of, draw, out=steps, mode="wrap")
         hard = np.flatnonzero(np.equal(steps, _HARD, out=flag))
         if hard.size:
-            k = halves[hard].astype(np.int64) << _LOW_BITS
-            found = self._search(k)
-            split = np.flatnonzero(
-                self._search(k + (1 << _LOW_BITS) - 1) != found)
-            if split.size:
-                r = bitgen.random_raw(split.size) >> 64 - _LOW_BITS
-                found[split] = self._search(k[split] + r.astype(np.int64))
-            steps[hard] = found
+            r = bitgen.random_raw(hard.size) >> 64 - _LOW_BITS
+            k = lanes[hard].astype(np.int64) << _LOW_BITS
+            k += r.astype(np.int64)
+            found = np.searchsorted(self.cum_k, k.astype(np.float64),
+                                    side="right")
+            steps[hard] = np.minimum(self.lo + found, self.top)
         return steps
 
 
 def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
     """Sample the running maximum of the step walk over T steps.
 
-    Steps are drawn by inverse-cdf lookup through a guide table over the
-    cumulative step table, two per PCG64 word, and each maps to the step a
-    binary search would give its 53-bit value (see `_StepSampler`). The
-    walk is int32: a reach T * max|step| >= 2^31 - 1 raises
+    Steps are drawn by inverse-cdf lookup, four per PCG64 word: each
+    16-bit draw indexes a table of 2^16 steps, and each maps to the step a
+    binary search of the cumulative step table would give its 53-bit value
+    (see `_StepSampler`). The stream of steps has changed twice, when
+    words began to carry two and then four steps; the law of a step has
+    not. The walk is int32: a reach T * max|step| >= 2^31 - 1 raises
     `ResourceError` before any draw. One pass serves every requested u:
     each path records its running maximum, and paths whose maximum
     already reaches max(u) are retired since they fail every requested

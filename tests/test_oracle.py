@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ruinwalk as rw
-from ruinwalk.oracle import _GUIDE, _StepSampler
+from ruinwalk.oracle import _HARD, _StepSampler
 
 from conftest import (make_example1, make_example2, make_example4,
                       random_admissible_model)
@@ -52,14 +52,14 @@ def _step_53(cum, lo, k):
 
 
 def _reference_simulate(model, cfg):
-    """simulate's survivor counts from a plain walk with no guide table.
+    """simulate's survivor counts from a plain walk with no step table.
 
-    Each step of n live paths reads ceil(n/2) PCG64 words and splits each
-    word w arithmetically into the draws w & (2^32 - 1) and w >> 32, in
-    that order; a draw x stands for k = x 2^21 + r. A draw whose interval
-    [x 2^21, x 2^21 + 2^21 - 1] gives two steps takes r as the top 21 bits
-    of one more word, drawn after the step's words in draw order. The
-    walk is int64, and paths retire as in simulate.
+    Each step of n live paths reads ceil(n/4) PCG64 words and splits each
+    word w arithmetically into the draws (w >> 16j) & (2^16 - 1) for
+    j = 0, 1, 2, 3, in that order; a draw x stands for k = x 2^37 + r. A
+    draw whose interval [x 2^37, x 2^37 + 2^37 - 1] gives two steps takes
+    r as the top 37 bits of one more word, drawn after the step's words
+    in draw order. The walk is int64, and paths retire as in simulate.
     """
     cum, lo = _step_table(model)
     u = np.array(cfg.u_values, dtype=np.int64)
@@ -76,15 +76,15 @@ def _reference_simulate(model, cfg):
             n = running.size
             if n == 0:
                 break
-            words = bitgen.random_raw(-(-n // 2))
-            draws = np.empty(2 * words.size, dtype=np.int64)
-            draws[0::2] = words & np.uint64(2 ** 32 - 1)
-            draws[1::2] = words >> np.uint64(32)
-            k = draws[:n] << 21
+            words = bitgen.random_raw(-(-n // 4))
+            draws = np.empty(4 * words.size, dtype=np.int64)
+            for j in range(4):
+                draws[j::4] = words >> np.uint64(16 * j) & np.uint64(0xFFFF)
+            k = draws[:n] << 37
             steps = _step_53(cum, lo, k)
-            split = np.flatnonzero(_step_53(cum, lo, k + 2 ** 21 - 1)
+            split = np.flatnonzero(_step_53(cum, lo, k + 2 ** 37 - 1)
                                    != steps)
-            r = bitgen.random_raw(split.size) >> np.uint64(43)
+            r = bitgen.random_raw(split.size) >> np.uint64(27)
             steps[split] = _step_53(cum, lo, k[split] + r.astype(np.int64))
             running += steps
             maxes = np.maximum(maxes, running)
@@ -113,70 +113,91 @@ STEP_TABLES = {
         rw.Pmf.from_weights(0, [0.5, 0.0, 0.0, 0.5]), rw.Pmf.point(2))),
     "tail_below_bucket": lambda: _step_table(rw.build_model(
         rw.Pmf.from_weights(0, [1.0 - 1e-4, 1e-4]), rw.Pmf.point(1))),
-    # cum[-1] = 0.9999999999999991 < 1
+    # cum[-2] = 1 - 2^-53 splits the last draw's interval
     "example2": lambda: _step_table(make_example2()),
     "example4_cap10": lambda: _step_table(make_example4(10).build()),
     "point_mass": lambda: _step_table(
         rw.build_model(rw.Pmf.point(0), rw.Pmf.point(1))),
-    # a table that ends far below 1, so whole buckets lie past it
+    # a table that ends far below 1, so whole intervals lie past it
     "short_table": lambda: (np.array([0.25, 0.5]), -1),
     # cdf values one past the start and at the end of a draw's interval
     "interval_ends": lambda: (np.array([0.5 + 2.0 ** -53,
-                                        0.75 + (2 ** 21 - 1) * 2.0 ** -53,
+                                        0.75 + (2 ** 37 - 1) * 2.0 ** -53,
                                         1.0]), 0),
+    # a last cdf value inside a draw's interval, the one before it below:
+    # the clip gives both ends the top step, so the draw is not split
+    "ends_inside": lambda: (np.array([0.25, 0.75 + 2.0 ** -40]), 0),
+    # rounded sums past 1 before the last cdf value: no draw holds them
+    "past_one": lambda: (np.array([0.5, 1.0 + 2.0 ** -52,
+                                   1.0 + 2.0 ** -51]), 0),
 }
+
+
+def _split_draws(cum, lo, draws):
+    """Where the steps at the two ends of each draw's interval differ."""
+    k = np.asarray(draws, dtype=np.int64) << 37
+    return _step_53(cum, lo, k) != _step_53(cum, lo, k + 2 ** 37 - 1)
 
 
 class TestStepSampler:
     @pytest.mark.parametrize("law", list(STEP_TABLES))
-    def test_matches_binary_search(self, law):
-        # 32-bit draws at 0 and 2^32 - 1, at every bucket edge and one
-        # below, and at the draw that holds each cdf value and its two
-        # neighbours; each draw that straddles a cdf value takes the top
-        # 21 bits of one extra word, here r = 0, 2^21 - 1 and one between,
-        # under low bits that must be ignored. A guide table that sends
-        # every draw to the searches must give the same steps from the same
-        # words, so the stream does not depend on the table.
+    def test_step_table(self, law):
+        # every one of the 2^16 entries is the step at both ends of its
+        # draw's interval, or _HARD exactly where those two differ
         cum, lo = STEP_TABLES[law]()
-        edges = np.arange(_GUIDE, dtype=np.int64) << 20
-        held = np.floor(cum * 2.0 ** 32).astype(np.int64)
-        draws = np.concatenate([[0, 2 ** 32 - 1], edges, edges - 1,
-                                held - 1, held, held + 1])
-        draws = draws[(draws >= 0) & (draws < 2 ** 32)]
-        if draws.size % 2 == 0:     # an odd n drops the last high half
-            draws = draws[:-1]
-        n = draws.size
-        k = draws << 21
-        split = np.flatnonzero(_step_53(cum, lo, k)
-                               != _step_53(cum, lo, k + 2 ** 21 - 1))
-        # a cdf value of at most 32 bits starts a draw's interval and
-        # splits none
-        assert split.size or law in ("zero_interior", "point_mass",
-                                     "short_table")
-        padded = np.append(draws, 2 ** 32 - 1).astype(np.uint64)
-        words = padded[0::2] | padded[1::2] << np.uint64(32)
-        searched = _StepSampler(cum, lo, n)
-        searched.step_of[:] = np.iinfo(np.int32).max
-        for r in (0, 2 ** 21 - 1, 0x15A5A5):
-            extra = np.full(split.size, r << 43 | 0x5A5A5A5A5A5,
-                            dtype=np.uint64)
-            for sampler in (_StepSampler(cum, lo, n), searched):
+        draws = np.arange(1 << 16, dtype=np.int64)
+        split = _split_draws(cum, lo, draws)
+        want = np.where(split, _HARD, _step_53(cum, lo, draws << 37))
+        got = _StepSampler(cum, lo, 1).step_of
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, want)
+        # a cdf value of at most 16 bits starts a draw's interval and
+        # splits none, nor does one past 1 or the last one
+        assert split.any() or law in ("zero_interior", "point_mass",
+                                      "short_table", "ends_inside",
+                                      "past_one")
+
+    @pytest.mark.parametrize("law", list(STEP_TABLES))
+    def test_matches_binary_search(self, law):
+        # 16-bit draws at 0 and 2^16 - 1 and at the draw that holds each
+        # cdf value and its two neighbours, cut so that n = 1, 2 and 3
+        # (mod 4); each draw that splits a cdf value takes the top 37 bits
+        # of one extra word, here r = 0, 2^37 - 1 and one between, under
+        # low bits that must be ignored
+        cum, lo = STEP_TABLES[law]()
+        held = np.floor(cum * 2.0 ** 16).astype(np.int64)
+        pool = np.concatenate([[0, 2 ** 16 - 1], held - 1, held, held + 1])
+        pool = pool[(pool >= 0) & (pool < 2 ** 16)]
+        for spare in (3, 2, 1):     # top lanes of the last word left unused
+            draws = np.resize(pool, 4 * len(pool) - spare)
+            split = np.flatnonzero(_split_draws(cum, lo, draws))
+            # the unused lanes hold 2^16 - 1, which splits on some laws:
+            # they must take no extra word
+            lanes = np.append(draws, [2 ** 16 - 1] * spare).astype(np.uint64)
+            words = (lanes[0::4] | lanes[1::4] << np.uint64(16)
+                     | lanes[2::4] << np.uint64(32)
+                     | lanes[3::4] << np.uint64(48))
+            for r in (0, 2 ** 37 - 1, 0x15A5A5A5A5):
+                extra = np.full(split.size, r << 27 | 0x5A5A5A5,
+                                dtype=np.uint64)
                 stub = _Words(np.concatenate([words, extra]))
-                got = sampler.steps(stub, n)
+                got = _StepSampler(cum, lo, draws.size).steps(stub,
+                                                              draws.size)
                 assert got.dtype == np.int32    # the walk's dtype
                 assert stub.used == words.size + split.size
-                np.testing.assert_array_equal(got, _step_53(cum, lo, k + r))
+                np.testing.assert_array_equal(
+                    got, _step_53(cum, lo, (draws << 37) + r))
 
 
 class TestSimulate:
     @pytest.mark.parametrize("make, n_paths, horizon_T, counts", [
-        (make_example2, 70_000, 60, [37463, 48702, 56103, 66169, 69540]),
+        (make_example2, 70_000, 60, [37474, 48758, 56271, 66076, 69541]),
         (lambda: make_example4(10).build(), 70_000, 60,
-         [3734, 7922, 12962, 27589, 47129]),
+         [3769, 8031, 12932, 27599, 47272]),
         (make_example2, 200_000, 30,
-         [106972, 139539, 160572, 189073, 198753]),
+         [106907, 139383, 160702, 189039, 198752]),
         (lambda: make_example4(10).build(), 200_000, 30,
-         [14589, 31047, 50834, 105497, 165551]),
+         [14849, 31291, 50626, 105294, 165766]),
     ], ids=["example2", "example4_cap10", "example2_4_blocks",
             "example4_cap10_4_blocks"])
     def test_pinned_stream(self, make, n_paths, horizon_T, counts):
