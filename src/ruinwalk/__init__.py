@@ -10,7 +10,6 @@ against independent simulation and enumeration oracles.
 """
 
 from .errors import (
-    DegenerateModelError,
     InfeasibleRebalanceError,
     ModelError,
     NetProfitError,
@@ -48,9 +47,9 @@ from .oracle import SimConfig, SimResult, enumerate_finite, simulate
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateModelError", "InfeasibleRebalanceError",
-    "InitSystem", "InitialValues", "ModelConfig", "ModelError",
-    "NetProfitError", "NumericalBlowupError", "NumericalError",
+    "InfeasibleRebalanceError", "InitSystem", "InitialValues",
+    "ModelConfig", "ModelError", "NetProfitError", "NumericalBlowupError",
+    "NumericalError",
     "ParametricDist", "Pmf", "ResourceError", "RiskModel", "RootCountError",
     "RootQualityError", "RootSet", "RowKind", "RuinwalkError", "SimConfig",
     "SimResult", "SurvivalTable", "SystemSingularError", "build_model",

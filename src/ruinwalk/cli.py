@@ -19,8 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ModelError, NumericalError, ResourceError
-from .model import ModelConfig, Pmf, RiskModel, load_model_config, \
-    materialize
+from .model import ModelConfig, Pmf, RiskModel, load_model_config
 from .oracle import SimConfig, simulate
 from .pgf import RootSet, unit_disk_roots
 from .survival import SurvivalTable, finite_grid, ultimate_survival
@@ -50,32 +49,22 @@ def _pmf_echo(name: str, p: Pmf) -> str:
             f"weights [{head}{more}]")
 
 
-def _claim_cut(cfg: ModelConfig) -> str:
-    """Note for the report where an infinite claim law was cut:
-    ", P(X >= K) = ... lumped at K", or an empty string."""
-    if cfg.claim_dist.has_finite_support:
-        return ""
-    k = materialize(cfg.claim_dist, cfg.tail_eps).support_max
-    return f", P(X >= {k}) = {cfg.claim_dist.sf(k - 1):.3g} lumped at {k}"
-
-
-def _dust_cut(cfg: ModelConfig, model: RiskModel) -> str:
-    """Note for the report when SUPPORT_DUST trimming of the interarrival
-    support left m below the requested cap N: " (cap N cut by
-    SUPPORT_DUST)", or an empty string."""
-    cap = cfg.truncate_m
-    if cap is not None and model.m < cap \
-            and cfg.interarrival_dist.sf(model.m) > 0.0:
-        return f" (cap {cap} cut by SUPPORT_DUST)"
-    return ""
-
-
 def _model_lines(cfg: ModelConfig, model: RiskModel) -> list:
-    """The report's lines on the model the routes run on."""
+    """The report's lines on the model the routes run on, with a note on
+    each cut its build made: the claim law's tail lumped at K and the
+    SUPPORT_DUST trim of the interarrival support."""
+    claim_note = dust_note = ""
+    if model.claim_cut is not None:
+        k, tail = model.claim_cut
+        claim_note = f", P(X >= {k}) = {tail:.3g} lumped at {k}"
+    if model.dust_from is not None:
+        top = f"cap {cfg.truncate_m}" if cfg.truncate_m is not None \
+            else f"support max {model.dust_from}"
+        dust_note = f" ({top} cut by SUPPORT_DUST)"
     return ["model (post-truncation):",
-            _pmf_echo("claim", model.claim) + _claim_cut(cfg),
+            _pmf_echo("claim", model.claim) + claim_note,
             _pmf_echo("interarrival", model.interarrival),
-            f"  m = {model.m}{_dust_cut(cfg, model)}, "
+            f"  m = {model.m}{dust_note}, "
             f"max drop = {model.max_drop}, drift = {model.drift:.12g}"]
 
 
@@ -276,7 +265,7 @@ def _cmd_truncate(args) -> int:
     model = cfg.build()
     print("\n".join(_model_lines(cfg, model)))
     print(f"uncapped-step tail P(X - c*theta <= -{model.m + 1}) = "
-          f"{cfg.step_tail_below_cap():.6e}")
+          f"{cfg.step_tail_below_cap(model.m):.6e}")
     if not model.net_profit_holds:
         print("net profit condition fails for the capped model")
     out = _out_path(args, "_truncated.json")

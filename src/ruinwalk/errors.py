@@ -20,11 +20,6 @@ class NetProfitError(ModelError):
     solver pipeline refuses to run."""
 
 
-class DegenerateModelError(ModelError):
-    """The step distribution carries no mass at its nominal lower bound,
-    i.e. the support bound was not trimmed."""
-
-
 class InfeasibleRebalanceError(ModelError):
     """Mass shift requested by a claim rebalance would make a weight
     negative. Carries the smallest feasible shift point, if any."""

@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -310,6 +310,11 @@ class RiskModel:
     mass at m). The walk's maximal downward step is max_drop =
     -step.support_min, which equals m whenever the claim has mass at 0 and
     m - claim.offset when the claim support is shifted.
+
+    Two fields record what the build cut, for the report: `claim_cut` is
+    (K, P(X >= K)) where an infinite claim law was cut at K, and
+    `dust_from` the interarrival support max the SUPPORT_DUST trim lowered
+    to m; each is None where nothing was cut.
     """
 
     claim: Pmf
@@ -318,6 +323,8 @@ class RiskModel:
     step: Pmf
     drift: float
     _cdf: np.ndarray = field(repr=False, default=None)  # [0, cumsum(step)]
+    claim_cut: tuple | None = None
+    dust_from: int | None = None
 
     @property
     def max_drop(self) -> int:
@@ -354,7 +361,8 @@ def build_model(claim: Pmf, interarrival: Pmf) -> RiskModel:
 
     Trailing interarrival weights at or below SUPPORT_DUST are trimmed by
     `truncate`, which lumps them onto the new top, so the step distribution
-    has mass well above the dust at its lower bound.
+    has mass well above the dust at its lower bound. Where the trim lowers
+    the support max, the model's `dust_from` keeps the old one.
     """
     if claim.offset < 0 or interarrival.offset < 0:
         raise ModelError("claim and interarrival supports must be non-negative")
@@ -365,12 +373,14 @@ def build_model(claim: Pmf, interarrival: Pmf) -> RiskModel:
     m = interarrival.offset + top
     if m <= 0:
         raise ModelError("interarrival support bound m must be >= 1")
+    dust_from = interarrival.support_max if m < interarrival.support_max \
+        else None
     interarrival = truncate(interarrival, m)
     step = step_pmf(claim, interarrival)
     drift = claim.mean() - interarrival.mean()
     cdf = np.concatenate([[0.0], np.cumsum(step.weights)])
     return RiskModel(claim=claim, interarrival=interarrival, m=m, step=step,
-                     drift=drift, _cdf=cdf)
+                     drift=drift, _cdf=cdf, dust_from=dust_from)
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +448,22 @@ class ModelConfig:
                     "interarrival family has infinite support; set truncate_m")
             inter = materialize(self.interarrival_dist, self.tail_eps)
         claim = materialize(self.claim_dist, self.tail_eps)
+        # a cut law carries its tail P(X >= K) on its top atom K
+        cut = None if self.claim_dist.has_finite_support \
+            else (claim.support_max, float(claim.weights[-1]))
         if self.rebalance_l is not None:
             if self.truncate_m is None:
                 raise ModelError("rebalance_l requires truncate_m")
             claim = rebalance_claim(claim, self.interarrival_dist,
                                     self.truncate_m, self.rebalance_l)
-        return build_model(claim, inter)
+        return replace(build_model(claim, inter), claim_cut=cut)
 
-    def step_tail_below_cap(self) -> float:
+    def step_tail_below_cap(self, m: int) -> float:
         """P(X - c*theta <= -(m+1)) for the untruncated interarrival time,
-        with m the built model's bound (SUPPORT_DUST trimming can leave it
-        below truncate_m); 0 when no truncation was applied."""
+        with m the built model's bound, which SUPPORT_DUST trimming can
+        leave below truncate_m; 0 when no truncation was applied."""
         if self.truncate_m is None:
             return 0.0
-        m = self.build().m
         claim = materialize(self.claim_dist, self.tail_eps)
         terms = [claim.weights[k] * self.interarrival_dist.sf(claim.offset + k + m)
                  for k in range(len(claim.weights))]

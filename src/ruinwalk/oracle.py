@@ -156,7 +156,8 @@ def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
     reach = cfg.horizon_T * max(model.max_drop, model.step.support_max)
     if reach >= _HARD:
         raise ResourceError(f"walk reach {reach} must stay below 2^31 - 1")
-    cum = np.cumsum(model.step.weights)
+    cum = model.F(np.arange(model.step.support_min,
+                            model.step.support_max + 1))
     u_sorted = np.array(sorted(set(cfg.u_values)), dtype=np.int64)
     u_big = int(u_sorted[-1])
 

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModelError, ModelError, RootCountError, \
-    RootQualityError
+from .errors import ModelError, RootCountError, RootQualityError
 from .model import Pmf, RiskModel
 
 # Root-search tolerances.
@@ -99,10 +98,6 @@ def char_poly(model: RiskModel) -> np.ndarray:
     max_drop + max upward step.
     """
     d = model.max_drop
-    if model.step.weights[0] <= 0.0:
-        raise DegenerateModelError(
-            "step distribution has no mass at its lower bound "
-            f"(-{d}); the support bound was not trimmed")
     coeffs = model.step.weights.astype(float).copy()
     if len(coeffs) <= d:
         coeffs = np.pad(coeffs, (0, d + 1 - len(coeffs)))

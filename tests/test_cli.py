@@ -545,6 +545,41 @@ class TestTruncate:
             assert getattr(rebuilt, part).weights.tolist() == \
                 getattr(original, part).weights.tolist()
 
+    def test_uncapped_support_dust_trim_is_reported(self, tmp_path, capsys):
+        # P(V = 48) = 2^-48 of a binomial(48, 1/2) interarrival time is
+        # below SUPPORT_DUST, so the uncapped model is solved at m = 47;
+        # truncate needs a bound, so its note names the cap
+        doc = {"claim": {"family": "poisson", "lambda": 19.0},
+               "interarrival": {"family": "binomial", "n": 48, "p": 0.5}}
+        model = write_model(tmp_path, doc)
+        assert main(["solve", model, "--out", str(tmp_path / "phi.csv")]) == 0
+        assert "  m = 47 (support max 48 cut by SUPPORT_DUST), " \
+            "max drop = 47, drift = -5" in capsys.readouterr().out
+        out = tmp_path / "capped.json"
+        assert main(["truncate", model, "--m", "48", "--out", str(out)]) == 0
+        assert "m = 47 (cap 48 cut by SUPPORT_DUST)" in capsys.readouterr().out
+        rebuilt = rw.parse_model_config(json.loads(out.read_text())).build()
+        original = rw.load_model_config(model).build()
+        assert (rebuilt.m, rebuilt.dust_from) == (47, None)
+        for part in ("claim", "interarrival", "step"):
+            a, b = getattr(rebuilt, part), getattr(original, part)
+            assert a.offset == b.offset
+            assert a.weights.tolist() == b.weights.tolist()
+
+    def test_builds_the_model_once(self, tmp_path, capsys, monkeypatch):
+        builds = []
+        build = rw.ModelConfig.build
+
+        def counted(cfg):
+            builds.append(cfg)
+            return build(cfg)
+
+        monkeypatch.setattr(rw.ModelConfig, "build", counted)
+        model = write_model(tmp_path, EX4_20_DOC)
+        assert main(["truncate", model,
+                     "--out", str(tmp_path / "capped.json")]) == 0
+        assert len(builds) == 1
+
     def test_needs_a_bound(self, tmp_path):
         model = write_model(tmp_path, EX1_DOC)
         assert main(["truncate", model]) == 2

@@ -284,7 +284,7 @@ class TestTruncate:
 
 class TestStepTailBelowCap:
     def test_example4_tail_against_series(self):
-        tail = make_example4(10).step_tail_below_cap()
+        tail = make_example4(10).step_tail_below_cap(10)
         # independent series: sum_k P(X = k) P(c*theta >= k + 11)
         claim = rw.materialize(rw.ParametricDist.poisson(1.0))
         oracle = math.fsum(claim.weights[k] * poisson_sf_series(1.01, k + 10)
@@ -292,8 +292,8 @@ class TestStepTailBelowCap:
         assert tail == pytest.approx(oracle, rel=1e-10)
 
     def test_tighter_cap_shrinks_tail_tenfold(self):
-        t10 = make_example4(10).step_tail_below_cap()
-        t15 = make_example4(15).step_tail_below_cap()
+        t10 = make_example4(10).step_tail_below_cap(10)
+        t15 = make_example4(15).step_tail_below_cap(15)
         assert t15 <= t10 / 10.0
 
 
@@ -375,6 +375,24 @@ class TestBuildModel:
         # the trim is the truncate rule at the new top
         np.testing.assert_array_equal(model.interarrival.weights,
                                       rw.truncate(inter, 1).weights)
+
+    def test_dust_from_records_a_trim_that_lowers_the_top(self):
+        claim = rw.Pmf.from_weights(0, [0.7, 0.3])
+        dusty = rw.Pmf.from_weights(0, [0.5, 0.5 - 1e-15, 1e-15])
+        assert rw.build_model(claim, dusty).dust_from == 2
+        clean = rw.Pmf.from_weights(0, [0.5, 0.0, 0.5])
+        assert rw.build_model(claim, clean).dust_from is None
+
+    def test_claim_cut_is_the_lumped_tail(self):
+        # the Poisson(1) claim is cut at K with P(X >= K) on K; a finite
+        # claim law has no cut
+        claim = rw.ParametricDist.poisson(1.0)
+        k = rw.materialize(claim).support_max
+        assert make_example4(10).build().claim_cut == (k, claim.sf(k - 1))
+        finite = rw.ModelConfig(
+            claim_dist=rw.ParametricDist.binomial(3, 0.5),
+            interarrival_dist=rw.ParametricDist.binomial(4, 0.5)).build()
+        assert finite.claim_cut is None
 
     def test_unbounded_interarrival_needs_truncate_m(self, tmp_path):
         with pytest.raises(rw.ModelError, match="set truncate_m"):
