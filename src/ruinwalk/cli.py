@@ -81,11 +81,12 @@ class RunReport:
         lines = _model_lines(self.cfg, self.model)
         if self.roots.roots:
             lines.append("unit-disk roots:")
-            for z, r, res in zip(self.roots.roots, self.roots.multiplicities,
-                                 self.roots.residuals):
+            for z, r, res, floor in zip(
+                    self.roots.roots, self.roots.multiplicities,
+                    self.roots.residuals, self.roots.floors, strict=True):
                 mult = f" (multiplicity {r})" if r > 1 else ""
                 lines.append(f"  {z.real:+.9f}{z.imag:+.9f}i{mult}, "
-                             f"residual {res:.2e}")
+                             f"residual {res:.2e} (noise floor {floor:.2e})")
         else:
             lines.append("unit-disk roots: none (max drop 1)")
         lines.append("pi: " + ", ".join(f"{p:.9g}" for p in self.table.q))
@@ -192,10 +193,11 @@ def _cmd_roots(args) -> int:
     model = cfg.build()
     roots = unit_disk_roots(model)
     path = _out_path(args, "_roots.csv")
-    _write_csv(path, "re,im,multiplicity,residual",
-               (f"{z.real!r},{z.imag!r},{r},{res!r}\n"
-                for z, r, res in zip(roots.roots, roots.multiplicities,
-                                     roots.residuals)))
+    _write_csv(path, "re,im,multiplicity,residual,floor",
+               (f"{z.real!r},{z.imag!r},{r},{res!r},{floor!r}\n"
+                for z, r, res, floor in zip(roots.roots, roots.multiplicities,
+                                            roots.residuals, roots.floors,
+                                            strict=True)))
     print(f"{len(roots.roots)} distinct roots, total multiplicity "
           f"{roots.total_multiplicity} (max drop {model.max_drop})")
     if args.svg:

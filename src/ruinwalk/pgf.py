@@ -112,12 +112,17 @@ class RootSet:
     The multiplicities sum to m - 1, m the walk's maximal downward step.
     Non-real roots come in exactly conjugate pairs. residuals[i] is
     |G_step(root_i) - 1| evaluated through the claim/interarrival product
-    form (numerically far better conditioned than the cleared polynomial).
+    form (numerically far better conditioned than the cleared polynomial),
+    and floors[i] the noise floor of that evaluation: the check admits a
+    root whose residual is at most max(RESIDUAL_TOL, 4 floors[i]). A
+    hand-built set may leave floors empty; the report and the `roots` CSV
+    refuse such a set.
     """
 
     roots: tuple
     multiplicities: tuple
     residuals: tuple
+    floors: tuple = ()
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -279,4 +284,5 @@ def unit_disk_roots(model: RiskModel) -> RootSet:
                 f"(> {RESIDUAL_TOL}, noise floor {floor:.1e})")
 
     return RootSet(roots=roots, multiplicities=mults,
-                   residuals=tuple(res for res, _ in checked))
+                   residuals=tuple(res for res, _ in checked),
+                   floors=tuple(floor for _, floor in checked))

@@ -178,17 +178,29 @@ def _ladder_tail(h: np.ndarray, n: int) -> np.ndarray:
     the recurrence run on the K unit states, built by doubling: rows
     L..2L-1 are rows 0..L-1 applied to the state L terms in. With h >= 0
     every entry and every product is a sum of nonnegative terms.
+
+    Once the K terms a block reads are exact zeros, so is every later
+    term, whatever the signs in h: the recurrence stops there and the
+    rest of psi stays 0.0, so the cost is O(min(n, z) K), z the first
+    exact zero, plus one allocation of n + 1 entries. The stop is exact;
+    unlike _PSI_FLOOR, it drops no nonzero psi. With K = 0 no block runs.
     """
     k = len(h)
-    psi = np.ones(k + 1 + n)       # psi[k + u] = psi(u); psi(-k..0) = 1
+    psi = np.zeros(k + 1 + n)      # psi[k + u] = psi(u)
+    psi[: k + 1] = 1.0             # psi(-k..0) = 1
+    if k == 0:                     # no up-step: psi = 0 above zero
+        return psi
     block = min(_BLOCK, n)
     rows = np.vstack([np.eye(k), h[::-1]])
     while len(rows) - k < block:
         rows = np.vstack([rows, rows[k:] @ rows[len(rows) - k :]])
     step = rows[k : k + block]
     for j in range(0, n, block):
+        window = psi[j + 1 : j + 1 + k]
+        if not window.any():       # K exact zeros: so is every later term
+            break
         e = min(j + block, n)
-        psi[k + 1 + j : k + 1 + e] = step[: e - j] @ psi[j + 1 : j + 1 + k]
+        np.matmul(step[: e - j], window, out=psi[k + 1 + j : k + 1 + e])
     return psi[k:]
 
 
@@ -210,6 +222,15 @@ def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
     the paper's route to phi(1..m) and verify this one. A value escaping
     [0, 1] or out of order beyond tolerance raises at its u; nothing is
     clamped.
+
+    Past psi's first K exact zeros, K the largest ladder height, psi is
+    exactly 0, so phi is exactly 1.0 there and is not computed: the table
+    is allocated as ones, and 1 - psi, the checks and the residual run on
+    psi's nonzero prefix and its first exact zero. The cost is
+    O(min(u_max, z) K), z the first exact zero of psi, plus one fill of
+    u_max + 1 entries. The stop is exact, not a floor like the
+    finite-horizon DP's _PSI_FLOOR: every value is the one the full
+    recurrence gives, bit for bit.
     """
     if u_max is None or u_max < 0:
         raise ModelError(f"u_max={u_max} must be >= 0")
@@ -219,13 +240,18 @@ def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
     if roots is None:
         roots = unit_disk_roots(model)
     psi = _ladder_tail(-_ladder_factor(model, roots)[1:], max(u_max, m))
-    phi = 1.0 - psi
+    # psi's nonzero prefix and its first exact zero: phi is 1.0 past them
+    end = min(int(np.flatnonzero(psi != 0.0)[-1]) + 2, len(psi))
+    phi = np.ones(len(psi))
+    np.subtract(1.0, psi[:end], out=phi[:end])
     phi[0] = math.fsum(phi[i] * model.f(-i) for i in range(1, m + 1))
     phi = phi[: u_max + 1]
-    _check_table(phi)
-    n = max(len(phi) - m, 0)       # below n, T psi reads no psi past u_max
-    gap = phi[:n] - 1.0
-    tpsi = _first_step(model, psi[: u_max + 1], n - 1)
+    end = min(end, u_max + 1)
+    _check_table(phi[:end])
+    n = max(u_max + 1 - m, 0)      # below n, T psi reads no psi past u_max
+    tpsi = _first_step(model, psi[:end], n - 1)
+    # past the prefix phi - 1 is 0, and past len(tpsi) so is T psi
+    gap = phi[: max(min(end, n), len(tpsi))] - 1.0
     gap[: len(tpsi)] += tpsi
     residual = float(np.max(np.abs(gap), initial=0.0))
     return SurvivalTable(phis=phi, residual=residual,

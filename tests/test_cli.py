@@ -12,6 +12,7 @@ import pytest
 
 import ruinwalk as rw
 from ruinwalk.cli import main
+from ruinwalk.pgf import RESIDUAL_TOL
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 EX1_DOC = {"claim": {"pmf": {"offset": 0, "weights": [0.5, 0.5]}},
@@ -331,7 +332,7 @@ class TestRoots:
         assert main(["roots", model, "--out", str(out),
                      "--svg", str(svg)]) == 0
         header, rows = read_csv(out)
-        assert header == ["re", "im", "multiplicity", "residual"]
+        assert header == ["re", "im", "multiplicity", "residual", "floor"]
         assert len(rows) == 9
         assert sum(int(r[2]) for r in rows) == 9
         for r in rows:
@@ -341,6 +342,32 @@ class TestRoots:
         body = svg.read_text()
         assert body.startswith("<svg")
         assert body.count("<circle") == 1 + 9   # unit circle + markers
+
+    def test_residual_beside_the_floor_that_admitted_it(self, tmp_path,
+                                                         capsys):
+        # Poisson(19) claims against uncapped binomial(48, 1/2) (m = 47):
+        # the 1/s powers at |s| = 0.128 cancel, so a root whose
+        # |G(s) - 1| reads 9.24e+06 passes on its noise floor
+        doc = {"claim": {"family": "poisson", "lambda": 19.0},
+               "interarrival": {"family": "binomial", "n": 48, "p": 0.5}}
+        model = write_model(tmp_path, doc)
+        api = rw.unit_disk_roots(rw.load_model_config(model).build())
+        assert main(["solve", model, "--out", str(tmp_path / "phi.csv")]) == 0
+        shown = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ", residual " in ln]
+        assert len(shown) == len(api.roots) == len(api.floors)
+        for line, res, floor in zip(shown, api.residuals, api.floors):
+            assert line.endswith(f", residual {res:.2e} "
+                                 f"(noise floor {floor:.2e})")
+            assert res <= max(RESIDUAL_TOL, 4.0 * floor)
+        assert sum("residual 9.24e+06 (noise floor 1.22e+10)" in line
+                   for line in shown) == 2      # a conjugate pair
+        out = tmp_path / "roots.csv"
+        assert main(["roots", model, "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header[3:] == ["residual", "floor"]
+        assert [(float(r[3]), float(r[4])) for r in rows] == \
+            list(zip(api.residuals, api.floors))
 
     def test_csv_matches_api(self, tmp_path):
         model = write_model(tmp_path, EX1_DOC)

@@ -57,6 +57,47 @@ def ladder_tail_loop(h, n) -> np.ndarray:
     return np.array(psi[k:])
 
 
+def ladder_tail_every_block(h, n) -> np.ndarray:
+    """`survival._ladder_tail` as it ran before it stopped at psi's
+    underflow: every block of the recurrence is computed."""
+    k = len(h)
+    psi = np.ones(k + 1 + n)       # psi[k + u] = psi(u); psi(-k..0) = 1
+    block = min(survival._BLOCK, n)
+    rows = np.vstack([np.eye(k), h[::-1]])
+    while len(rows) - k < block:
+        rows = np.vstack([rows, rows[k:] @ rows[len(rows) - k :]])
+    step = rows[k : k + block]
+    for j in range(0, n, block):
+        e = min(j + block, n)
+        psi[k + 1 + j : k + 1 + e] = step[: e - j] @ psi[j + 1 : j + 1 + k]
+    return psi[k:]
+
+
+def ultimate_full_length(model, u_max, roots) -> tuple:
+    """(phis, q, residual) of `ultimate_survival` as it ran before the
+    tail stopped: the recurrence, the checks, phi and the residual over
+    every u <= max(u_max, m)."""
+    m = model.max_drop
+    psi = ladder_tail_every_block(
+        -survival._ladder_factor(model, roots)[1:], max(u_max, m))
+    phi = 1.0 - psi
+    phi[0] = math.fsum(phi[i] * model.f(-i) for i in range(1, m + 1))
+    phi = phi[: u_max + 1]
+    _check_table(phi)
+    n = max(len(phi) - m, 0)
+    gap = phi[:n] - 1.0
+    tpsi = survival._first_step(model, psi[: u_max + 1], n - 1)
+    gap[: len(tpsi)] += tpsi
+    residual = float(np.max(np.abs(gap), initial=0.0))
+    return phi, psi[:m] - psi[1 : m + 1], residual
+
+
+def first_zero(h, n):
+    """The first u <= n with psi(u) = 0.0 exactly, or None."""
+    zeros = np.flatnonzero(ladder_tail_every_block(h, n) == 0.0)
+    return int(zeros[0]) if zeros.size else None
+
+
 @pytest.fixture(scope="module", params=["goldens", "example4_caps", "random"])
 def deflation_cases(request, ex1, ex2, ex3, ex4):
     """(case, [(model, roots, init)]): the goldens, Example 4 at caps
@@ -245,17 +286,28 @@ class TestDeflation:
 
     def test_ladder_tail_matches_fsum_loop(self, deflation_cases):
         # n on both sides of the _BLOCK edge: one block, a full block, a
-        # block and one term, and three blocks of the doubled matrix
+        # block and one term, and three blocks of the doubled matrix; and
+        # on both sides of the stop, the last of psi's first K exact zeros,
+        # z + K - 1, and a block past it. Example 4 has no stop before
+        # u = 20 000
         assert survival._BLOCK == 512
         _, cases = deflation_cases
         for model, roots, _ in cases:
             h = -survival._ladder_factor(model, roots)[1:]
-            ref = ladder_tail_loop(h, 1500)
-            for n in (1, 511, 512, 513, 1500):
+            ns = [1, 511, 512, 513, 1500]
+            z = first_zero(h, 20_000)
+            if z is not None:
+                stop = z + len(h) - 1
+                ns += [n for n in (stop - 1, stop, stop + 1,
+                                   stop + survival._BLOCK + 1) if n >= 1]
+            ref = ladder_tail_loop(h, max(ns))
+            for n in ns:
                 psi = survival._ladder_tail(h, n)
                 assert len(psi) == n + 1
                 np.testing.assert_allclose(psi, ref[: n + 1], rtol=0,
                                            atol=4e-15)
+                if z is not None:
+                    assert not psi[z : z + len(h)].any()
 
     def test_xi_of_the_tables_own_pi_is_the_table(self, deflation_cases):
         _, cases = deflation_cases
@@ -295,6 +347,59 @@ class TestDeflation:
         xs = rw.xi_coeffs(model, solved.init, 2000, solved.roots)
         np.testing.assert_allclose(xs, solved.table.phis[1:], rtol=0,
                                    atol=1e-13)
+
+
+class TestTailStop:
+    """Past psi's first K = len(h) exact zeros every term is 0.0, so the
+    tail stops there and the table reads 1.0 without computing it."""
+
+    def test_bit_identical_to_every_block(self, deflation_cases):
+        # phis, q and residual byte for byte against the full-length path,
+        # at u_max on both sides of m and of psi's first exact zero z
+        _, cases = deflation_cases
+        for model, roots, _ in cases:
+            m = model.max_drop
+            h = -survival._ladder_factor(model, roots)[1:]
+            z = first_zero(h, 20_000)
+            u_maxes = {0, 1, m - 1, m, m + 1, 2000, 20_000}
+            if z is not None:
+                u_maxes |= {z - 1, z, z + 1}
+            for u_max in sorted(u for u in u_maxes if u >= 0):
+                table = rw.ultimate_survival(model, u_max=u_max, roots=roots)
+                phis, q, residual = ultimate_full_length(model, u_max, roots)
+                assert table.phis.tobytes() == phis.tobytes(), u_max
+                assert table.q.tobytes() == q.tobytes(), u_max
+                assert table.residual == residual, u_max
+
+    def test_example4_cap10_runs_to_20000(self):
+        # psi(20 000) = 3.7e-87: no K zeros, so every block runs (the
+        # table itself is in the bit-identity test's example4_caps case)
+        model = make_example4(10).build()
+        h = -survival._ladder_factor(model, rw.unit_disk_roots(model))[1:]
+        psi = survival._ladder_tail(h, 20_000)
+        assert psi[-1] == pytest.approx(3.7e-87, rel=0.01)
+        assert psi.tobytes() == ladder_tail_every_block(h, 20_000).tobytes()
+
+    @pytest.mark.parametrize("make, count", [
+        (make_example1, 2), (lambda: make_example3(0.5), 0),
+    ], ids=["ex1", "ex3_p05"])
+    def test_blocks_run(self, make, count, monkeypatch):
+        # Example 1's psi = (sqrt 2 - 1)^u underflows at u = 846, so the
+        # block at 1 024 sees one zero and stops; Example 3 has K = 0
+        blocks = []
+        matmul = np.matmul
+
+        def counted(*args, **kwargs):
+            blocks.append(args[0].shape)
+            return matmul(*args, **kwargs)
+
+        model = make()
+        h = -survival._ladder_factor(model, rw.unit_disk_roots(model))[1:]
+        monkeypatch.setattr(np, "matmul", counted)
+        psi = survival._ladder_tail(h, 20_000)
+        assert len(psi) == 20_001
+        assert len(blocks) == count
+        assert all(rows == survival._BLOCK for rows, _ in blocks)
 
 
 class TestRecurrenceResidual:
