@@ -212,7 +212,7 @@ def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
     # row entries of tiny-modulus roots cancel almost completely; they are
     # exact here and rounded once, so the fixed-precision factorization
     # sees the true row
-    N, g = _over(model.F(np.arange(-m, 0)))
+    N, g = _over(model.F(np.arange(-m, 0)).tolist())
     doubles = []    # the double rows; those of conj(z) hold twin's at first
     conj = []       # the indices of the rows of conj(z)
     done = {}
@@ -231,10 +231,16 @@ def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
         doubles += own_d
         kinds += [RowKind("root", z)] + [RowKind("derivative", z, n)
                                          for n in range(1, mult)]
+    # entry i is sum_{j>i} (j - i) f(-j), over 2**h: a running sum of the
+    # running tail sum_{j>i} f(-j), from i = m - 1 down
     fn, h = _over(model.f(-j) for j in range(1, m + 1))
-    rows.append([(*_round(sum((j - i) * fn[j - 1]
-                              for j in range(i + 1, m + 1)), h), 0, 0)
-                 for i in range(m)])
+    mean = [0] * m
+    tail = acc = 0
+    for i in range(m - 1, -1, -1):
+        tail += fn[i]
+        acc += tail
+        mean[i] = (*_round(acc, h), 0, 0)
+    rows.append(mean)
     kinds.append(RowKind("mean"))
     rhs = np.zeros(m, dtype=complex)
     rhs[m - 1] = model.drift_pos
@@ -302,9 +308,9 @@ def _real_form(sys: InitSystem) -> tuple:
 def _vector(v: np.ndarray) -> tuple:
     """A double vector as exact integers over one power of two: (ns, e)
     with v[k] == ns[k] / 2**e."""
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NumericalError("linear solve produced a non-finite value")
-    return _over(v)
+    return _over(v.tolist())
 
 
 def _add(u: tuple, v: tuple) -> tuple:
@@ -422,7 +428,7 @@ def solve_closed_form(model: RiskModel, roots: RootSet,
             D = [y - A * x for x, y in zip(D + [0], [0] + D)]
     c = [d << e * k for k, d in enumerate(D)]
     m = model.max_drop
-    N, g = _over(model.F(np.arange(-m, 0)))
+    N, g = _over(model.F(np.arange(-m, 0)).tolist())
     pw = [N[0] ** k for k in range(m + 1)]
     S = []
     for k in range(m):

@@ -211,7 +211,8 @@ def materialize(dist: ParametricDist | Pmf, tail_eps: float = DEFAULT_TAIL_EPS) 
 
     Families with finite support come back exact. Infinite families are
     cut at the smallest K with P(V > K) <= tail_eps, and `truncate` lumps
-    the tail P(V >= K) onto K, the same rule as an interarrival cap. The
+    the tail P(V >= K) onto K (or the exact residual to 1, where the two
+    differ in the last bit), the same rule as an interarrival cap. The
     tails are summed from the small end of the law's run up, and the run
     reaches the weights' underflow, so they are accurate far past tail_eps.
     """
@@ -236,10 +237,13 @@ def truncate(dist: ParametricDist | Pmf, m: int) -> Pmf:
     This is the one rule for every cut and cap: the interarrival cap
     `truncate_m`, the cut of an infinite law in `materialize` and the
     SUPPORT_DUST trim in `build_model`. The result agrees with the input on
-    {0..m-1} and carries P(V >= m) on m. It is a slice of the law's run
-    plus sf(m - 1), so its cost is bounded by the run, not by m: a cap at
-    or past the run's end gives the run itself, and a pmf already supported
-    within [0, m] is returned unchanged.
+    {0..m-1} and carries P(V >= m) on m; for a named law whose capped
+    weights would then miss mass 1 in `math.fsum` by the last bit, the atom
+    is instead the exact residual to 1, so a written model file reads back
+    unscaled. It is a slice of the law's run plus sf(m - 1), so its cost is
+    bounded by the run, not by m: a cap at or past the run's end gives the
+    run itself, and a pmf already supported within [0, m] is returned
+    unchanged.
     """
     if m <= 0:
         raise ModelError(f"truncation bound m={m} must be >= 1")
@@ -249,7 +253,13 @@ def truncate(dist: ParametricDist | Pmf, m: int) -> Pmf:
         return dist.pmf
     lo, w = dist.run
     lo = min(lo, m)
-    return Pmf.from_weights(lo, np.append(w[:m - lo], dist.sf(m - 1)))
+    w = np.append(w[:m - lo], dist.sf(m - 1))
+    # a named law's run sums to 1, but sf(m - 1) is rounded on its own: where
+    # the capped law then misses 1 in fsum, the atom takes the exact
+    # residual, as the mode does in `run`
+    if dist.family != "explicit" and math.fsum(w) != 1.0:
+        w[-1] -= math.fsum([-1.0, *w])
+    return Pmf.from_weights(lo, w)
 
 
 def excess_mean(interarrival: ParametricDist, m: int) -> float:

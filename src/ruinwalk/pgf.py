@@ -15,11 +15,18 @@ of its arguments. Only the polish and the multiplicity check run it in
 numpy's `clongdouble`, the 80-bit x87 extended type on x86-64 Linux:
 `_taylor` reads P's coefficients converted once per root search and gives
 the Taylor coefficients P^(k)(s) / k!. Everything else runs it in double:
-`pgf_eval` and so the residual check here, and the ladder deflation in
+`pgf_eval`, the residual check here and the ladder deflation in
 `survival`. The polish relies on the extra bits: with `complex128` in
 its place, as on platforms whose long double is plain double (Windows,
 macOS on Apple silicon), the closed form of Poisson(6) claims against
 geometric(0.05) interarrival times capped at 80 raises on pi = -8.1e-9.
+
+The residual check reads the claim and interarrival weights as lists
+converted once per root search, and runs once per real or upper
+half-plane root. A conjugate takes its twin's residual and floor: every
+operation of the evaluation (the Horner loop, 1/s, abs and the integer
+power) commutes with conjugation in IEEE double, so evaluating at the
+conjugate would give the same two numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -87,7 +94,19 @@ def pgf_eval(p: Pmf, s: complex) -> complex:
             raise ModelError("generating function has a pole at s = 0 "
                              f"(offset {p.offset})")
         return complex(p.weights[0]) if p.offset == 0 else 0.0 + 0.0j
-    return _divide(p.weights[::-1].tolist(), s)[-1] * s ** p.offset
+    return _value(_horner(p), s)
+
+
+def _horner(p: Pmf) -> tuple:
+    """A pmf as `_value` reads it: its weights from the highest down, as
+    Python floats, and its offset."""
+    return p.weights[::-1].tolist(), p.offset
+
+
+def _value(form: tuple, s: complex) -> complex:
+    """The generating function of `_horner`'s form at a complex s != 0."""
+    q, offset = form
+    return _divide(q, s)[-1] * s ** offset
 
 
 def char_poly(model: RiskModel) -> np.ndarray:
@@ -143,8 +162,9 @@ class RootSet:
         return out
 
 
-def _step_residual(model: RiskModel, s: complex) -> tuple:
-    """|G_X(s) G_ctheta(1/s) - 1| and its evaluation noise floor.
+def _step_residuals(model: RiskModel, zs) -> list:
+    """(|G_X(s) G_ctheta(1/s) - 1|, its evaluation noise floor) at each s
+    in zs, every s != 0, with the weights converted to lists once.
 
     The product form is far better conditioned than the cleared
     polynomial divided by s^m, but for roots of very small modulus the
@@ -152,14 +172,22 @@ def _step_residual(model: RiskModel, s: complex) -> tuple:
     the term count times the magnitude sum of the terms) is the smallest
     residual the evaluation could certify. It is the double-precision
     bound of a Horner sum (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 5.1), and `pgf_eval` runs in double.
+    Algorithms, 2nd ed., section 5.1). Each s costs four `_value` calls,
+    the operations `pgf_eval` runs; each commutes with conjugation in IEEE
+    double, so the conjugate of s gives the same residual and floor bit
+    for bit.
     """
-    g = pgf_eval(model.claim, s) * pgf_eval(model.interarrival, 1.0 / s)
-    mag = pgf_eval(model.claim, abs(s)).real \
-        * pgf_eval(model.interarrival, 1.0 / abs(s)).real
+    claim, inter = _horner(model.claim), _horner(model.interarrival)
     n_terms = len(model.claim.weights) + len(model.interarrival.weights)
-    floor = float(np.finfo(float).eps) * n_terms * (mag + 1.0)
-    return abs(g - 1.0), floor
+    eps = float(np.finfo(float).eps)
+    out = []
+    for s in zs:
+        s = complex(s)
+        g = _value(claim, s) * _value(inter, complex(1.0 / s))
+        mag = _value(claim, complex(abs(s))).real \
+            * _value(inter, complex(1.0 / abs(s))).real
+        out.append((abs(g - 1.0), eps * n_terms * (mag + 1.0)))
+    return out
 
 
 def _cluster(points: np.ndarray, tol: float) -> list:
@@ -213,6 +241,12 @@ def unit_disk_roots(model: RiskModel) -> RootSet:
     cluster, the conjugates added after it; validate the count, the polish
     displacement, the residual of the defining equation (RESIDUAL_TOL), and
     derivative-based multiplicity confirmation.
+
+    The residual is evaluated once per real or upper half-plane root, from
+    weight lists converted once per search (`_step_residuals`); each
+    conjugate takes its twin's residual and floor, which are exactly what
+    an evaluation at the conjugate would give, as every operation of it
+    commutes with conjugation in IEEE double.
     """
     model.require_net_profit()
     coeffs = char_poly(model)
@@ -276,7 +310,11 @@ def unit_disk_roots(model: RiskModel) -> RootSet:
                 f"root {z:.9g} clustered with multiplicity {r} but the "
                 "derivative magnitudes do not confirm it")
 
-    checked = [_step_residual(model, z) for z in roots]
+    # the set is closed under conjugation: check each real or upper
+    # half-plane root once, and give each conjugate its twin's numbers
+    own = [z for z in roots if z.imag >= 0]
+    by_root = dict(zip(own, _step_residuals(model, own)))
+    checked = [by_root[z.conjugate() if z.imag < 0 else z] for z in roots]
     for z, (res, floor) in zip(roots, checked):
         if res > max(RESIDUAL_TOL, 4.0 * floor):
             raise RootQualityError(

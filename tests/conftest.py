@@ -92,6 +92,29 @@ def ex4():
     return {m: solve_pipeline(make_example4(m).build(), 10) for m in (10, 15)}
 
 
+ROUTE_CASES = {"goldens": 7, "example4_caps": 11, "poisson_geometric": 3,
+               "random": 220}
+
+
+@pytest.fixture(scope="session", params=list(ROUTE_CASES))
+def route_cases(request, ex1, ex2, ex3, ex4):
+    """(case, [(model, roots)]): the goldens, Example 4 at caps 10..20,
+    Poisson(6) claims against geometric(0.05) interarrival times at caps
+    30, 70 and 80, or 220 random models with m up to 12."""
+    case = request.param
+    if case == "goldens":
+        return case, [(s.model, s.roots)
+                      for s in (ex1, ex2, *ex3.values(), *ex4.values())]
+    if case == "example4_caps":
+        models = [make_example4(cap).build() for cap in range(10, 21)]
+    elif case == "poisson_geometric":
+        models = [poisson_geometric_model(6.0, m) for m in (30, 70, 80)]
+    else:
+        rng = np.random.default_rng(7)
+        models = [random_admissible_model(rng, m_max=12) for _ in range(220)]
+    return case, [(mo, rw.unit_disk_roots(mo)) for mo in models]
+
+
 # ---------------------------------------------------------------------------
 # independent series oracles (standard library only, no package code)
 

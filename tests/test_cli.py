@@ -29,6 +29,11 @@ P2_20_DOC = {"claim": {"family": "poisson", "lambda": 1.0},
 POIS6_GEOM_30_DOC = {"claim": {"family": "poisson", "lambda": 6.0},
                      "interarrival": {"family": "geometric", "p": 0.05},
                      "truncate_m": 30}
+# capped at 3, the interarrival tail P(V >= 3) = 0.686 rounded on its own
+# leaves the law 2^-53 short of mass 1; the atom takes the residual instead
+POIS1_POIS354_3_DOC = {"claim": {"family": "poisson", "lambda": 1.0},
+                       "interarrival": {"family": "poisson", "lambda": 3.54},
+                       "truncate_m": 3}
 DRIFTLESS_DOC = {"claim": {"pmf": {"offset": 1, "weights": [1.0]}},
                  "interarrival": {"pmf": {"offset": 1, "weights": [1.0]}}}
 
@@ -465,8 +470,10 @@ class TestSimulate:
 
 
 class TestTruncate:
-    @pytest.mark.parametrize("doc", [EX4_10_DOC, POIS6_GEOM_30_DOC],
-                             ids=["ex4_cap10", "pois6_geom_cap30"])
+    @pytest.mark.parametrize("doc", [EX4_10_DOC, POIS6_GEOM_30_DOC,
+                                     POIS1_POIS354_3_DOC],
+                             ids=["ex4_cap10", "pois6_geom_cap30",
+                                  "pois1_pois354_cap3"])
     def test_emits_capped_model_and_bounds(self, tmp_path, capsys, doc):
         # the written laws sum to exactly 1.0, so they read back bit for bit
         model = write_model(tmp_path, doc)
@@ -482,6 +489,23 @@ class TestTruncate:
             assert getattr(rebuilt, part).weights.tolist() == \
                 getattr(original, part).weights.tolist()
         assert rebuilt.m == doc["truncate_m"]
+
+    @pytest.mark.parametrize("doc", [POIS6_GEOM_30_DOC, POIS1_POIS354_3_DOC],
+                             ids=["pois6_geom_cap30", "pois1_pois354_cap3"])
+    def test_written_model_solves_to_the_same_table(self, tmp_path, doc):
+        model = write_model(tmp_path, doc)
+        capped = tmp_path / "capped.json"
+        assert main(["truncate", model, "--out", str(capped)]) == 0
+        data = json.loads(capped.read_text())
+        for part in ("claim", "interarrival"):
+            assert math.fsum(data[part]["pmf"]["weights"]) == 1.0
+        tables = []
+        for path in (model, str(capped)):
+            out = tmp_path / f"phi{len(tables)}.csv"
+            assert main(["solve", path, "--u-max", "200",
+                         "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
 
     def test_example4_cap15_bounds_without_note(self, tmp_path, capsys):
         model = write_model(tmp_path, EX4_15_DOC)

@@ -10,9 +10,10 @@ import pytest
 import ruinwalk as rw
 from ruinwalk import initial_values as iv
 
-from conftest import (example3_double_root, make_example1, make_example2,
-                      make_example3, make_example4, poisson_geometric_model,
-                      random_admissible_model, random_simple_root_model)
+from conftest import (ROUTE_CASES, example3_double_root, make_example1,
+                      make_example2, make_example3, make_example4,
+                      poisson_geometric_model, random_admissible_model,
+                      random_simple_root_model)
 
 
 def horner_rows(model: rw.RiskModel, roots: rw.RootSet) -> list:
@@ -168,6 +169,23 @@ def complex_refined_solve(sys_: rw.InitSystem) -> tuple:
     xr, _, ex = xs
     pi = np.array([iv._to_double(p, ex) for p in xr])
     return pi, float(np.max(np.abs(residual(vector(pi.astype(complex))))))
+
+
+def quadratic_mean_row(model: rw.RiskModel) -> list:
+    """The mean row as it was built before the running sums: one
+    generator sum over j > i per column, over the same exact integers."""
+    m = model.max_drop
+    fn, h = iv._over(model.f(-j) for j in range(1, m + 1))
+    return [(*iv._round(sum((j - i) * fn[j - 1]
+                            for j in range(i + 1, m + 1)), h), 0, 0)
+            for i in range(m)]
+
+
+def numpy_vector(v: np.ndarray) -> tuple:
+    """`_vector` as it read numpy scalars, through the np.all wrapper."""
+    if not np.all(np.isfinite(v)):
+        raise rw.NumericalError("linear solve produced a non-finite value")
+    return iv._over(v)
 
 
 def dyadic(n: int, e: int) -> Fraction:
@@ -408,26 +426,10 @@ class TestSolveLinear:
             rw.solve_linear(sys_)
         assert exc.value.row_kinds == list(kinds)
 
-    @pytest.mark.parametrize("case", ["goldens", "example4_caps",
-                                      "poisson_geometric", "random"])
-    def test_bit_identical_to_complex_refinement(self, case, ex1, ex2, ex3,
-                                                 ex4):
+    def test_bit_identical_to_complex_refinement(self, route_cases):
         # the real form and the complex solve refine to the same doubles,
         # and report the same residual
-        if case == "goldens":
-            cases = [(s.model, s.roots)
-                     for s in (ex1, ex2, *ex3.values(), *ex4.values())]
-        else:
-            if case == "example4_caps":
-                models = [make_example4(cap).build() for cap in range(10, 21)]
-            elif case == "poisson_geometric":
-                models = [poisson_geometric_model(6.0, m)
-                          for m in (30, 70, 80)]
-            else:
-                rng = np.random.default_rng(7)
-                models = [random_admissible_model(rng, m_max=12)
-                          for _ in range(220)]
-            cases = [(mo, rw.unit_disk_roots(mo)) for mo in models]
+        case, cases = route_cases
         for model, roots in cases:
             sys_ = rw.build_system(model, roots)
             init = rw.solve_linear(sys_)
@@ -438,6 +440,30 @@ class TestSolveLinear:
         assert (len(cases), multiple) == {
             "goldens": (7, 3), "example4_caps": (11, 0),
             "poisson_geometric": (3, 0), "random": (220, 0)}[case]
+
+    def test_bit_identical_to_quadratic_mean_row(self, route_cases,
+                                                 monkeypatch):
+        # the system, pi and the residual are those of the O(m^2) mean row
+        # and of the refinement reading numpy scalars
+        case, cases = route_cases
+        assert len(cases) == ROUTE_CASES[case]
+        got = []
+        for model, roots in cases:
+            sys_ = rw.build_system(model, roots)
+            mean = quadratic_mean_row(model)
+            assert sys_.entries[-1] == tuple(mean)
+            ref = rw.InitSystem(
+                matrix=np.vstack([sys_.matrix[:-1], iv._doubles(mean)]),
+                rhs=sys_.rhs, row_kinds=sys_.row_kinds,
+                entries=sys_.entries[:-1] + (tuple(mean),))
+            assert sys_.matrix.tobytes() == ref.matrix.tobytes()
+            got.append((ref, rw.solve_linear(sys_)))
+        monkeypatch.setattr(iv, "_vector", numpy_vector)
+        for ref, init in got:
+            want = rw.solve_linear(ref)
+            assert init.pi.tobytes() == want.pi.tobytes()
+            assert np.float64(init.residual).tobytes() == \
+                np.float64(want.residual).tobytes()
 
     def test_broken_conjugate_twin_raises(self, ex2):
         # the last bit of one entry of the upper root's row flipped: the

@@ -281,6 +281,51 @@ class TestTruncate:
         with pytest.raises(rw.ModelError):
             rw.truncate(rw.ParametricDist.poisson(1.0), 0)
 
+    @staticmethod
+    def lumped(dist, m):
+        """The capped weights with sf(m - 1) on the atom as it stands."""
+        lo, w = dist.run
+        lo = min(lo, m)
+        return rw.Pmf.from_weights(lo, np.append(w[:m - lo], dist.sf(m - 1)))
+
+    def test_capped_poisson_sums_to_one(self):
+        # sf(m - 1) is rounded on its own, so 159 of these 11 850 capped
+        # laws miss 1 in fsum by the last bit with the tail as the atom;
+        # each now takes the exact residual on it, and every law that
+        # summed to 1 keeps the tail there, bit for bit
+        short = 0
+        for k in range(50, 4000):
+            dist = rw.ParametricDist.poisson(k / 100)
+            for m in (1, 3, 16):
+                got, tail = rw.truncate(dist, m), self.lumped(dist, m)
+                assert math.fsum(got.weights) == 1.0, (k, m)
+                assert got.offset == tail.offset
+                if math.fsum(tail.weights) == 1.0:
+                    assert got.weights.tobytes() == tail.weights.tobytes()
+                else:
+                    short += 1
+                    assert got.weights[:-1].tobytes() == \
+                        tail.weights[:-1].tobytes()
+                    assert abs(got.weights[-1] - tail.weights[-1]) \
+                        <= 2.0 ** -52
+        assert short == 159
+
+    def test_binomial_cap_takes_the_residual(self):
+        dist = rw.ParametricDist.binomial(40, 0.3)
+        assert math.fsum(self.lumped(dist, 1).weights) == 1.0 - 2.0 ** -53
+        got = rw.truncate(dist, 1)
+        assert got.weights[0] == dist.pmf_at(0)
+        assert math.fsum(got.weights) == 1.0
+
+    def test_explicit_law_keeps_its_tail(self):
+        # an explicit law is read as given, 1e-13 short of mass 1 here: its
+        # cap carries sf(m - 1), not the residual to 1
+        p = rw.Pmf.from_weights(0, [0.5, 0.25, 0.125, 0.125 - 2e-13, 1e-13])
+        got = rw.truncate(p, 3)
+        assert got.weights.tolist() == \
+            [0.5, 0.25, 0.125, math.fsum([0.125 - 2e-13, 1e-13])]
+        assert math.fsum(got.weights) < 1.0 - 5e-14
+
 
 class TestStepTailBelowCap:
     def test_example4_tail_against_series(self):

@@ -10,10 +10,11 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 
 import ruinwalk as rw
-from ruinwalk.pgf import _cluster, _extended, _step_residual, _taylor
+from ruinwalk import pgf
+from ruinwalk.pgf import _cluster, _extended, _step_residuals, _taylor
 
-from conftest import (example3_double_root, make_example1, make_example3,
-                      make_example4, poisson_geometric_model,
+from conftest import (ROUTE_CASES, example3_double_root, make_example1,
+                      make_example3, make_example4, poisson_geometric_model,
                       random_admissible_model)
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
@@ -147,10 +148,59 @@ class TestStepResidual:
     def test_within_floor_of_exact_value(self, model):
         roots = rw.unit_disk_roots(model)
         assert roots.roots
-        for z, res in zip(roots.roots, roots.residuals):
-            got, floor = _step_residual(model, z)
-            assert got == res
+        # evaluated at every root, the conjugates included
+        checked = _step_residuals(model, roots.roots)
+        assert checked == list(zip(roots.residuals, roots.floors))
+        for z, (got, floor) in zip(roots.roots, checked):
             assert abs(got - self.exact(model, z)) <= floor, z
+
+
+def per_root_residual(model, s: complex) -> tuple:
+    """The residual check as it ran before the conjugates took their
+    twin's numbers: four `pgf_eval` calls at every root."""
+    g = rw.pgf_eval(model.claim, s) * rw.pgf_eval(model.interarrival, 1.0 / s)
+    mag = rw.pgf_eval(model.claim, abs(s)).real \
+        * rw.pgf_eval(model.interarrival, 1.0 / abs(s)).real
+    n_terms = len(model.claim.weights) + len(model.interarrival.weights)
+    floor = float(np.finfo(float).eps) * n_terms * (mag + 1.0)
+    return abs(g - 1.0), floor
+
+
+class TestConjugateCheck:
+    def test_bit_identical_to_per_root_check(self, route_cases):
+        # evaluated at each conjugate, the parent's check gives exactly the
+        # twin's numbers that the conjugate now takes
+        case, cases = route_cases
+        assert len(cases) == ROUTE_CASES[case]
+        for model, roots in cases:
+            ref = [per_root_residual(model, z) for z in roots.roots]
+            assert np.array(roots.residuals).tobytes() == \
+                np.array([r for r, _ in ref]).tobytes()
+            assert np.array(roots.floors).tobytes() == \
+                np.array([f for _, f in ref]).tobytes()
+
+    @pytest.mark.parametrize("model", [
+        make_example4(15).build(), poisson_geometric_model(6.0, 30),
+        make_example3(0.5)], ids=["ex4_cap15", "poisson_geometric_cap30",
+                                  "ex3_p05"])
+    def test_four_evaluations_per_real_or_upper_root(self, model,
+                                                     monkeypatch):
+        # the check is the only caller of _divide in double; the polish
+        # and the multiplicity check run it in clongdouble
+        points = []
+
+        def counted(q, z):
+            if type(z) is complex:
+                points.append(z)
+            return divide(q, z)
+
+        divide = pgf._divide
+        monkeypatch.setattr(pgf, "_divide", counted)
+        roots = rw.unit_disk_roots(model).roots
+        # s, 1/s, |s| and 1/|s| for each real or upper root, in order, and
+        # nothing for a lower one
+        assert points == [v for s in roots if s.imag >= 0 for v in
+                          (s, 1.0 / s, complex(abs(s)), 1.0 / abs(s))]
 
 
 class TestCluster:
