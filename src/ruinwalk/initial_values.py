@@ -3,12 +3,13 @@
 The probabilities pi_0..pi_{m-1} of the walk's maximum solve an m x m
 linear system: one row per unit-disk root (derivative rows for multiple
 roots) plus a final mean row, with right-hand side (0, ..., 0, -drift).
-The system is complex, as the paper states it, but its non-real rows come
-in exact conjugate pairs and its solution is real. Two independent routes
-are provided: a LAPACK solve of the system in its real form, one real
-and one imaginary part per conjugate pair, refined against exact
-residuals (the paper's route), and the closed-form cascade over
-elementary symmetric polynomials of the roots (the verification path).
+The paper states the system in complex form. Its non-real rows come in
+exact conjugate pairs and its solution is real, so build_system emits it
+in real form: the rows of a pair become the real and the imaginary part
+of the first. Two independent routes are provided: a LAPACK solve of the
+real form, refined against exact residuals (the paper's route), and the
+closed-form cascade over elementary symmetric polynomials of the roots
+(the verification path).
 
 Both routes run in integer arithmetic: every input, the double roots and
 the double cdf and pmf values, is an exact dyadic rational n / 2**e, so
@@ -51,38 +52,67 @@ class RowKind:
 
 @dataclass(frozen=True)
 class InitSystem:
-    """System matrix and right-hand side.
+    """The system in its real form, with the paper's complex form as
+    read-only views.
 
-    entries holds each entry as (mr, er, mi, ei): real part mr / 2**er,
-    imaginary part mi / 2**ei, with |mr|, |mi| < 2**_BITS. build_system
-    computes every entry exactly from the double roots and cdf values and
-    rounds it once, to odd, so matrix, the doubles of entries, holds the
+    A and b are the real matrix and right-hand side. A real row is the
+    paper's row. Each (j, k) in twins is a conjugate pair of the paper's
+    rows: A[j] holds the real parts of row j's entries and A[k] their
+    imaginary parts, and the paper's row k is the conjugate of its row j.
+
+    exact holds each entry of A as (n, e), the value n / 2**e with
+    |n| < 2**_BITS. build_system computes every entry exactly from the
+    double roots and cdf values and rounds it once, to odd, so A holds the
     correctly rounded double of each exact entry. Iterative refinement
-    runs against residuals from entries: the columns scale like
+    runs against residuals from exact: the columns scale like
     f(-m) alpha^(m-1), so the trailing solution components amplify even
-    the entry rounding of the stored matrix by 1/f(-m)-sized factors, and
-    agreement between the two solution routes is only achievable against
-    exact-input residuals. A system given by its double matrix alone
-    takes those doubles as its exact entries.
+    the entry rounding of A by 1/f(-m)-sized factors, and agreement
+    between the two solution routes is only achievable against
+    exact-input residuals. A system given by A alone takes those doubles
+    as its exact entries.
 
-    The system keeps the paper's complex form; build_system gives the rows
-    of conj(z) as the exact conjugates of the rows of z, which is what
-    lets solve_linear work on its real form."""
+    entries, matrix and rhs are the paper's complex form: entries holds
+    each entry as (mr, er, mi, ei), real part mr / 2**er and imaginary
+    part mi / 2**ei, and matrix the correctly rounded double of each."""
 
-    matrix: np.ndarray
-    rhs: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
     row_kinds: tuple
-    entries: tuple = None
+    exact: tuple = None
+    twins: tuple = ()
 
     def __post_init__(self):
-        if self.entries is None:
-            object.__setattr__(self, "entries", tuple(
-                tuple((*_exact(v.real), *_exact(v.imag)) for v in row)
-                for row in np.asarray(self.matrix, dtype=complex)))
+        if self.exact is None:
+            object.__setattr__(self, "exact", tuple(
+                tuple(map(_exact, row)) for row in self.A.tolist()))
 
     @property
     def size(self) -> int:
-        return len(self.rhs)
+        return len(self.b)
+
+    @property
+    def entries(self) -> tuple:
+        rows = [[(n, e, 0, 0) for n, e in row] for row in self.exact]
+        for j, k in self.twins:
+            rows[j] = [(*re, *im)
+                       for re, im in zip(self.exact[j], self.exact[k])]
+            rows[k] = [(n, e, -mi, ei) for n, e, mi, ei in rows[j]]
+        return tuple(map(tuple, rows))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.array([[complex(_to_double(mr, er), _to_double(mi, ei))
+                          for mr, er, mi, ei in row]
+                         for row in self.entries])
+
+    @property
+    def rhs(self) -> np.ndarray:
+        rhs = self.b.astype(complex)
+        for j, k in self.twins:
+            # 0.0 - x, not -x: as in matrix, a zero negates to +0.0
+            rhs[j] = complex(self.b[j], self.b[k])
+            rhs[k] = complex(self.b[j], 0.0 - self.b[k])
+        return rhs
 
 
 @dataclass(frozen=True)
@@ -118,12 +148,6 @@ def _to_double(n: int, e: int) -> float:
     return n / (1 << e) if e >= 0 else float(n << -e)
 
 
-def _doubles(row: list) -> list:
-    """The complex doubles of a row of exact entries (mr, er, mi, ei)."""
-    return [complex(_to_double(mr, er), _to_double(mi, ei))
-            for mr, er, mi, ei in row]
-
-
 def _round(n: int, e: int) -> tuple:
     """n / 2**e rounded to odd at _BITS mantissa bits, as (n', e').
 
@@ -143,7 +167,8 @@ def _round(n: int, e: int) -> tuple:
 
 def _root_rows(z: complex, mult: int, N: list, g: int) -> list:
     """Rows n = 0..mult-1 of root z: p_i^(n)(z) for every column i, given
-    the cdf values F(-m+j) = N[j] / 2**g.
+    the cdf values F(-m+j) = N[j] / 2**g, as (real parts, imaginary
+    parts), each entry in _round's form.
 
     Column i is c_i(s) = s^i Q_{m-1-i}(s), with the prefix sums
     Q_L(s) = sum_{j<=L} F(-m+j) s^j, and row n is n! times the h^n
@@ -174,13 +199,14 @@ def _root_rows(z: complex, mult: int, N: list, g: int) -> list:
             ci[n] = (ci[n] << e) + nj * y
     den = g + e * (m - 1)
     scale = [math.factorial(n) for n in range(mult)]
-    rows = [[] for _ in range(mult)]
+    re, im = [[] for _ in range(mult)], [[] for _ in range(mult)]
     for i in range(m):
         nf = N[m - 1 - i]
         for n in down:
             x, y = cr[n], ci[n]
             k = scale[n]
-            rows[n].append((*_round(k * x, den), *_round(k * y, den)))
+            re[n].append(_round(k * x, den))
+            im[n].append(_round(k * y, den))
             cr[n], ci[n] = x - nf * wr[n], y - nf * wi[n]
         for n in down:
             x, y = cr[n], ci[n]
@@ -189,17 +215,21 @@ def _root_rows(z: complex, mult: int, N: list, g: int) -> list:
                 x += cr[n - 1]
                 y += ci[n - 1]
             cr[n], ci[n] = x, y
-    return rows
+    return re, im
 
 
 def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
-    """Assemble the m x m initial-value system for the model's step pmf.
+    """Assemble the m x m initial-value system for the model's step pmf,
+    in real form.
 
     A root of multiplicity r contributes derivative rows of orders
     0..r-1; the last row states that the mean one-step drop among the
     first m levels equals E(c*theta - X). Everything is expressed through
     the step distribution, so shifted claim supports (no mass at 0) fall
-    on the same code path with m = max_drop.
+    on the same code path with m = max_drop. A non-real root takes the
+    real parts of its rows, and a later root of the set that is its
+    conjugate, of the same multiplicity, takes their imaginary parts; a
+    non-real root without one raises NumericalError.
     """
     model.require_net_profit()
     m = model.max_drop
@@ -207,30 +237,34 @@ def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
         raise ModelError(
             f"root set carries multiplicity {roots.total_multiplicity}, "
             f"expected {m - 1}")
-    kinds = []
-    rows = []
+    kinds, exact, twins = [], [], []
     # row entries of tiny-modulus roots cancel almost completely; they are
     # exact here and rounded once, so the fixed-precision factorization
     # sees the true row
     N, g = _over(model.F(np.arange(-m, 0)).tolist())
-    doubles = []    # the double rows; those of conj(z) hold twin's at first
-    conj = []       # the indices of the rows of conj(z)
-    done = {}
+    waiting = {}    # (conj(z), mult) -> [(first row, imaginary parts)]
     for z, mult in zip(roots.roots, roots.multiplicities):
-        twin = done.get((complex(z).conjugate(), mult))
-        if twin is None:
-            own = _root_rows(complex(z), mult, N, g)
-            own_d = [_doubles(row) for row in own]
-        else:   # the rows of conj(z) are exactly the conjugates of twin's
-            own = [[(mr, er, -mi, ei) for mr, er, mi, ei in row]
-                   for row in twin[0]]
-            own_d = twin[1]
-            conj += range(len(rows), len(rows) + mult)
-        done[z, mult] = own, own_d
-        rows += own
-        doubles += own_d
         kinds += [RowKind("root", z)] + [RowKind("derivative", z, n)
                                          for n in range(1, mult)]
+        z = complex(z)
+        firsts = waiting.get((z, mult))
+        if firsts:
+            j, im = firsts.pop()
+            twins += zip(range(j, j + mult),
+                         range(len(exact), len(exact) + mult))
+            exact += im
+            continue
+        re, im = _root_rows(z, mult, N, g)
+        if z.imag:
+            waiting.setdefault((z.conjugate(), mult), []).append(
+                (len(exact), im))
+        exact += re
+    lone = [j for firsts in waiting.values() for j, _ in firsts]
+    if lone:
+        kind = kinds[min(lone)]
+        raise NumericalError(
+            f"root {kind.root} of the root set has no conjugate of the same "
+            "multiplicity")
     # entry i is sum_{j>i} (j - i) f(-j), over 2**h: a running sum of the
     # running tail sum_{j>i} f(-j), from i = m - 1 down
     fn, h = _over(model.f(-j) for j in range(1, m + 1))
@@ -239,17 +273,15 @@ def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
     for i in range(m - 1, -1, -1):
         tail += fn[i]
         acc += tail
-        mean[i] = (*_round(acc, h), 0, 0)
-    rows.append(mean)
+        mean[i] = _round(acc, h)
+    exact.append(mean)
     kinds.append(RowKind("mean"))
-    rhs = np.zeros(m, dtype=complex)
-    rhs[m - 1] = model.drift_pos
-    matrix = np.array(doubles + [_doubles(rows[-1])])
-    # the doubles of conj(z)'s rows are the conjugates of its twin's; + 0.0
-    # gives a zero imaginary part the sign _to_double gives it
-    matrix[conj] = np.conj(matrix[conj]) + 0.0
-    return InitSystem(matrix=matrix, rhs=rhs, row_kinds=tuple(kinds),
-                      entries=tuple(map(tuple, rows)))
+    b = np.zeros(m)
+    b[m - 1] = model.drift_pos
+    return InitSystem(
+        A=np.array([[_to_double(n, e) for n, e in row] for row in exact]),
+        b=b, row_kinds=tuple(kinds), exact=tuple(map(tuple, exact)),
+        twins=tuple(twins))
 
 
 def _finalize_pi(pi: np.ndarray, drift_pos: float,
@@ -270,41 +302,6 @@ def _common(ns: tuple, es: tuple) -> tuple:
     return E, [n << E - e for n, e in zip(ns, es)]
 
 
-def _real_form(sys: InitSystem) -> tuple:
-    """The system as real equations in the same real unknowns.
-
-    A real row (entries and right-hand side) stays as it is. A non-real
-    row must have an exact conjugate twin; the pair becomes the real part
-    of the first row, in its place, and its imaginary part, in the twin's.
-    Returns (A, b, rows, twins): the real double matrix and right-hand
-    side, each row's exact entries in _common's form, and the
-    (first, twin) index pairs."""
-    A, b = sys.matrix.real.copy(), sys.rhs.real.copy()
-    rows, twins, waiting = [], [], {}
-    for k, (row, z) in enumerate(zip(sys.entries, sys.rhs)):
-        mr, er, mi, ei = zip(*row)
-        z = complex(z)
-        real = not z.imag and not any(mi)
-        first = None if real else waiting.get((mr, er, mi, ei, z))
-        if first:
-            j, mj, ej = first.pop()
-            twins.append((j, k))
-            rows.append(_common(mj, ej))
-            A[k], b[k] = sys.matrix[j].imag, sys.rhs[j].imag
-            continue
-        if not real:
-            waiting.setdefault((mr, er, tuple(map(operator.neg, mi)), ei,
-                                z.conjugate()), []).append((k, mi, ei))
-        rows.append(_common(mr, er))
-    lone = [k for ks in waiting.values() for k, _, _ in ks]
-    if lone:
-        k = min(lone)
-        raise NumericalError(
-            f"row {k} ({sys.row_kinds[k]}) has no exact conjugate twin; "
-            "conjugate symmetry of the system is broken")
-    return A, b, rows, twins
-
-
 def _vector(v: np.ndarray) -> tuple:
     """A double vector as exact integers over one power of two: (ns, e)
     with v[k] == ns[k] / 2**e."""
@@ -321,9 +318,9 @@ def _add(u: tuple, v: tuple) -> tuple:
 
 
 def _residual(rows: list, b: tuple, x: tuple) -> np.ndarray:
-    """b - A x over the exact entries of A (_real_form's rows), each
-    component summed exactly and rounded once to double; b and x are of
-    _vector's form."""
+    """b - A x over the exact entries of A (its rows in _common's form),
+    each component summed exactly and rounded once to double; b and x are
+    of _vector's form."""
     (xs, ex), (bs, eb) = x, b
     out = []
     for (E, ns), p in zip(rows, bs):
@@ -338,12 +335,10 @@ def solve_linear(sys: InitSystem) -> InitialValues:
     refinement against exact-input residuals. x is kept as the exact sum
     of the double corrections, and each residual is summed exactly.
 
-    The unknowns are real, and a system built from the roots of a real
-    polynomial has its non-real rows in exact conjugate pairs, so it is
-    solved in its real form (_real_form): each entry of a residual is one
-    product of integers. A non-real row without an exact twin raises
-    NumericalError. The reported residual is the largest modulus of the
-    complex residual, a pair's being the modulus of its two real ones.
+    The system is solved in the real form it is stored in, so each entry
+    of a residual is one product of integers. The reported residual is
+    the largest modulus of the paper's complex residual, a conjugate
+    pair's being the modulus of its two real ones.
 
     Rows and columns are equilibrated first: a root of small modulus
     produces a uniformly tiny row (entries scale with F(-m) ... F(-1)
@@ -353,7 +348,8 @@ def solve_linear(sys: InitSystem) -> InitialValues:
     finds it exactly so or when the largest row sum of the equilibrated
     inverse reaches 1 / SINGULAR_TOL.
     """
-    A, b, rows, twins = _real_form(sys)
+    A, b = sys.A, sys.b
+    rows = [_common(*zip(*row)) for row in sys.exact]
     rowmax = np.max(np.abs(A), axis=1)
     if np.any(rowmax == 0.0):
         dead = int(np.argmin(rowmax))
@@ -389,9 +385,9 @@ def solve_linear(sys: InitSystem) -> InitialValues:
     ns, ex = xs
     pi = np.array([_to_double(n, ex) for n in ns])
     r = _residual(rows, bx, _vector(pi)).astype(complex)
-    for k, j in twins:
-        r[k] = r[j] = complex(r[k].real, r[j].real)
-    return _finalize_pi(pi, drift_pos=float(sys.rhs[-1].real),
+    for j, k in sys.twins:
+        r[j] = r[k] = complex(r[j].real, r[k].real)
+    return _finalize_pi(pi, drift_pos=float(b[-1]),
                         residual=float(np.max(np.abs(r))))
 
 

@@ -145,13 +145,11 @@ def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
     Steps are drawn by inverse-cdf lookup, four per PCG64 word: each
     16-bit draw indexes a table of 2^16 steps, and each maps to the step a
     binary search of the cumulative step table would give its 53-bit value
-    (see `_StepSampler`). The stream of steps has changed twice, when
-    words began to carry two and then four steps; the law of a step has
-    not. The walk is int32: a reach T * max|step| >= 2^31 - 1 raises
-    `ResourceError` before any draw. One pass serves every requested u:
-    each path records its running maximum, and paths whose maximum
-    already reaches max(u) are retired since they fail every requested
-    threshold.
+    (see `_StepSampler`). The walk is int32: a reach T * max|step| >=
+    2^31 - 1 raises `ResourceError` before any draw. One pass serves
+    every requested u: each path records its running maximum, and paths
+    whose maximum already reaches max(u) are retired since they fail
+    every requested threshold.
     """
     reach = cfg.horizon_T * max(model.max_drop, model.step.support_max)
     if reach >= _HARD:

@@ -507,7 +507,7 @@ class TestTruncate:
             tables.append(out.read_bytes())
         assert tables[0] == tables[1]
 
-    def test_example4_cap15_bounds_without_note(self, tmp_path, capsys):
+    def test_example4_cap15_tail_without_note(self, tmp_path, capsys):
         model = write_model(tmp_path, EX4_15_DOC)
         out = tmp_path / "capped.json"
         assert main(["truncate", model, "--out", str(out)]) == 0
@@ -532,7 +532,7 @@ class TestTruncate:
                      "--out", str(tmp_path / "capped.json")]) == 0
         assert "cut by" not in capsys.readouterr().out
 
-    def test_tail_and_bounds_at_the_solved_m(self, tmp_path, capsys):
+    def test_tail_at_the_solved_m(self, tmp_path, capsys):
         # cap 20 builds the m = 16 model, so it reports the cap-16 tail
         # P(X - c*theta <= -17), not that of a cap at 20
         doc = {k: EX4_10_DOC[k] for k in ("claim", "interarrival")}
@@ -547,8 +547,8 @@ class TestTruncate:
         assert "P(X - c*theta <= -17)" in shown["16"][0]
         assert shown["20"] == shown["16"]
 
-    def test_cap_that_breaks_net_profit_has_no_bounds(self, tmp_path,
-                                                      capsys):
+    def test_cap_that_breaks_net_profit_is_still_written(self, tmp_path,
+                                                          capsys):
         # at m = 1 the capped walk drifts up (+0.364): the capped model is
         # still written
         out = tmp_path / "capped.json"

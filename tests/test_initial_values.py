@@ -176,9 +176,71 @@ def quadratic_mean_row(model: rw.RiskModel) -> list:
     generator sum over j > i per column, over the same exact integers."""
     m = model.max_drop
     fn, h = iv._over(model.f(-j) for j in range(1, m + 1))
-    return [(*iv._round(sum((j - i) * fn[j - 1]
-                            for j in range(i + 1, m + 1)), h), 0, 0)
+    return [iv._round(sum((j - i) * fn[j - 1] for j in range(i + 1, m + 1)),
+                      h)
             for i in range(m)]
+
+
+def complex_system(model: rw.RiskModel, roots: rw.RootSet) -> tuple:
+    """The system as build_system assembled it before the real form: the
+    paper's complex rows, those of conj(z) the exact conjugates of its
+    twin's, and their doubles, those of conj(z) conjugated from its
+    twin's. Returns (matrix, rhs, entries)."""
+    m = model.max_drop
+    N, g = iv._over(model.F(np.arange(-m, 0)).tolist())
+
+    def doubles(row):
+        return [complex(iv._to_double(mr, er), iv._to_double(mi, ei))
+                for mr, er, mi, ei in row]
+
+    rows, matrix, conj, done = [], [], [], {}
+    for z, mult in zip(roots.roots, roots.multiplicities):
+        twin = done.get((complex(z).conjugate(), mult))
+        if twin is None:
+            own = [[(*p, *q) for p, q in zip(re, im)] for re, im
+                   in zip(*iv._root_rows(complex(z), mult, N, g))]
+            own_d = [doubles(row) for row in own]
+        else:
+            own = [[(mr, er, -mi, ei) for mr, er, mi, ei in row]
+                   for row in twin[0]]
+            own_d = twin[1]
+            conj += range(len(rows), len(rows) + mult)
+        done[z, mult] = own, own_d
+        rows += own
+        matrix += own_d
+    rows.append([(n, e, 0, 0) for n, e in quadratic_mean_row(model)])
+    matrix = np.array(matrix + [doubles(rows[-1])])
+    matrix[conj] = np.conj(matrix[conj]) + 0.0
+    rhs = np.zeros(m, dtype=complex)
+    rhs[m - 1] = model.drift_pos
+    return matrix, rhs, rows
+
+
+def complex_real_form(matrix: np.ndarray, rhs: np.ndarray,
+                      entries: list) -> tuple:
+    """The real form as solve_linear derived it from the complex system,
+    by finding each non-real row's exact conjugate twin. Returns (A, b,
+    rows, twins): the real doubles and right-hand side, each row's exact
+    entries in _common's form, and the (first, twin) index pairs."""
+    A, b = matrix.real.copy(), rhs.real.copy()
+    rows, twins, waiting = [], [], {}
+    for k, (row, z) in enumerate(zip(entries, rhs)):
+        mr, er, mi, ei = zip(*row)
+        z = complex(z)
+        real = not z.imag and not any(mi)
+        first = None if real else waiting.get((mr, er, mi, ei, z))
+        if first:
+            j, mj, ej = first.pop()
+            twins.append((j, k))
+            rows.append(iv._common(mj, ej))
+            A[k], b[k] = matrix[j].imag, rhs[j].imag
+            continue
+        if not real:
+            waiting.setdefault((mr, er, tuple(-n for n in mi), ei,
+                                z.conjugate()), []).append((k, mi, ei))
+        rows.append(iv._common(mr, er))
+    assert not any(waiting.values())
+    return A, b, rows, twins
 
 
 def numpy_vector(v: np.ndarray) -> tuple:
@@ -268,10 +330,10 @@ class TestBuildSystem:
 
     def test_matrix_is_the_bitwise_rounding_of_entries(self, ex1, ex2, ex3,
                                                        ex4):
-        # the doubles of a conj(z) row are the conjugates of its twin's, and
-        # must equal each entry's own rounding bit for bit, the sign of a
-        # zero included: the pure imaginary pair makes zero imaginary parts
-        # in the row of -0.5j, whose last column is (-0.5j)^2 F(-3)
+        # the complex view of the real form is each entry's own rounding
+        # bit for bit, the sign of a zero included: the pure imaginary pair
+        # makes zero imaginary parts in the row of -0.5j, whose last column
+        # is (-0.5j)^2 F(-3)
         cases = [(s.model, s.roots) for s in (ex1, ex2, *ex3.values(),
                                                *ex4.values())]
         imaginary_pair = rw.RootSet(roots=(0.5j, -0.5j),
@@ -292,6 +354,35 @@ class TestBuildSystem:
             assert sys_.matrix.tobytes() == want.tobytes()
             if roots is imaginary_pair:
                 assert sys_.matrix[1, 2].imag == 0.0
+
+    @pytest.mark.parametrize("model, zs, mults", [
+        (make_example3(0.5), (0.3, 0.5j), (1, 1)),
+        (make_example2(), (0.5j, -0.5j), (2, 1)),
+    ], ids=["no_conjugate", "conjugate_of_other_multiplicity"])
+    def test_root_without_its_conjugate_raises(self, model, zs, mults):
+        # the real form needs each non-real root's conjugate, with the same
+        # multiplicity, in the set
+        lone = rw.RootSet(roots=zs, multiplicities=mults,
+                          residuals=(0.0,) * len(zs))
+        with pytest.raises(rw.NumericalError, match=r"root 0\.5j "):
+            rw.build_system(model, lone)
+
+    def test_real_form_bit_identical_to_complex_assembly(self, route_cases):
+        # the stored real form is the one solve_linear derived from the
+        # complex system, and its complex views are that system
+        case, cases = route_cases
+        assert len(cases) == ROUTE_CASES[case]
+        for model, roots in cases:
+            sys_ = rw.build_system(model, roots)
+            matrix, rhs, entries = complex_system(model, roots)
+            A, b, rows, twins = complex_real_form(matrix, rhs, entries)
+            for got, want in ((sys_.A, A), (sys_.b, b),
+                              (sys_.matrix, matrix), (sys_.rhs, rhs)):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+            assert [iv._common(*zip(*row)) for row in sys_.exact] == rows
+            assert sys_.twins == tuple(twins)
+            assert sys_.entries == tuple(map(tuple, entries))
 
     def test_net_profit_guard(self):
         model = rw.build_model(rw.Pmf.point(1), rw.Pmf.point(1))
@@ -347,19 +438,27 @@ class TestSolveLinear:
         assert ex1.init.pi[0] == pytest.approx(2 - math.sqrt(2), abs=1e-12)
 
     def test_identity_system(self):
-        sys_ = rw.InitSystem(matrix=np.eye(3, dtype=complex),
-                             rhs=np.array([1.0, 0, 0], dtype=complex),
+        sys_ = rw.InitSystem(A=np.eye(3), b=np.array([1.0, 0, 0]),
                              row_kinds=(rw.RowKind("mean"),) * 3)
         init = rw.solve_linear(sys_)
         np.testing.assert_allclose(init.pi, [1.0, 0, 0], atol=0)
         assert init.residual == 0.0
 
     def test_double_matrix_gives_the_exact_entries(self):
-        # a system given by doubles alone refines against those doubles
-        A = np.array([[0.1 + 0.3j, 2.0 ** -1074], [1e300, -0.7]])
-        sys_ = rw.InitSystem(matrix=A, rhs=np.array([1.0, 0], dtype=complex),
-                             row_kinds=(rw.RowKind("mean"),) * 2)
-        for row, drow in zip(sys_.entries, A):
+        # a system given by doubles alone refines against those doubles;
+        # its one conjugate pair is the paper's rows (0.1 + 0.3j,
+        # 2^-1074 + 1e300 j) and their conjugates
+        A = np.array([[0.1, 2.0 ** -1074], [0.3, 1e300]])
+        sys_ = rw.InitSystem(A=A, b=np.array([1.0, 0]),
+                             row_kinds=(rw.RowKind("mean"),) * 2,
+                             twins=((0, 1),))
+        for row, drow in zip(sys_.exact, A):
+            for (n, e), v in zip(row, drow):
+                assert dyadic(n, e) == Fraction(v)
+        want = np.array([[0.1 + 0.3j, complex(2.0 ** -1074, 1e300)],
+                         [0.1 - 0.3j, complex(2.0 ** -1074, -1e300)]])
+        assert sys_.matrix.tobytes() == want.tobytes()
+        for row, drow in zip(sys_.entries, want):
             for (mr, er, mi, ei), v in zip(row, drow):
                 assert dyadic(mr, er) == Fraction(v.real)
                 assert dyadic(mi, ei) == Fraction(v.imag)
@@ -367,8 +466,7 @@ class TestSolveLinear:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_solve_raises(self):
         # rhs / rowmax overflows: a typed error, not a failed conversion
-        sys_ = rw.InitSystem(matrix=np.array([[1e-300 + 0j]]),
-                             rhs=np.array([1e300 + 0j]),
+        sys_ = rw.InitSystem(A=np.array([[1e-300]]), b=np.array([1e300]),
                              row_kinds=(rw.RowKind("mean"),))
         with pytest.raises(rw.NumericalError, match="non-finite"):
             rw.solve_linear(sys_)
@@ -407,9 +505,8 @@ class TestSolveLinear:
     ], ids=["zero_row", "zero_column"])
     def test_zero_row_or_column_is_singular(self, matrix, message):
         kinds = (rw.RowKind("root", 0.5), rw.RowKind("mean"))
-        sys_ = rw.InitSystem(matrix=np.array(matrix, dtype=complex),
-                             rhs=np.array([0, 1], dtype=complex),
-                             row_kinds=kinds)
+        sys_ = rw.InitSystem(A=np.array(matrix, dtype=float),
+                             b=np.array([0, 1.0]), row_kinds=kinds)
         with pytest.raises(rw.SystemSingularError, match=message) as exc:
             rw.solve_linear(sys_)
         assert exc.value.row_kinds == list(kinds)
@@ -418,10 +515,8 @@ class TestSolveLinear:
         # not exactly singular, so LAPACK inverts it; the inverse's row
         # sums, about 2e15, are past 1 / SINGULAR_TOL
         kinds = (rw.RowKind("root", 0.5), rw.RowKind("mean"))
-        sys_ = rw.InitSystem(matrix=np.array([[1, 1], [1, 1 + 1e-15]],
-                                             dtype=complex),
-                             rhs=np.array([0, 1], dtype=complex),
-                             row_kinds=kinds)
+        sys_ = rw.InitSystem(A=np.array([[1, 1], [1, 1 + 1e-15]]),
+                             b=np.array([0, 1.0]), row_kinds=kinds)
         with pytest.raises(rw.SystemSingularError) as exc:
             rw.solve_linear(sys_)
         assert exc.value.row_kinds == list(kinds)
@@ -451,12 +546,13 @@ class TestSolveLinear:
         for model, roots in cases:
             sys_ = rw.build_system(model, roots)
             mean = quadratic_mean_row(model)
-            assert sys_.entries[-1] == tuple(mean)
+            assert sys_.exact[-1] == tuple(mean)
             ref = rw.InitSystem(
-                matrix=np.vstack([sys_.matrix[:-1], iv._doubles(mean)]),
-                rhs=sys_.rhs, row_kinds=sys_.row_kinds,
-                entries=sys_.entries[:-1] + (tuple(mean),))
-            assert sys_.matrix.tobytes() == ref.matrix.tobytes()
+                A=np.vstack([sys_.A[:-1],
+                             [iv._to_double(n, e) for n, e in mean]]),
+                b=sys_.b, row_kinds=sys_.row_kinds,
+                exact=sys_.exact[:-1] + (tuple(mean),), twins=sys_.twins)
+            assert sys_.A.tobytes() == ref.A.tobytes()
             got.append((ref, rw.solve_linear(sys_)))
         monkeypatch.setattr(iv, "_vector", numpy_vector)
         for ref, init in got:
@@ -464,27 +560,6 @@ class TestSolveLinear:
             assert init.pi.tobytes() == want.pi.tobytes()
             assert np.float64(init.residual).tobytes() == \
                 np.float64(want.residual).tobytes()
-
-    def test_broken_conjugate_twin_raises(self, ex2):
-        # the last bit of one entry of the upper root's row flipped: the
-        # pair is no longer conjugate, and the real form would drop it
-        sys_ = rw.build_system(ex2.model, ex2.roots)
-        k = next(i for i, kind in enumerate(sys_.row_kinds)
-                 if kind.kind == "root" and kind.root.imag > 0)
-        A = sys_.matrix.copy()
-        A.real.view(np.int64)[k, 1] ^= 1
-        bent = rw.InitSystem(matrix=A, rhs=sys_.rhs,
-                             row_kinds=sys_.row_kinds)
-        with pytest.raises(rw.NumericalError, match="conjugate symmetry"):
-            rw.solve_linear(bent)
-
-    def test_complex_row_without_twin_raises(self):
-        sys_ = rw.InitSystem(matrix=np.array([[1 + 1j, 2], [1, 1]]),
-                             rhs=np.array([0, 1], dtype=complex),
-                             row_kinds=(rw.RowKind("root", 0.5j),
-                                        rw.RowKind("mean")))
-        with pytest.raises(rw.NumericalError, match="conjugate symmetry"):
-            rw.solve_linear(sys_)
 
 
 class TestClosedForm:
