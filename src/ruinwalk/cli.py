@@ -4,7 +4,7 @@ Subcommands: solve (ultimate-time table), finite (finite-horizon grid),
 roots (unit-disk roots as CSV and optional SVG), simulate (Monte Carlo
 check), truncate (cap an interarrival law and write the capped model).
 Exit codes: 0 success, 2 model or domain error (a table too large to
-allocate included), 3 numerical failure.
+allocate or an unwritable output file included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -104,6 +104,19 @@ def _out_path(args, suffix: str) -> str:
     return f"{stem}{suffix}"
 
 
+def _complex_form(sysm) -> list:
+    """The paper's complex matrix and rhs: row j of a twin pair (j, k) is
+    A[j] + i A[k], row k A[j] - i A[k] with 0.0 - x, so a zero stays +0.0."""
+    j, k = np.array(sysm.twins, dtype=int).reshape(-1, 2).T
+    out = []
+    for v in (sysm.A, sysm.b):
+        z = v.astype(complex)
+        z[k] = v[j]
+        z.imag[j], z.imag[k] = v[k], 0.0 - v[k]
+        out.append(z)
+    return out
+
+
 def _cmd_solve(args) -> int:
     cfg = load_model_config(args.model)
     model = cfg.build()
@@ -116,13 +129,14 @@ def _cmd_solve(args) -> int:
         from .initial_values import build_system
         sysm = build_system(model, roots)
     if args.dump_system:
+        matrix, rhs = _complex_form(sysm)
         header = "row_kind," + ",".join(
             f"a{i}_re,a{i}_im" for i in range(sysm.size)) + ",rhs_re,rhs_im"
         _write_csv(args.dump_system, header, (
             ",".join([str(kind)] + [repr(v) for z in (*row, b)
                                     for v in (z.real, z.imag)]) + "\n"
-            for kind, row, b in zip(sysm.row_kinds, sysm.matrix.tolist(),
-                                    sysm.rhs.tolist())))
+            for kind, row, b in zip(sysm.row_kinds, matrix.tolist(),
+                                    rhs.tolist())))
     print(RunReport(cfg=cfg, model=model, roots=roots, table=table).render())
     if args.verify:
         print(_verification_block(model, roots, sysm, table))
@@ -155,9 +169,10 @@ def _verification_block(model, roots, sysm, table) -> str:
         lhs, rhs = determinant_identity(model, roots, sysm)
         found = f"relative gap {abs(lhs - rhs) / max(abs(rhs), 1e-300):.2e}"
         if min(abs(lhs), abs(rhs)) < np.finfo(float).tiny:
-            # underflowed sides compare as 0; slogdet still places det
-            found = (f"out of double range (log10|det| = "
-                     f"{np.linalg.slogdet(sysm.matrix)[1] / np.log(10):.1f})")
+            # underflowed sides compare as 0; slogdet still places det,
+            # 2^p |det A| for p twin pairs
+            ld = np.linalg.slogdet(sysm.A)[1] + len(sysm.twins) * np.log(2)
+            found = f"out of double range (log10|det| = {ld / np.log(10):.1f})"
         lines.append(f"  determinant identity: {found}")
     else:
         lines.append("  closed form skipped (multiple roots)")
@@ -344,7 +359,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ModelError, ResourceError, MemoryError) as exc:
+    except (ModelError, ResourceError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except NumericalError as exc:

@@ -5,11 +5,12 @@ linear system: one row per unit-disk root (derivative rows for multiple
 roots) plus a final mean row, with right-hand side (0, ..., 0, -drift).
 The paper states the system in complex form. Its non-real rows come in
 exact conjugate pairs and its solution is real, so build_system emits it
-in real form: the rows of a pair become the real and the imaginary part
-of the first. Two independent routes are provided: a LAPACK solve of the
-real form, refined against exact residuals (the paper's route), and the
-closed-form cascade over elementary symmetric polynomials of the roots
-(the verification path).
+in real form, the one form stored: the rows of a pair become the real and
+the imaginary part of the first. Two independent routes are provided: a
+LAPACK solve of the real form, refined against exact residuals (the
+paper's route), and the closed-form cascade over elementary symmetric
+polynomials of the roots (the verification path). Both report the same
+exact residual of their pi.
 
 Both routes run in integer arithmetic: every input, the double roots and
 the double cdf and pmf values, is an exact dyadic rational n / 2**e, so
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,13 +52,14 @@ class RowKind:
 
 @dataclass(frozen=True)
 class InitSystem:
-    """The system in its real form, with the paper's complex form as
-    read-only views.
+    """The system in its real form, the one form stored.
 
     A and b are the real matrix and right-hand side. A real row is the
     paper's row. Each (j, k) in twins is a conjugate pair of the paper's
     rows: A[j] holds the real parts of row j's entries and A[k] their
     imaginary parts, and the paper's row k is the conjugate of its row j.
+    The paper's complex form is thus A[j] + i A[k] in row j and
+    A[j] - i A[k] in row k; only the CLI's --dump-system writes it.
 
     exact holds each entry of A as (n, e), the value n / 2**e with
     |n| < 2**_BITS. build_system computes every entry exactly from the
@@ -69,11 +70,7 @@ class InitSystem:
     the entry rounding of A by 1/f(-m)-sized factors, and agreement
     between the two solution routes is only achievable against
     exact-input residuals. A system given by A alone takes those doubles
-    as its exact entries.
-
-    entries, matrix and rhs are the paper's complex form: entries holds
-    each entry as (mr, er, mi, ei), real part mr / 2**er and imaginary
-    part mi / 2**ei, and matrix the correctly rounded double of each."""
+    as its exact entries."""
 
     A: np.ndarray
     b: np.ndarray
@@ -90,37 +87,12 @@ class InitSystem:
     def size(self) -> int:
         return len(self.b)
 
-    @property
-    def entries(self) -> tuple:
-        rows = [[(n, e, 0, 0) for n, e in row] for row in self.exact]
-        for j, k in self.twins:
-            rows[j] = [(*re, *im)
-                       for re, im in zip(self.exact[j], self.exact[k])]
-            rows[k] = [(n, e, -mi, ei) for n, e, mi, ei in rows[j]]
-        return tuple(map(tuple, rows))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[complex(_to_double(mr, er), _to_double(mi, ei))
-                          for mr, er, mi, ei in row]
-                         for row in self.entries])
-
-    @property
-    def rhs(self) -> np.ndarray:
-        rhs = self.b.astype(complex)
-        for j, k in self.twins:
-            # 0.0 - x, not -x: as in matrix, a zero negates to +0.0
-            rhs[j] = complex(self.b[j], self.b[k])
-            rhs[k] = complex(self.b[j], 0.0 - self.b[k])
-        return rhs
-
 
 @dataclass(frozen=True)
 class InitialValues:
     """pi[i] = P(walk maximum = i), i < m, plus solve diagnostics."""
 
     pi: np.ndarray
-    drift_pos: float
     residual: float
 
     @property
@@ -284,15 +256,14 @@ def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
         twins=tuple(twins))
 
 
-def _finalize_pi(pi: np.ndarray, drift_pos: float,
-                 residual: float) -> InitialValues:
+def _finalize_pi(pi: np.ndarray, residual: float) -> InitialValues:
     if np.any(pi < -1e-10):
         raise NumericalError(
             f"negative initial probability {pi.min():.3e} (< -1e-10)")
     if math.fsum(pi) > 1.0 + 1e-9:
         raise NumericalError(
             f"initial probabilities sum to {math.fsum(pi)!r} > 1 + 1e-9")
-    return InitialValues(pi=pi, drift_pos=drift_pos, residual=residual)
+    return InitialValues(pi=pi, residual=residual)
 
 
 def _common(ns: tuple, es: tuple) -> tuple:
@@ -330,6 +301,18 @@ def _residual(rows: list, b: tuple, x: tuple) -> np.ndarray:
     return np.array(out)
 
 
+def _residual_max(sys: InitSystem, pi: np.ndarray,
+                  rows: list | None = None) -> float:
+    """The largest modulus of the paper's complex residual b - A pi over
+    the exact entries, a conjugate pair's being the modulus of its two real
+    ones. rows are those of sys.exact in _common's form (formed if None)."""
+    rows = rows or [_common(*zip(*row)) for row in sys.exact]
+    r = _residual(rows, _vector(sys.b), _vector(pi)).astype(complex)
+    for j, k in sys.twins:
+        r[j] = r[k] = complex(r[j].real, r[k].real)
+    return float(np.max(np.abs(r)))
+
+
 def solve_linear(sys: InitSystem) -> InitialValues:
     """One LAPACK inverse of the equilibrated real system, plus iterative
     refinement against exact-input residuals. x is kept as the exact sum
@@ -337,8 +320,7 @@ def solve_linear(sys: InitSystem) -> InitialValues:
 
     The system is solved in the real form it is stored in, so each entry
     of a residual is one product of integers. The reported residual is
-    the largest modulus of the paper's complex residual, a conjugate
-    pair's being the modulus of its two real ones.
+    _residual_max's, as the closed form's is.
 
     Rows and columns are equilibrated first: a root of small modulus
     produces a uniformly tiny row (entries scale with F(-m) ... F(-1)
@@ -384,11 +366,7 @@ def solve_linear(sys: InitSystem) -> InitialValues:
         xs = _add(xs, _vector(scaled_solve(_residual(rows, bx, xs))))
     ns, ex = xs
     pi = np.array([_to_double(n, ex) for n in ns])
-    r = _residual(rows, bx, _vector(pi)).astype(complex)
-    for j, k in sys.twins:
-        r[j] = r[k] = complex(r[j].real, r[k].real)
-    return _finalize_pi(pi, drift_pos=float(b[-1]),
-                        residual=float(np.max(np.abs(r))))
+    return _finalize_pi(pi, _residual_max(sys, pi, rows))
 
 
 def solve_closed_form(model: RiskModel, roots: RootSet,
@@ -402,17 +380,15 @@ def solve_closed_form(model: RiskModel, roots: RootSet,
     alpha_j = Z_j / 2**e, F(-m+j) = N_j / 2**g and c_k = 2**(ek) times the
     t^k coefficient of prod(t - Z_j), pi~_k = 2**g S_k / (N_0^(k+1) sum(c))
     where S_k = c_k N_0^k - sum_{i<k} S_i N_{k-i} N_0^(k-1-i), and each
-    pi_k is rounded once. Its residual is taken against `system` (built if
-    None)."""
+    pi_k is rounded once. Its residual is solve_linear's, against `system`
+    (built first if None: build_system checks the root set, conjugates
+    included)."""
     if not roots.all_simple:
         raise NumericalError(
             "closed form requires simple roots; use solve_linear for "
             "models with multiple roots")
+    system = system or build_system(model, roots)
     zs = roots.roots
-    if Counter(z for z in zs if z.imag > 0) \
-            != Counter(z.conjugate() for z in zs if z.imag < 0):
-        raise NumericalError("closed form requires the non-real roots in "
-                             "exact conjugate pairs")
     # prod(t - Z_j), ascending, from one real factor per real root or pair
     ns, e = _over([v for z in zs if z.imag >= 0 for v in (z.real, z.imag)])
     D = [1]
@@ -436,16 +412,16 @@ def solve_closed_form(model: RiskModel, roots: RootSet,
                        for k, s in enumerate(S)])
     except OverflowError:
         raise NumericalError("closed-form pi overflows a double") from None
-    system = system or build_system(model, roots)
-    resid = float(np.max(np.abs(system.matrix @ pi - system.rhs)))
-    return _finalize_pi(pi, drift_pos=model.drift_pos, residual=resid)
+    return _finalize_pi(pi, _residual_max(system, pi))
 
 
 def determinant_identity(model: RiskModel, roots: RootSet,
                          system: InitSystem | None = None) -> tuple:
     """Both sides of the Vandermonde-style determinant identity.
 
-    lhs is the determinant of the matrix of `system` (built if None); rhs is
+    lhs is the paper's complex determinant, (-2i)^p det(A) for the p twin
+    pairs of `system` (built if None): a pair's rows (Re r, Im r) are
+    (r, conj r) times a 2 x 2 matrix of determinant i/2. rhs is
     (-1)^(m-1) f(-m)^m prod_j (alpha_j - 1) prod_{i<j} (alpha_j - alpha_i)
     with roots in system-row order. Returned for external comparison.
     """
@@ -453,7 +429,8 @@ def determinant_identity(model: RiskModel, roots: RootSet,
         raise NumericalError("determinant identity requires simple roots")
     m = model.max_drop
     system = system or build_system(model, roots)
-    lhs = complex(np.linalg.det(system.matrix))
+    p = len(system.twins)
+    lhs = complex(np.linalg.det(system.A) * 2.0 ** p * (-1j) ** (p % 4))
     alphas = roots.expanded()
     rhs = (-1.0) ** (m - 1) * model.f(-m) ** m
     for z in alphas:

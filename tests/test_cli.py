@@ -293,6 +293,30 @@ class TestUnallocatableTable:
         assert not out.exists()
 
 
+class TestUnwritableOutput:
+    # an output file in a directory that does not exist: open() raises
+    # FileNotFoundError, which main reports as an error line, exit 2
+    @pytest.mark.parametrize("args", [
+        ["solve", "ex1.json", "--out", "{bad}"],
+        ["solve", "ex1.json", "--out", "{ok}", "--dump-system", "{bad}"],
+        ["finite", "ex1.json", "--out", "{bad}"],
+        ["roots", "ex4_cap10.json", "--out", "{ok}", "--svg", "{bad}"],
+        ["simulate", "ex1.json", "--paths", "10", "--out", "{bad}"],
+        ["truncate", "ex4_cap10.json", "--out", "{bad}"],
+    ], ids=["solve_out", "solve_dump_system", "finite_out", "roots_svg",
+            "simulate_out", "truncate_out"])
+    def test_exits_2_without_a_traceback(self, tmp_path, capsys, args):
+        bad = tmp_path / "missing" / "out"
+        paths = {"{bad}": str(bad), "{ok}": str(tmp_path / "ok")}
+        argv = [paths.get(a, a) for a in args]
+        argv[1] = str(GOLDEN_DIR / argv[1])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(bad) in err
+        assert "Traceback" not in err
+
+
 class TestParameterRanges:
     def test_huge_lambda_exits_2(self, tmp_path):
         # 1e308 passes the parameter check; the span check refuses it
@@ -474,7 +498,7 @@ class TestTruncate:
                                      POIS1_POIS354_3_DOC],
                              ids=["ex4_cap10", "pois6_geom_cap30",
                                   "pois1_pois354_cap3"])
-    def test_emits_capped_model_and_bounds(self, tmp_path, capsys, doc):
+    def test_emits_capped_model_and_tail(self, tmp_path, capsys, doc):
         # the written laws sum to exactly 1.0, so they read back bit for bit
         model = write_model(tmp_path, doc)
         out = tmp_path / "capped.json"

@@ -9,6 +9,7 @@ import pytest
 
 import ruinwalk as rw
 from ruinwalk import initial_values as iv
+from ruinwalk.cli import _complex_form
 
 from conftest import (ROUTE_CASES, example3_double_root, make_example1,
                       make_example2, make_example3, make_example4,
@@ -107,14 +108,14 @@ def mp_closed_form(model: rw.RiskModel, roots: rw.RootSet) -> np.ndarray:
         return np.array([complex(t * dp) for t in tilde])
 
 
-def complex_refined_solve(sys_: rw.InitSystem) -> tuple:
-    """The linear route as it ran before the real form: complex GEPP on
-    the equilibrated matrix and refinement against complex exact-input
-    residuals (four integer products per entry), x kept as the exact sum
-    of the complex double corrections. Returns the real part of the
-    solution and the residual of that real part, both as the package
-    reports them."""
-    A, b = sys_.matrix, sys_.rhs
+def complex_refined_solve(A: np.ndarray, b: np.ndarray,
+                          entries: list) -> tuple:
+    """The linear route as it ran before the real form, on complex_system's
+    (matrix, rhs, entries): complex GEPP on the equilibrated matrix and
+    refinement against complex exact-input residuals (four integer
+    products per entry), x kept as the exact sum of the complex double
+    corrections. Returns the real part of the solution and the residual of
+    that real part, both as the package reports them."""
     rowmax = np.max(np.abs(A), axis=1)
     As = A / rowmax[:, None]
     colmax = np.max(np.abs(As), axis=0)
@@ -146,12 +147,12 @@ def complex_refined_solve(sys_: rw.InitSystem) -> tuple:
         return ([(p << e - eu) + (q << e - ev) for p, q in zip(ur, vr)],
                 [(p << e - eu) + (q << e - ev) for p, q in zip(ui, vi)], e)
 
-    tops = [max(max(er, ei) for _, er, _, ei in row) for row in sys_.entries]
+    tops = [max(max(er, ei) for _, er, _, ei in row) for row in entries]
 
     def residual(x):
         (xr, xi, ex), (br, bi, eb) = x, bx
         out = []
-        for row, E, pr, pi in zip(sys_.entries, tops, br, bi):
+        for row, E, pr, pi in zip(entries, tops, br, bi):
             sr = si = 0
             for (mr, er, mi, ei), vr, vi in zip(row, xr, xi):
                 sr += (mr * vr << E - er) - (mi * vi << E - ei)
@@ -243,6 +244,18 @@ def complex_real_form(matrix: np.ndarray, rhs: np.ndarray,
     return A, b, rows, twins
 
 
+def paper_rows(sys_: rw.InitSystem) -> list:
+    """The paper's complex rows read off the real form through its twins,
+    each entry as (mr, er, mi, ei): row j of a twin pair (j, k) takes the
+    real parts exact[j] and the imaginary parts exact[k], row k is its
+    conjugate, and a real row has zero imaginary parts."""
+    rows = [[(n, e, 0, 0) for n, e in row] for row in sys_.exact]
+    for j, k in sys_.twins:
+        rows[j] = [(*re, *im) for re, im in zip(sys_.exact[j], sys_.exact[k])]
+        rows[k] = [(n, e, -mi, ei) for n, e, mi, ei in rows[j]]
+    return rows
+
+
 def numpy_vector(v: np.ndarray) -> tuple:
     """`_vector` as it read numpy scalars, through the np.all wrapper."""
     if not np.all(np.isfinite(v)):
@@ -261,7 +274,8 @@ class TestBuildSystem:
         model = make_example3(p)
         roots = rw.unit_disk_roots(model)
         sys_ = rw.build_system(model, roots)
-        a = roots.roots[0]
+        assert roots.roots[0].imag == 0.0
+        a = roots.roots[0].real
         F, f = model.F, model.f
         expect = np.array([
             [F(-3) + a * F(-2) + a * a * F(-1),
@@ -273,10 +287,10 @@ class TestBuildSystem:
             [f(-1) + 2 * f(-2) + 3 * f(-3),
              f(-2) + 2 * f(-3),
              f(-3)],
-        ], dtype=complex)
-        np.testing.assert_allclose(sys_.matrix, expect, atol=1e-15)
-        np.testing.assert_allclose(sys_.rhs, [0, 0, model.drift_pos],
-                                   atol=0)
+        ])
+        np.testing.assert_allclose(sys_.A, expect, atol=1e-15)
+        np.testing.assert_allclose(sys_.b, [0, 0, model.drift_pos], atol=0)
+        assert sys_.twins == ()
         kinds = [k.kind for k in sys_.row_kinds]
         assert kinds == ["root", "derivative", "mean"]
         assert sys_.row_kinds[1].order == 1
@@ -302,8 +316,12 @@ class TestBuildSystem:
         for model, roots in cases:
             sys_ = rw.build_system(model, roots)
             ref = horner_rows(model, roots)
+            # the stored rows read through the twins: row j of a pair
+            # against the real parts, row k against the imaginary parts
+            entries = paper_rows(sys_)
+            matrix, _ = _complex_form(sys_)
             with mp.workdps(40):
-                for got_row, ref_row in zip(sys_.entries, ref, strict=True):
+                for got_row, ref_row in zip(entries, ref, strict=True):
                     for (mr, er, mi, ei), want in zip(got_row, ref_row,
                                                       strict=True):
                         got = mp.mpc(mp.ldexp(mp.mpf(mr), -er),
@@ -311,16 +329,15 @@ class TestBuildSystem:
                         assert abs(got - want) <= 1e-20 * abs(want)
             # each entry is held in at most 160 bits, and the stored matrix
             # is the rounding of the stored entries
-            for row, drow in zip(sys_.entries, sys_.matrix, strict=True):
-                for (mr, er, mi, ei), v in zip(row, drow, strict=True):
-                    assert max(abs(mr), abs(mi)).bit_length() <= 160
-                    assert v == complex(float(dyadic(mr, er)),
-                                        float(dyadic(mi, ei)))
+            for row, drow in zip(sys_.exact, sys_.A, strict=True):
+                for (n, e), v in zip(row, drow, strict=True):
+                    assert abs(n).bit_length() <= 160
+                    assert v == float(dyadic(n, e))
             if model.max_drop > 10:
                 continue
             # against the exact entries: the stored entry is their rounding
             # to 160 bits and the stored matrix their correct rounding
-            for row, drow, xrow in zip(sys_.entries, sys_.matrix,
+            for row, drow, xrow in zip(entries, matrix,
                                        exact_rows(model, roots), strict=True):
                 for (mr, er, mi, ei), v, (xr, xi) in zip(row, drow, xrow,
                                                          strict=True):
@@ -330,10 +347,10 @@ class TestBuildSystem:
 
     def test_matrix_is_the_bitwise_rounding_of_entries(self, ex1, ex2, ex3,
                                                        ex4):
-        # the complex view of the real form is each entry's own rounding
-        # bit for bit, the sign of a zero included: the pure imaginary pair
-        # makes zero imaginary parts in the row of -0.5j, whose last column
-        # is (-0.5j)^2 F(-3)
+        # the dump's complex form of the real form is each entry's own
+        # rounding bit for bit, the sign of a zero included: the pure
+        # imaginary pair makes zero imaginary parts in the row of -0.5j,
+        # whose last column is (-0.5j)^2 F(-3)
         cases = [(s.model, s.roots) for s in (ex1, ex2, *ex3.values(),
                                                *ex4.values())]
         imaginary_pair = rw.RootSet(roots=(0.5j, -0.5j),
@@ -349,11 +366,13 @@ class TestBuildSystem:
             want = np.array([[complex(iv._to_double(mr, er),
                                       iv._to_double(mi, ei))
                               for mr, er, mi, ei in row]
-                             for row in sys_.entries])
-            assert sys_.matrix.dtype == want.dtype
-            assert sys_.matrix.tobytes() == want.tobytes()
+                             for row in paper_rows(sys_)])
+            matrix, _ = _complex_form(sys_)
+            assert matrix.dtype == want.dtype
+            assert matrix.tobytes() == want.tobytes()
             if roots is imaginary_pair:
-                assert sys_.matrix[1, 2].imag == 0.0
+                assert matrix[1, 2].imag == 0.0
+                assert not np.signbit(matrix[1, 2].imag)
 
     @pytest.mark.parametrize("model, zs, mults", [
         (make_example3(0.5), (0.3, 0.5j), (1, 1)),
@@ -369,20 +388,21 @@ class TestBuildSystem:
 
     def test_real_form_bit_identical_to_complex_assembly(self, route_cases):
         # the stored real form is the one solve_linear derived from the
-        # complex system, and its complex views are that system
+        # complex system, and the dump's complex form is that system
         case, cases = route_cases
         assert len(cases) == ROUTE_CASES[case]
         for model, roots in cases:
             sys_ = rw.build_system(model, roots)
             matrix, rhs, entries = complex_system(model, roots)
             A, b, rows, twins = complex_real_form(matrix, rhs, entries)
-            for got, want in ((sys_.A, A), (sys_.b, b),
-                              (sys_.matrix, matrix), (sys_.rhs, rhs)):
+            dumped = _complex_form(sys_)
+            for got, want in ((sys_.A, A), (sys_.b, b), (dumped[0], matrix),
+                              (dumped[1], rhs)):
                 assert (got.dtype, got.shape) == (want.dtype, want.shape)
                 assert got.tobytes() == want.tobytes()
             assert [iv._common(*zip(*row)) for row in sys_.exact] == rows
             assert sys_.twins == tuple(twins)
-            assert sys_.entries == tuple(map(tuple, entries))
+            assert paper_rows(sys_) == entries
 
     def test_net_profit_guard(self):
         model = rw.build_model(rw.Pmf.point(1), rw.Pmf.point(1))
@@ -457,8 +477,8 @@ class TestSolveLinear:
                 assert dyadic(n, e) == Fraction(v)
         want = np.array([[0.1 + 0.3j, complex(2.0 ** -1074, 1e300)],
                          [0.1 - 0.3j, complex(2.0 ** -1074, -1e300)]])
-        assert sys_.matrix.tobytes() == want.tobytes()
-        for row, drow in zip(sys_.entries, want):
+        assert _complex_form(sys_)[0].tobytes() == want.tobytes()
+        for row, drow in zip(paper_rows(sys_), want):
             for (mr, er, mi, ei), v in zip(row, drow):
                 assert dyadic(mr, er) == Fraction(v.real)
                 assert dyadic(mi, ei) == Fraction(v.imag)
@@ -528,7 +548,8 @@ class TestSolveLinear:
         for model, roots in cases:
             sys_ = rw.build_system(model, roots)
             init = rw.solve_linear(sys_)
-            pi, residual = complex_refined_solve(sys_)
+            pi, residual = complex_refined_solve(
+                *complex_system(model, roots))
             assert np.array_equal(init.pi, pi)
             assert init.residual == residual
         multiple = sum(not roots.all_simple for _, roots in cases)
@@ -598,7 +619,7 @@ class TestClosedForm:
                                       "poisson_geometric", "random"])
     def test_bit_identical_to_mpmath_cascade(self, case, ex1, ex2):
         # the exact cascade rounds each pi once; the 60-digit reference
-        # lands on the same doubles, and so on the same residual
+        # lands on the same doubles, and so on the same exact residual
         if case == "goldens":
             models = [ex1.model, ex2.model]
         elif case == "example4_caps":
@@ -621,23 +642,56 @@ class TestClosedForm:
             closed = rw.solve_closed_form(model, roots, sys_)
             ref = mp_closed_form(model, roots)
             assert np.array_equal(closed.pi, ref.real)
-            assert closed.residual == float(
-                np.max(np.abs(sys_.matrix @ ref.real - sys_.rhs)))
+            assert closed.residual == iv._residual_max(sys_, ref.real)
             checked += 1
         assert checked >= {"goldens": 2, "example4_caps": 11,
                            "poisson_geometric": 3, "random": 200}[case]
 
     def test_rejects_roots_off_conjugate_pairs(self, ex2):
         # the lower root of ex2's pair moved by one ulp: not a conjugate
-        # pair, so there is no real factor to form
+        # pair, so there is no real factor to form, and build_system says so
         zs = list(ex2.roots.roots)
         k = next(i for i, z in enumerate(zs) if z.imag < 0)
         zs[k] = complex(zs[k].real, np.nextafter(zs[k].imag, 0.0))
         bent = rw.RootSet(roots=tuple(zs),
                           multiplicities=ex2.roots.multiplicities,
                           residuals=ex2.roots.residuals)
-        with pytest.raises(rw.NumericalError, match="conjugate pairs"):
+        with pytest.raises(rw.NumericalError, match="no conjugate"):
             rw.solve_closed_form(ex2.model, bent)
+
+    def test_rejects_a_short_root_set(self, ex2):
+        # Example 2 without its real root: a conjugate-closed set of total
+        # multiplicity 2 where 3 are needed, refused by build_system before
+        # the cascade reads past its coefficients
+        pair = [i for i, z in enumerate(ex2.roots.roots) if z.imag]
+        assert len(pair) == 2
+        short = rw.RootSet(
+            roots=tuple(ex2.roots.roots[i] for i in pair),
+            multiplicities=tuple(ex2.roots.multiplicities[i] for i in pair),
+            residuals=tuple(ex2.roots.residuals[i] for i in pair))
+        with pytest.raises(rw.ModelError,
+                           match="multiplicity 2, expected 3"):
+            rw.solve_closed_form(ex2.model, short)
+
+    def test_residual_is_the_linear_routes_where_pi_agrees(self,
+                                                           route_cases):
+        # both routes report the one exact residual: where the closed-form
+        # pi is solve_linear's bit for bit, so is the residual
+        case, cases = route_cases
+        same = 0
+        for model, roots in cases:
+            if not roots.all_simple:
+                continue
+            sys_ = rw.build_system(model, roots)
+            init = rw.solve_linear(sys_)
+            closed = rw.solve_closed_form(model, roots, sys_)
+            if closed.pi.tobytes() == init.pi.tobytes():
+                assert np.float64(closed.residual).tobytes() == \
+                    np.float64(init.residual).tobytes()
+                same += 1
+        # measured 3, 6, 0 and 71 such models
+        assert same >= {"goldens": 2, "example4_caps": 3,
+                        "poisson_geometric": 0, "random": 50}[case]
 
     def test_overflow_is_a_numerical_error(self):
         # f(-2) = 1e-310 and a hand-built root 0.5: pi_0 = 2e310 leaves

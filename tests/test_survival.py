@@ -192,8 +192,7 @@ class TestUltimate:
 
     def test_net_profit_guard(self):
         model = rw.build_model(rw.Pmf.point(1), rw.Pmf.point(1))
-        init = rw.InitialValues(pi=np.array([1.0]), drift_pos=0.0,
-                                residual=0.0)
+        init = rw.InitialValues(pi=np.array([1.0]), residual=0.0)
         with pytest.raises(rw.NetProfitError):
             rw.ultimate_survival(model, init, 5)
 
@@ -313,8 +312,7 @@ class TestDeflation:
         _, cases = deflation_cases
         for model, roots, _ in cases:
             table = rw.ultimate_survival(model, u_max=60, roots=roots)
-            own = rw.InitialValues(pi=table.q, drift_pos=-model.drift,
-                                   residual=0.0)
+            own = rw.InitialValues(pi=table.q, residual=0.0)
             assert rw.xi_coeffs(model, own, 60, roots).tobytes() == \
                 table.phis[1:61].tobytes()
 
@@ -331,8 +329,7 @@ class TestDeflation:
             i = m - 1
             pi = table.q.copy()
             pi[i] += 1e-3
-            moved = rw.InitialValues(pi=pi, drift_pos=-model.drift,
-                                     residual=0.0)
+            moved = rw.InitialValues(pi=pi, residual=0.0)
             kappa = math.fsum(pi * cdf) / top
             assert kappa == pytest.approx(
                 (top + (pi[i] - table.q[i]) * cdf[i]) / top, rel=2**-52)
