@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -68,33 +68,26 @@ def _model_lines(cfg: ModelConfig, model: RiskModel) -> list:
             f"max drop = {model.max_drop}, drift = {model.drift:.12g}"]
 
 
-@dataclass(frozen=True)
-class RunReport:
+def _report(cfg: ModelConfig, model: RiskModel, roots: RootSet,
+            table: SurvivalTable) -> str:
     """Everything a solve run produced, rendered for humans."""
-
-    cfg: ModelConfig
-    model: RiskModel
-    roots: RootSet
-    table: SurvivalTable
-
-    def render(self) -> str:
-        lines = _model_lines(self.cfg, self.model)
-        if self.roots.roots:
-            lines.append("unit-disk roots:")
-            for z, r, res, floor in zip(
-                    self.roots.roots, self.roots.multiplicities,
-                    self.roots.residuals, self.roots.floors, strict=True):
-                mult = f" (multiplicity {r})" if r > 1 else ""
-                lines.append(f"  {z.real:+.9f}{z.imag:+.9f}i{mult}, "
-                             f"residual {res:.2e} (noise floor {floor:.2e})")
-        else:
-            lines.append("unit-disk roots: none (max drop 1)")
-        lines.append("pi: " + ", ".join(f"{p:.9g}" for p in self.table.q))
-        shown = self.table.phis[: min(len(self.table.phis), 12)]
-        lines.append("phi: " + ", ".join(f"{x:.3f}" for x in shown)
-                     + (", ..." if self.table.u_max + 1 > len(shown) else ""))
-        lines.append(f"recurrence residual: {self.table.residual:.2e}")
-        return "\n".join(lines)
+    lines = _model_lines(cfg, model)
+    if roots.roots:
+        lines.append("unit-disk roots:")
+        for z, r, res, floor in zip(roots.roots, roots.multiplicities,
+                                    roots.residuals, roots.floors,
+                                    strict=True):
+            mult = f" (multiplicity {r})" if r > 1 else ""
+            lines.append(f"  {z.real:+.9f}{z.imag:+.9f}i{mult}, "
+                         f"residual {res:.2e} (noise floor {floor:.2e})")
+    else:
+        lines.append("unit-disk roots: none (max drop 1)")
+    lines.append("pi: " + ", ".join(f"{p:.9g}" for p in table.q))
+    shown = table.phis[: min(len(table.phis), 12)]
+    lines.append("phi: " + ", ".join(f"{x:.3f}" for x in shown)
+                 + (", ..." if table.u_max + 1 > len(shown) else ""))
+    lines.append(f"recurrence residual: {table.residual:.2e}")
+    return "\n".join(lines)
 
 
 def _out_path(args, suffix: str) -> str:
@@ -137,7 +130,7 @@ def _cmd_solve(args) -> int:
                                     for v in (z.real, z.imag)]) + "\n"
             for kind, row, b in zip(sysm.row_kinds, matrix.tolist(),
                                     rhs.tolist())))
-    print(RunReport(cfg=cfg, model=model, roots=roots, table=table).render())
+    print(_report(cfg, model, roots, table))
     if args.verify:
         print(_verification_block(model, roots, sysm, table))
     print(f"wrote {path}")
@@ -147,8 +140,8 @@ def _cmd_solve(args) -> int:
 def _verification_block(model, roots, sysm, table) -> str:
     """The paper's routes against the ladder table. A route that fails is
     reported as a line, not by the exit code: the table has its own checks."""
-    from .initial_values import determinant_identity, solve_closed_form, \
-        solve_linear
+    from .initial_values import determinant_identity, log10_abs_det, \
+        solve_closed_form, solve_linear
     lines = ["verification:"]
 
     def attempt(route: str, fn, *args):
@@ -169,10 +162,9 @@ def _verification_block(model, roots, sysm, table) -> str:
         lhs, rhs = determinant_identity(model, roots, sysm)
         found = f"relative gap {abs(lhs - rhs) / max(abs(rhs), 1e-300):.2e}"
         if min(abs(lhs), abs(rhs)) < np.finfo(float).tiny:
-            # underflowed sides compare as 0; slogdet still places det,
-            # 2^p |det A| for p twin pairs
-            ld = np.linalg.slogdet(sysm.A)[1] + len(sysm.twins) * np.log(2)
-            found = f"out of double range (log10|det| = {ld / np.log(10):.1f})"
+            # underflowed sides compare as 0; slogdet still places det
+            found = ("out of double range "
+                     f"(log10|det| = {log10_abs_det(sysm):.1f})")
         lines.append(f"  determinant identity: {found}")
     else:
         lines.append("  closed form skipped (multiple roots)")

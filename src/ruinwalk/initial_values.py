@@ -10,11 +10,14 @@ the imaginary part of the first. Two independent routes are provided: a
 LAPACK solve of the real form, refined against exact residuals (the
 paper's route), and the closed-form cascade over elementary symmetric
 polynomials of the roots (the verification path). Both report the same
-exact residual of their pi.
+exact residual of their pi. A system passed to the closed form or the
+determinant identity must be the one built from their roots.
 
 Both routes run in integer arithmetic: every input, the double roots and
 the double cdf and pmf values, is an exact dyadic rational n / 2**e, so
-each system entry and each closed-form pi is exact and rounded once.
+each system entry and each closed-form pi is exact and rounded once. Each
+row is stored once, as integers over one power of two, the form that
+every exact residual reads.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ class RowKind:
 
 @dataclass(frozen=True)
 class InitSystem:
-    """The system in its real form, the one form stored.
+    """The system in its real form, the one form stored; build_system
+    makes it.
 
     A and b are the real matrix and right-hand side. A real row is the
     paper's row. Each (j, k) in twins is a conjugate pair of the paper's
@@ -61,27 +65,21 @@ class InitSystem:
     The paper's complex form is thus A[j] + i A[k] in row j and
     A[j] - i A[k] in row k; only the CLI's --dump-system writes it.
 
-    exact holds each entry of A as (n, e), the value n / 2**e with
-    |n| < 2**_BITS. build_system computes every entry exactly from the
-    double roots and cdf values and rounds it once, to odd, so A holds the
-    correctly rounded double of each exact entry. Iterative refinement
-    runs against residuals from exact: the columns scale like
-    f(-m) alpha^(m-1), so the trailing solution components amplify even
-    the entry rounding of A by 1/f(-m)-sized factors, and agreement
-    between the two solution routes is only achievable against
-    exact-input residuals. A system given by A alone takes those doubles
-    as its exact entries."""
+    exact holds each row of A as (ns, e): entry j is ns[j] / 2**e.
+    build_system computes every entry exactly from the double roots and
+    cdf values and rounds it once, to odd, to _BITS mantissa bits, so A
+    holds the correctly rounded double of each exact entry; each row is
+    then put over one power of two. Iterative refinement runs against
+    residuals from exact: the columns scale like f(-m) alpha^(m-1), so
+    the trailing solution components amplify even the entry rounding of A
+    by 1/f(-m)-sized factors, and agreement between the two solution
+    routes is only achievable against exact-input residuals."""
 
     A: np.ndarray
     b: np.ndarray
     row_kinds: tuple
-    exact: tuple = None
-    twins: tuple = ()
-
-    def __post_init__(self):
-        if self.exact is None:
-            object.__setattr__(self, "exact", tuple(
-                tuple(map(_exact, row)) for row in self.A.tolist()))
+    exact: tuple
+    twins: tuple
 
     @property
     def size(self) -> int:
@@ -106,12 +104,18 @@ def _exact(v: float) -> tuple:
     return n, d.bit_length() - 1
 
 
+def _align(pairs) -> tuple:
+    """Values n / 2**k, given as (n, k) pairs, as integers over one power
+    of two: (ns, e) with ns[j] / 2**e the j-th value."""
+    pairs = list(pairs)
+    e = max((k for _, k in pairs), default=0)
+    return [n << (e - k) for n, k in pairs], e
+
+
 def _over(values) -> tuple:
     """Doubles as integers over one power of two: (ns, e) with
     values[k] == ns[k] / 2**e."""
-    pairs = [_exact(v) for v in values]
-    e = max((k for _, k in pairs), default=0)
-    return [n << (e - k) for n, k in pairs], e
+    return _align(map(_exact, values))
 
 
 def _to_double(n: int, e: int) -> float:
@@ -190,6 +194,14 @@ def _root_rows(z: complex, mult: int, N: list, g: int) -> list:
     return re, im
 
 
+def _row_kinds(roots: RootSet) -> tuple:
+    """The kinds of the rows of the system of roots, in row order: per
+    root its root row and derivative orders 1..mult-1, then the mean row."""
+    return tuple(RowKind("derivative", z, n) if n else RowKind("root", z)
+                 for z, mult in zip(roots.roots, roots.multiplicities)
+                 for n in range(mult)) + (RowKind("mean"),)
+
+
 def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
     """Assemble the m x m initial-value system for the model's step pmf,
     in real form.
@@ -209,34 +221,32 @@ def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
         raise ModelError(
             f"root set carries multiplicity {roots.total_multiplicity}, "
             f"expected {m - 1}")
-    kinds, exact, twins = [], [], []
+    kinds = _row_kinds(roots)
+    rows, twins = [], []
     # row entries of tiny-modulus roots cancel almost completely; they are
     # exact here and rounded once, so the fixed-precision factorization
     # sees the true row
     N, g = _over(model.F(np.arange(-m, 0)).tolist())
     waiting = {}    # (conj(z), mult) -> [(first row, imaginary parts)]
     for z, mult in zip(roots.roots, roots.multiplicities):
-        kinds += [RowKind("root", z)] + [RowKind("derivative", z, n)
-                                         for n in range(1, mult)]
         z = complex(z)
         firsts = waiting.get((z, mult))
         if firsts:
             j, im = firsts.pop()
             twins += zip(range(j, j + mult),
-                         range(len(exact), len(exact) + mult))
-            exact += im
+                         range(len(rows), len(rows) + mult))
+            rows += im
             continue
         re, im = _root_rows(z, mult, N, g)
         if z.imag:
             waiting.setdefault((z.conjugate(), mult), []).append(
-                (len(exact), im))
-        exact += re
+                (len(rows), im))
+        rows += re
     lone = [j for firsts in waiting.values() for j, _ in firsts]
     if lone:
-        kind = kinds[min(lone)]
         raise NumericalError(
-            f"root {kind.root} of the root set has no conjugate of the same "
-            "multiplicity")
+            f"root {kinds[min(lone)].root} of the root set has no conjugate "
+            "of the same multiplicity")
     # entry i is sum_{j>i} (j - i) f(-j), over 2**h: a running sum of the
     # running tail sum_{j>i} f(-j), from i = m - 1 down
     fn, h = _over(model.f(-j) for j in range(1, m + 1))
@@ -246,14 +256,26 @@ def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
         tail += fn[i]
         acc += tail
         mean[i] = _round(acc, h)
-    exact.append(mean)
-    kinds.append(RowKind("mean"))
+    rows.append(mean)
     b = np.zeros(m)
     b[m - 1] = model.drift_pos
     return InitSystem(
-        A=np.array([[_to_double(n, e) for n, e in row] for row in exact]),
-        b=b, row_kinds=tuple(kinds), exact=tuple(map(tuple, exact)),
+        A=np.array([[_to_double(n, e) for n, e in row] for row in rows]),
+        b=b, row_kinds=kinds, exact=tuple(map(_align, rows)),
         twins=tuple(twins))
+
+
+def _system_of(model: RiskModel, roots: RootSet,
+               system: InitSystem | None) -> InitSystem:
+    """The system of roots: build_system's if `system` is None. A given
+    system must have been built from them: its row kinds, roots and
+    derivative orders in row order, are theirs, else ModelError."""
+    if system is None:
+        return build_system(model, roots)
+    if system.row_kinds != _row_kinds(roots):
+        raise ModelError("the system was built from other roots than the "
+                         "root set given")
+    return system
 
 
 def _finalize_pi(pi: np.ndarray, residual: float) -> InitialValues:
@@ -264,13 +286,6 @@ def _finalize_pi(pi: np.ndarray, residual: float) -> InitialValues:
         raise NumericalError(
             f"initial probabilities sum to {math.fsum(pi)!r} > 1 + 1e-9")
     return InitialValues(pi=pi, residual=residual)
-
-
-def _common(ns: tuple, es: tuple) -> tuple:
-    """Entries ns[i] / 2**es[i] over one power of two: (E, ns') with
-    ns'[i] / 2**E equal to entry i."""
-    E = max(es)
-    return E, [n << E - e for n, e in zip(ns, es)]
 
 
 def _vector(v: np.ndarray) -> tuple:
@@ -288,26 +303,24 @@ def _add(u: tuple, v: tuple) -> tuple:
     return [(p << e - eu) + (q << e - ev) for p, q in zip(us, vs)], e
 
 
-def _residual(rows: list, b: tuple, x: tuple) -> np.ndarray:
-    """b - A x over the exact entries of A (its rows in _common's form),
-    each component summed exactly and rounded once to double; b and x are
-    of _vector's form."""
+def _residual(rows: tuple, b: tuple, x: tuple) -> np.ndarray:
+    """b - A x over the exact rows of A (InitSystem.exact), each component
+    summed exactly and rounded once to double; b and x are of _vector's
+    form."""
     (xs, ex), (bs, eb) = x, b
     out = []
-    for (E, ns), p in zip(rows, bs):
-        d = max(E + ex, eb)
+    for (ns, e), p in zip(rows, bs):
+        d = max(e + ex, eb)
         s = sum(map(operator.mul, ns, xs))
-        out.append(_to_double((p << d - eb) - (s << d - E - ex), d))
+        out.append(_to_double((p << d - eb) - (s << d - e - ex), d))
     return np.array(out)
 
 
-def _residual_max(sys: InitSystem, pi: np.ndarray,
-                  rows: list | None = None) -> float:
+def _residual_max(sys: InitSystem, pi: np.ndarray) -> float:
     """The largest modulus of the paper's complex residual b - A pi over
-    the exact entries, a conjugate pair's being the modulus of its two real
-    ones. rows are those of sys.exact in _common's form (formed if None)."""
-    rows = rows or [_common(*zip(*row)) for row in sys.exact]
-    r = _residual(rows, _vector(sys.b), _vector(pi)).astype(complex)
+    the exact rows, a conjugate pair's being the modulus of its two real
+    ones."""
+    r = _residual(sys.exact, _vector(sys.b), _vector(pi)).astype(complex)
     for j, k in sys.twins:
         r[j] = r[k] = complex(r[j].real, r[k].real)
     return float(np.max(np.abs(r)))
@@ -331,7 +344,6 @@ def solve_linear(sys: InitSystem) -> InitialValues:
     inverse reaches 1 / SINGULAR_TOL.
     """
     A, b = sys.A, sys.b
-    rows = [_common(*zip(*row)) for row in sys.exact]
     rowmax = np.max(np.abs(A), axis=1)
     if np.any(rowmax == 0.0):
         dead = int(np.argmin(rowmax))
@@ -363,10 +375,10 @@ def solve_linear(sys: InitSystem) -> InitialValues:
     bx = _vector(b)
     xs = _vector(scaled_solve(b))
     for _ in range(_REFINE_STEPS + 1):
-        xs = _add(xs, _vector(scaled_solve(_residual(rows, bx, xs))))
+        xs = _add(xs, _vector(scaled_solve(_residual(sys.exact, bx, xs))))
     ns, ex = xs
     pi = np.array([_to_double(n, ex) for n in ns])
-    return _finalize_pi(pi, _residual_max(sys, pi, rows))
+    return _finalize_pi(pi, _residual_max(sys, pi))
 
 
 def solve_closed_form(model: RiskModel, roots: RootSet,
@@ -380,14 +392,14 @@ def solve_closed_form(model: RiskModel, roots: RootSet,
     alpha_j = Z_j / 2**e, F(-m+j) = N_j / 2**g and c_k = 2**(ek) times the
     t^k coefficient of prod(t - Z_j), pi~_k = 2**g S_k / (N_0^(k+1) sum(c))
     where S_k = c_k N_0^k - sum_{i<k} S_i N_{k-i} N_0^(k-1-i), and each
-    pi_k is rounded once. Its residual is solve_linear's, against `system`
-    (built first if None: build_system checks the root set, conjugates
-    included)."""
+    pi_k is rounded once. Its residual is solve_linear's, against the
+    system of the roots (see _system_of; build_system checks the root set,
+    conjugates included)."""
     if not roots.all_simple:
         raise NumericalError(
             "closed form requires simple roots; use solve_linear for "
             "models with multiple roots")
-    system = system or build_system(model, roots)
+    system = _system_of(model, roots, system)
     zs = roots.roots
     # prod(t - Z_j), ascending, from one real factor per real root or pair
     ns, e = _over([v for z in zs if z.imag >= 0 for v in (z.real, z.imag)])
@@ -420,15 +432,16 @@ def determinant_identity(model: RiskModel, roots: RootSet,
     """Both sides of the Vandermonde-style determinant identity.
 
     lhs is the paper's complex determinant, (-2i)^p det(A) for the p twin
-    pairs of `system` (built if None): a pair's rows (Re r, Im r) are
-    (r, conj r) times a 2 x 2 matrix of determinant i/2. rhs is
-    (-1)^(m-1) f(-m)^m prod_j (alpha_j - 1) prod_{i<j} (alpha_j - alpha_i)
-    with roots in system-row order. Returned for external comparison.
+    pairs of the system of the roots (see _system_of): a pair's rows
+    (Re r, Im r) are (r, conj r) times a 2 x 2 matrix of determinant i/2.
+    rhs is (-1)^(m-1) f(-m)^m prod_j (alpha_j - 1)
+    prod_{i<j} (alpha_j - alpha_i) with roots in system-row order.
+    Returned for external comparison.
     """
     if not roots.all_simple:
         raise NumericalError("determinant identity requires simple roots")
     m = model.max_drop
-    system = system or build_system(model, roots)
+    system = _system_of(model, roots, system)
     p = len(system.twins)
     lhs = complex(np.linalg.det(system.A) * 2.0 ** p * (-1j) ** (p % 4))
     alphas = roots.expanded()
@@ -439,3 +452,11 @@ def determinant_identity(model: RiskModel, roots: RootSet,
         for j in range(i + 1, len(alphas)):
             rhs *= alphas[j] - alphas[i]
     return lhs, complex(rhs)
+
+
+def log10_abs_det(system: InitSystem) -> float:
+    """log10 of the modulus of the paper's complex determinant,
+    |(-2i)^p det(A)| = 2^p |det(A)| as determinant_identity's lhs reads it,
+    from slogdet: finite where det(A) leaves the double range."""
+    return float((np.linalg.slogdet(system.A)[1]
+                  + len(system.twins) * np.log(2)) / np.log(10))

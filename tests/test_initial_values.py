@@ -222,7 +222,8 @@ def complex_real_form(matrix: np.ndarray, rhs: np.ndarray,
     """The real form as solve_linear derived it from the complex system,
     by finding each non-real row's exact conjugate twin. Returns (A, b,
     rows, twins): the real doubles and right-hand side, each row's exact
-    entries in _common's form, and the (first, twin) index pairs."""
+    entries over one power of two as InitSystem stores them, and the
+    (first, twin) index pairs."""
     A, b = matrix.real.copy(), rhs.real.copy()
     rows, twins, waiting = [], [], {}
     for k, (row, z) in enumerate(zip(entries, rhs)):
@@ -233,13 +234,13 @@ def complex_real_form(matrix: np.ndarray, rhs: np.ndarray,
         if first:
             j, mj, ej = first.pop()
             twins.append((j, k))
-            rows.append(iv._common(mj, ej))
+            rows.append(iv._align(zip(mj, ej)))
             A[k], b[k] = matrix[j].imag, rhs[j].imag
             continue
         if not real:
             waiting.setdefault((mr, er, tuple(-n for n in mi), ei,
                                 z.conjugate()), []).append((k, mi, ei))
-        rows.append(iv._common(mr, er))
+        rows.append(iv._align(zip(mr, er)))
     assert not any(waiting.values())
     return A, b, rows, twins
 
@@ -249,11 +250,35 @@ def paper_rows(sys_: rw.InitSystem) -> list:
     each entry as (mr, er, mi, ei): row j of a twin pair (j, k) takes the
     real parts exact[j] and the imaginary parts exact[k], row k is its
     conjugate, and a real row has zero imaginary parts."""
-    rows = [[(n, e, 0, 0) for n, e in row] for row in sys_.exact]
+    rows = [[(n, e, 0, 0) for n in ns] for ns, e in sys_.exact]
     for j, k in sys_.twins:
-        rows[j] = [(*re, *im) for re, im in zip(sys_.exact[j], sys_.exact[k])]
-        rows[k] = [(n, e, -mi, ei) for n, e, mi, ei in rows[j]]
+        (rs, er), (is_, ei) = sys_.exact[j], sys_.exact[k]
+        rows[j] = [(mr, er, mi, ei) for mr, mi in zip(rs, is_)]
+        rows[k] = [(mr, er, -mi, ei) for mr, er, mi, ei in rows[j]]
     return rows
+
+
+def aligned(row: list) -> list:
+    """A complex row of (mr, er, mi, ei) entries with its real parts and
+    its imaginary parts each put over one power of two, as paper_rows
+    reads the stored rows."""
+    (rs, er), (is_, ei) = (iv._align((n, e) for n, e, *_ in row),
+                           iv._align((n, e) for *_, n, e in row))
+    return [(mr, er, mi, ei) for mr, mi in zip(rs, is_)]
+
+
+def system_of_doubles(A, b, row_kinds: tuple,
+                      twins: tuple = ()) -> rw.InitSystem:
+    """A hand-made system whose exact rows are the doubles of A."""
+    A = np.array(A, dtype=float)
+    return rw.InitSystem(A=A, b=np.array(b, dtype=float),
+                         row_kinds=row_kinds,
+                         exact=tuple(map(iv._over, A.tolist())), twins=twins)
+
+
+def mantissa_bits(n: int) -> int:
+    """Bits of the odd part of n: the mantissa n / 2**e is held in."""
+    return abs(n).bit_length() - (n & -n).bit_length() + 1 if n else 0
 
 
 def numpy_vector(v: np.ndarray) -> tuple:
@@ -327,11 +352,12 @@ class TestBuildSystem:
                         got = mp.mpc(mp.ldexp(mp.mpf(mr), -er),
                                      mp.ldexp(mp.mpf(mi), -ei))
                         assert abs(got - want) <= 1e-20 * abs(want)
-            # each entry is held in at most 160 bits, and the stored matrix
-            # is the rounding of the stored entries
-            for row, drow in zip(sys_.exact, sys_.A, strict=True):
-                for (n, e), v in zip(row, drow, strict=True):
-                    assert abs(n).bit_length() <= 160
+            # each entry's mantissa, the odd part of its numerator over the
+            # row's power of two, is held in at most 160 bits, and the
+            # stored matrix is the rounding of the stored entries
+            for (ns, e), drow in zip(sys_.exact, sys_.A, strict=True):
+                for n, v in zip(ns, drow, strict=True):
+                    assert mantissa_bits(n) <= 160
                     assert v == float(dyadic(n, e))
             if model.max_drop > 10:
                 continue
@@ -400,9 +426,9 @@ class TestBuildSystem:
                               (dumped[1], rhs)):
                 assert (got.dtype, got.shape) == (want.dtype, want.shape)
                 assert got.tobytes() == want.tobytes()
-            assert [iv._common(*zip(*row)) for row in sys_.exact] == rows
+            assert list(sys_.exact) == rows
             assert sys_.twins == tuple(twins)
-            assert paper_rows(sys_) == entries
+            assert paper_rows(sys_) == [aligned(row) for row in entries]
 
     def test_net_profit_guard(self):
         model = rw.build_model(rw.Pmf.point(1), rw.Pmf.point(1))
@@ -458,22 +484,21 @@ class TestSolveLinear:
         assert ex1.init.pi[0] == pytest.approx(2 - math.sqrt(2), abs=1e-12)
 
     def test_identity_system(self):
-        sys_ = rw.InitSystem(A=np.eye(3), b=np.array([1.0, 0, 0]),
-                             row_kinds=(rw.RowKind("mean"),) * 3)
+        sys_ = system_of_doubles(np.eye(3), [1.0, 0, 0],
+                                 (rw.RowKind("mean"),) * 3)
         init = rw.solve_linear(sys_)
         np.testing.assert_allclose(init.pi, [1.0, 0, 0], atol=0)
         assert init.residual == 0.0
 
     def test_double_matrix_gives_the_exact_entries(self):
-        # a system given by doubles alone refines against those doubles;
-        # its one conjugate pair is the paper's rows (0.1 + 0.3j,
-        # 2^-1074 + 1e300 j) and their conjugates
+        # a system made from doubles alone (the test helper) refines
+        # against those doubles; its one conjugate pair is the paper's rows
+        # (0.1 + 0.3j, 2^-1074 + 1e300 j) and their conjugates
         A = np.array([[0.1, 2.0 ** -1074], [0.3, 1e300]])
-        sys_ = rw.InitSystem(A=A, b=np.array([1.0, 0]),
-                             row_kinds=(rw.RowKind("mean"),) * 2,
-                             twins=((0, 1),))
-        for row, drow in zip(sys_.exact, A):
-            for (n, e), v in zip(row, drow):
+        sys_ = system_of_doubles(A, [1.0, 0], (rw.RowKind("mean"),) * 2,
+                                 twins=((0, 1),))
+        for (ns, e), drow in zip(sys_.exact, A):
+            for n, v in zip(ns, drow):
                 assert dyadic(n, e) == Fraction(v)
         want = np.array([[0.1 + 0.3j, complex(2.0 ** -1074, 1e300)],
                          [0.1 - 0.3j, complex(2.0 ** -1074, -1e300)]])
@@ -486,8 +511,7 @@ class TestSolveLinear:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_solve_raises(self):
         # rhs / rowmax overflows: a typed error, not a failed conversion
-        sys_ = rw.InitSystem(A=np.array([[1e-300]]), b=np.array([1e300]),
-                             row_kinds=(rw.RowKind("mean"),))
+        sys_ = system_of_doubles([[1e-300]], [1e300], (rw.RowKind("mean"),))
         with pytest.raises(rw.NumericalError, match="non-finite"):
             rw.solve_linear(sys_)
 
@@ -525,8 +549,7 @@ class TestSolveLinear:
     ], ids=["zero_row", "zero_column"])
     def test_zero_row_or_column_is_singular(self, matrix, message):
         kinds = (rw.RowKind("root", 0.5), rw.RowKind("mean"))
-        sys_ = rw.InitSystem(A=np.array(matrix, dtype=float),
-                             b=np.array([0, 1.0]), row_kinds=kinds)
+        sys_ = system_of_doubles(matrix, [0, 1.0], kinds)
         with pytest.raises(rw.SystemSingularError, match=message) as exc:
             rw.solve_linear(sys_)
         assert exc.value.row_kinds == list(kinds)
@@ -535,8 +558,7 @@ class TestSolveLinear:
         # not exactly singular, so LAPACK inverts it; the inverse's row
         # sums, about 2e15, are past 1 / SINGULAR_TOL
         kinds = (rw.RowKind("root", 0.5), rw.RowKind("mean"))
-        sys_ = rw.InitSystem(A=np.array([[1, 1], [1, 1 + 1e-15]]),
-                             b=np.array([0, 1.0]), row_kinds=kinds)
+        sys_ = system_of_doubles([[1, 1], [1, 1 + 1e-15]], [0, 1.0], kinds)
         with pytest.raises(rw.SystemSingularError) as exc:
             rw.solve_linear(sys_)
         assert exc.value.row_kinds == list(kinds)
@@ -567,12 +589,12 @@ class TestSolveLinear:
         for model, roots in cases:
             sys_ = rw.build_system(model, roots)
             mean = quadratic_mean_row(model)
-            assert sys_.exact[-1] == tuple(mean)
+            assert sys_.exact[-1] == iv._align(mean)
             ref = rw.InitSystem(
                 A=np.vstack([sys_.A[:-1],
                              [iv._to_double(n, e) for n, e in mean]]),
                 b=sys_.b, row_kinds=sys_.row_kinds,
-                exact=sys_.exact[:-1] + (tuple(mean),), twins=sys_.twins)
+                exact=sys_.exact[:-1] + (iv._align(mean),), twins=sys_.twins)
             assert sys_.A.tobytes() == ref.A.tobytes()
             got.append((ref, rw.solve_linear(sys_)))
         monkeypatch.setattr(iv, "_vector", numpy_vector)
@@ -672,6 +694,34 @@ class TestClosedForm:
         with pytest.raises(rw.ModelError,
                            match="multiplicity 2, expected 3"):
             rw.solve_closed_form(ex2.model, short)
+
+    @pytest.mark.parametrize("other", ["conjugate_pair_only",
+                                       "real_root_moved"])
+    @pytest.mark.parametrize("route", [rw.solve_closed_form,
+                                       rw.determinant_identity],
+                             ids=["closed_form", "determinant_identity"])
+    def test_rejects_a_system_of_other_roots(self, ex2, route, other):
+        # Example 2's system with a root set it was not built from: its
+        # conjugate pair alone (the cascade read past its coefficients and
+        # the identity gave a wrong pair), or its real root one ulp off
+        full = rw.build_system(ex2.model, ex2.roots)
+        zs = ex2.roots.roots
+        if other == "conjugate_pair_only":
+            keep = [i for i, z in enumerate(zs) if z.imag]
+            zs = tuple(zs[i] for i in keep)
+        else:
+            keep = range(len(zs))
+            zs = tuple(complex(np.nextafter(z.real, 1.0), 0.0)
+                       if not z.imag else z for z in zs)
+            assert zs != ex2.roots.roots
+        roots = rw.RootSet(
+            roots=zs,
+            multiplicities=tuple(ex2.roots.multiplicities[i] for i in keep),
+            residuals=tuple(ex2.roots.residuals[i] for i in keep))
+        with pytest.raises(rw.ModelError, match="other roots"):
+            route(ex2.model, roots, full)
+        # the system of the very roots passes
+        route(ex2.model, ex2.roots, full)
 
     def test_residual_is_the_linear_routes_where_pi_agrees(self,
                                                            route_cases):

@@ -92,6 +92,22 @@ def ultimate_full_length(model, u_max, roots) -> tuple:
     return phi, psi[:m] - psi[1 : m + 1], residual
 
 
+def example4_lundberg_root(m: int):
+    """Example 4's Lundberg root R > 1 at 50 digits, from the exact laws:
+    the root near 1.01 of exp(s - 1) G(1/s) = 1, with exp(s - 1) the
+    uncut Poisson(1) claim pgf and G the pgf of the exact Poisson(1.01)
+    law capped at m (its mass past m - 1 on m). No weight passes through
+    a double, so the stored step law's rounding is not taken for exact."""
+    with mp.workdps(50):
+        lam = mp.mpf("1.01")
+        w = [mp.exp(-lam) * lam ** k / mp.factorial(k) for k in range(m)]
+        w.append(1 - mp.fsum(w))
+        return mp.findroot(
+            lambda s: mp.exp(s - 1) * mp.fsum(
+                x * s ** -k for k, x in enumerate(w)) - 1,
+            (mp.mpf("1.005"), mp.mpf("1.05")), solver="anderson")
+
+
 def first_zero(h, n):
     """The first u <= n with psi(u) = 0.0 exactly, or None."""
     zeros = np.flatnonzero(ladder_tail_every_block(h, n) == 0.0)
@@ -258,6 +274,23 @@ class TestRuinTail:
                 tail *= r
                 ref.append(float(1 - tail))
         np.testing.assert_allclose(table.phis[1:], ref, rtol=0, atol=1.2e-16)
+
+    @pytest.mark.parametrize("cap", [10, 15])
+    def test_lundberg_root_against_mpmath(self, cap):
+        # psi(u) ~ C R^(-u), so an error dR in the ladder factor's root
+        # costs about u dR / R relative in psi(u); the root of the double
+        # coefficients is found at 50 digits, so only the factor's own
+        # error is measured: 7.7e-17 at cap 10 and 1.8e-16 at cap 15
+        model = make_example4(cap).build()
+        a = survival._ladder_factor(model, rw.unit_disk_roots(model))
+        ref = example4_lundberg_root(model.m)
+        with mp.workdps(50):
+            coeffs = [mp.mpf(float(x)) for x in a[::-1]]
+            got = mp.findroot(lambda s: mp.polyval(coeffs, s),
+                              (mp.mpf("1.005"), mp.mpf("1.05")),
+                              solver="anderson")
+            assert 1.005 < ref < 1.05
+            assert abs(got - ref) <= 1e-15 * ref
 
     @pytest.mark.parametrize("name", GOLDENS)
     def test_goldens_never_exceed_one(self, name):
