@@ -42,7 +42,6 @@ from .survival import (
     ultimate_survival,
     xi_coeffs,
 )
-from .oracle import SimConfig, SimResult, enumerate_finite, simulate
 
 __version__ = "0.1.0"
 
@@ -62,9 +61,17 @@ __all__ = [
 ]
 
 
+_ORACLE = ("SimConfig", "SimResult", "enumerate_finite", "simulate")
+
+
 def __getattr__(name: str):
-    """Names of __all__ not bound above: initial_values, loaded on use."""
-    if name in __all__:
-        from . import initial_values
-        return getattr(initial_values, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """Names of __all__ not bound above, loaded on first use: the
+    oracle's from oracle, the others from initial_values."""
+    if name in _ORACLE:
+        from . import oracle as module
+    elif name in __all__:
+        from . import initial_values as module
+    else:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

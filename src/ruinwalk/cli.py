@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .errors import ModelError, NumericalError, ResourceError
 from .model import ModelConfig, Pmf, RiskModel, load_model_config
-from .oracle import SimConfig, simulate
 from .pgf import RootSet, unit_disk_roots
 from .survival import SurvivalTable, finite_grid, ultimate_survival
 
@@ -248,6 +247,7 @@ def _write_root_svg(path: str, roots: RootSet) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    from .oracle import SimConfig, simulate
     model = load_model_config(args.model).build()
     res = simulate(model, SimConfig(n_paths=args.paths, horizon_T=args.horizon,
                                     seed=args.seed, u_values=args.u))

@@ -67,13 +67,14 @@ class InitSystem:
 
     exact holds each row of A as (ns, e): entry j is ns[j] / 2**e.
     build_system computes every entry exactly from the double roots and
-    cdf values and rounds it once, to odd, to _BITS mantissa bits, so A
-    holds the correctly rounded double of each exact entry; each row is
-    then put over one power of two. Iterative refinement runs against
-    residuals from exact: the columns scale like f(-m) alpha^(m-1), so
-    the trailing solution components amplify even the entry rounding of A
-    by 1/f(-m)-sized factors, and agreement between the two solution
-    routes is only achievable against exact-input residuals."""
+    cdf values and rounds it once, to odd, to _BITS mantissa bits, in the
+    same pass that puts its row over one power of two, so A holds the
+    correctly rounded double of each exact entry. Iterative refinement
+    runs against residuals from exact: the columns scale like
+    f(-m) alpha^(m-1), so the trailing solution components amplify even
+    the entry rounding of A by 1/f(-m)-sized factors, and agreement
+    between the two solution routes is only achievable against
+    exact-input residuals."""
 
     A: np.ndarray
     b: np.ndarray
@@ -124,74 +125,106 @@ def _to_double(n: int, e: int) -> float:
     return n / (1 << e) if e >= 0 else float(n << -e)
 
 
-def _round(n: int, e: int) -> tuple:
-    """n / 2**e rounded to odd at _BITS mantissa bits, as (n', e').
+def _doubles(ns: list, e: int) -> list:
+    """_to_double of every ns[j] over the one power of two 2**e.
+
+    float(n) rounds correctly. For 0 <= e <= 1022 every nonzero value is
+    at least 2**-1022, a normal double, so scaling by 2**-e is exact; an
+    n past the double range, or any other e, takes _to_double."""
+    if 0 <= e <= 1022:
+        s = 2.0 ** -e
+        try:
+            return [float(n) * s for n in ns]
+        except OverflowError:
+            pass
+    return [_to_double(n, e) for n in ns]
+
+
+def _rounded(ns: list, e: int) -> tuple:
+    """The values ns[j] / 2**e, each rounded to odd at _BITS mantissa
+    bits, as integers over one power of two: (ns', e') with ns'[j] / 2**e'
+    the j-th rounded value.
 
     Rounding to odd keeps a sticky last bit, so a later rounding to
-    double is the correct rounding of n / 2**e itself."""
-    if not n:
-        return 0, 0
-    a = abs(n)
-    excess = a.bit_length() - _BITS
-    if excess <= 0:
-        return n, e
-    q = a >> excess
-    if a & ((1 << excess) - 1):
-        q |= 1
-    return (q if n > 0 else -q), e - excess
+    double is the correct rounding of ns[j] / 2**e itself. A value of
+    more than _BITS bits drops its c excess low bits, and is then over
+    2**(e - c); a zero is over 2**0. The row's power of two is the largest
+    of these, as _align takes it."""
+    qs, cuts = [], []
+    for n in ns:
+        c = n.bit_length() - _BITS
+        if c > 0:
+            # n >> c floors, so setting the last bit when a nonzero
+            # remainder was dropped rounds either sign to odd
+            q = n >> c
+            qs.append(q | 1 if q << c != n else q)
+        else:
+            qs.append(n)
+            c = 0 if n else e
+        cuts.append(c)
+    low = min(cuts, default=e)
+    return [q << (c - low) for q, c in zip(qs, cuts)], e - low
 
 
-def _root_rows(z: complex, mult: int, N: list, g: int) -> list:
+def _root_rows(z: complex, mult: int, N: list, g: int) -> tuple:
     """Rows n = 0..mult-1 of root z: p_i^(n)(z) for every column i, given
     the cdf values F(-m+j) = N[j] / 2**g, as (real parts, imaginary
-    parts), each entry in _round's form.
+    parts), each row in _rounded's form.
 
     Column i is c_i(s) = s^i Q_{m-1-i}(s), with the prefix sums
     Q_L(s) = sum_{j<=L} F(-m+j) s^j, and row n is n! times the h^n
     coefficient of its Taylor series in h = s - z. The series are
     truncated to mult terms and held exactly: with z = (a + i b) / 2**e,
     by the real and imaginary parts of their numerators over a power of
-    two, in integer lists updated in place. One pass over j carries s^j
-    and Q_j(s) up to c_0 = Q_{m-1}; the columns then follow from
+    two. Term 0 is held in plain ints; terms 1..mult-1 in integer lists
+    updated in place, empty for a simple root. One pass over j carries
+    s^j and Q_j(s) up to c_0 = Q_{m-1}; the columns then follow from
     c_{i+1}(s) = s (c_i(s) - F(-1-i) s^(m-1)), whose numerators over
     2**(g + e (m-1)) stay integers, so every step costs time linear in
-    their length. Multiplying by s = z + h adds term n-1 to term n, so
-    the terms are updated from the highest down.
+    their length. Multiplying by s = z + h adds the old term n-1 to term
+    n, so the terms are updated from term 0 up, each passing its old value
+    on. Each row's exact numerators over 2**(g + e (m-1)) are rounded by
+    _rounded once the columns are done, so row 0 is the same for every
+    multiplicity.
     """
     m = len(N)
     (a, b), e = _over((z.real, z.imag))
-    down = range(mult - 1, -1, -1)
-    wr, wi = [1] + [0] * (mult - 1), [0] * mult    # s^j over 2**(e j)
-    cr, ci = [N[0]] + [0] * (mult - 1), [0] * mult  # Q_j(s), 2**(g + e j)
+    up = range(mult - 1)        # terms 1..mult-1, at list index n - 1
+    wr0, wi0 = 1, 0             # s^j, over 2**(e j)
+    cr0, ci0 = N[0], 0          # Q_j(s), over 2**(g + e j)
+    wr, wi, cr, ci = ([0] * (mult - 1) for _ in range(4))
     for nj in N[1:]:
-        for n in down:
+        px, py = wr0, wi0
+        wr0, wi0 = a * px - b * py, a * py + b * px
+        cr0 = (cr0 << e) + nj * wr0
+        ci0 = (ci0 << e) + nj * wi0
+        for n in up:
             x, y = wr[n], wi[n]
-            x, y = a * x - b * y, a * y + b * x
-            if n:
-                x += wr[n - 1] << e
-                y += wi[n - 1] << e
-            wr[n], wi[n] = x, y
-            cr[n] = (cr[n] << e) + nj * x
-            ci[n] = (ci[n] << e) + nj * y
-    den = g + e * (m - 1)
-    scale = [math.factorial(n) for n in range(mult)]
-    re, im = [[] for _ in range(mult)], [[] for _ in range(mult)]
-    for i in range(m):
-        nf = N[m - 1 - i]
-        for n in down:
+            wr[n] = u = a * x - b * y + (px << e)
+            wi[n] = v = a * y + b * x + (py << e)
+            cr[n] = (cr[n] << e) + nj * u
+            ci[n] = (ci[n] << e) + nj * v
+            px, py = x, y
+    scale = [math.factorial(n + 1) for n in up]
+    re0, im0 = [], []
+    re, im = [[] for _ in up], [[] for _ in up]
+    for nf in reversed(N):
+        re0.append(cr0)
+        im0.append(ci0)
+        px, py = cr0 - nf * wr0, ci0 - nf * wi0
+        cr0, ci0 = (a * px - b * py) >> e, (a * py + b * px) >> e
+        for n in up:
             x, y = cr[n], ci[n]
             k = scale[n]
-            re[n].append(_round(k * x, den))
-            im[n].append(_round(k * y, den))
-            cr[n], ci[n] = x - nf * wr[n], y - nf * wi[n]
-        for n in down:
-            x, y = cr[n], ci[n]
-            x, y = (a * x - b * y) >> e, (a * y + b * x) >> e
-            if n:
-                x += cr[n - 1]
-                y += ci[n - 1]
-            cr[n], ci[n] = x, y
-    return re, im
+            re[n].append(k * x)
+            im[n].append(k * y)
+            x, y = x - nf * wr[n], y - nf * wi[n]
+            cr[n] = ((a * x - b * y) >> e) + px
+            ci[n] = ((a * y + b * x) >> e) + py
+            px, py = x, y
+    den = g + e * (m - 1)
+    return ([_rounded(row, den) for row in (re0, *re)],
+            [_rounded(row, den) for row in (im0, *im)])
 
 
 def _row_kinds(roots: RootSet) -> tuple:
@@ -213,7 +246,9 @@ def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
     on the same code path with m = max_drop. A non-real root takes the
     real parts of its rows, and a later root of the set that is its
     conjugate, of the same multiplicity, takes their imaginary parts; a
-    non-real root without one raises NumericalError.
+    non-real root without one raises NumericalError. Every row, the mean
+    row included, comes out of _rounded, rounded and over one power of
+    two: it is stored as it is, and A is read off it by _doubles.
     """
     model.require_net_profit()
     m = model.max_drop
@@ -255,14 +290,13 @@ def build_system(model: RiskModel, roots: RootSet) -> InitSystem:
     for i in range(m - 1, -1, -1):
         tail += fn[i]
         acc += tail
-        mean[i] = _round(acc, h)
-    rows.append(mean)
+        mean[i] = acc
+    rows.append(_rounded(mean, h))
     b = np.zeros(m)
     b[m - 1] = model.drift_pos
-    return InitSystem(
-        A=np.array([[_to_double(n, e) for n, e in row] for row in rows]),
-        b=b, row_kinds=kinds, exact=tuple(map(_align, rows)),
-        twins=tuple(twins))
+    return InitSystem(A=np.array([_doubles(ns, e) for ns, e in rows]),
+                      b=b, row_kinds=kinds, exact=tuple(rows),
+                      twins=tuple(twins))
 
 
 def _system_of(model: RiskModel, roots: RootSet,
@@ -376,8 +410,7 @@ def solve_linear(sys: InitSystem) -> InitialValues:
     xs = _vector(scaled_solve(b))
     for _ in range(_REFINE_STEPS + 1):
         xs = _add(xs, _vector(scaled_solve(_residual(sys.exact, bx, xs))))
-    ns, ex = xs
-    pi = np.array([_to_double(n, ex) for n in ns])
+    pi = np.array(_doubles(*xs))
     return _finalize_pi(pi, _residual_max(sys, pi))
 
 

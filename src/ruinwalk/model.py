@@ -179,6 +179,14 @@ class ParametricDist:
         if hi - lo > _RUN_MAX:
             raise ModelError(f"{fam} law spans more than {_RUN_MAX} weights; the limit admits"
                              " poisson lambda <= 2.8e9, geometric p >= 1.8e-4, binomial n < 2^22")
+        if fam == "poisson":
+            # Newton on lam h(k/lam) = 746, past the span check (hi is inf at lambda 1e308),
+            # from k = hi - 2 above the root: lam h(k/lam) is convex in k, so k stays above
+            k = hi - 2.0
+            for _ in range(3):
+                log_r = math.log(k) - math.log(lam)
+                k -= (k * log_r - k + lam - 746.0) / log_r
+            hi = k + 2.0
         k = np.arange(lo, int(hi) - 1, dtype=float)   # P(k+1)/P(k) = a/b
         if fam == "geometric":
             a, b = np.full_like(k, 1.0 - p), np.ones_like(k)

@@ -692,14 +692,14 @@ class TestDefaultOutputNames:
 
 def test_cli_import_loads_no_scipy(tmp_path):
     # fresh interpreters, so modules loaded by other tests do not count;
-    # the package depends on numpy alone, and plain solve does not run
-    # the paper's system
+    # the package depends on numpy alone, and plain solve neither runs
+    # the paper's system nor loads the simulation oracle
     src = os.path.dirname(os.path.dirname(rw.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     model = str(GOLDEN_DIR / "ex4_cap15.json")
     out = str(tmp_path / "phi.csv")
-    loaded = ("print(sorted({'scipy', 'mpmath', 'ruinwalk.initial_values'}"
-              " & set(sys.modules)))")
+    loaded = ("print(sorted({'scipy', 'mpmath', 'ruinwalk.initial_values',"
+              " 'ruinwalk.oracle'} & set(sys.modules)))")
     for run in ("import ruinwalk.cli",
                 "from ruinwalk.cli import main; "
                 "print(main(['solve', sys.argv[1], '--out', sys.argv[2]]))"):

@@ -1,5 +1,6 @@
 """Property tests of the dyadic rounding behind the initial-value system:
-n / 2**e to a double, directly and through the 160-bit stored mantissa."""
+n / 2**e to a double, directly and through the 160-bit stored mantissa,
+one value and whole rows over one power of two."""
 
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given = hypothesis.given
 
-from ruinwalk.initial_values import _round, _to_double  # noqa: E402
+from ruinwalk.initial_values import (  # noqa: E402
+    _align, _doubles, _rounded, _to_double)
 
 BIG = 2 ** 1100
 
@@ -68,9 +70,51 @@ def test_to_double_is_correctly_rounded(case):
 def test_stored_mantissa_rounds_to_the_same_double(case):
     # rounding to odd at 160 bits, then to double, is one correct rounding
     n, e = case
-    mant, exp = _round(n, e)
+    [mant], exp = _rounded([n], e)
     assert abs(mant).bit_length() <= 160
     exact = Fraction(n) / Fraction(2) ** e
     assert abs(Fraction(mant) / Fraction(2) ** exp - exact) \
         <= abs(exact) * Fraction(1, 2 ** 159)
     assert rounded(_to_double, mant, exp) == reference(n, e)
+
+
+def round_to_odd(n: int, e: int) -> tuple:
+    """n / 2**e rounded to odd at 160 mantissa bits, as (n', e'), on the
+    magnitude: a zero is (0, 0)."""
+    if not n:
+        return 0, 0
+    a = abs(n)
+    cut = a.bit_length() - 160
+    if cut <= 0:
+        return n, e
+    q = a >> cut
+    if a & ((1 << cut) - 1):
+        q |= 1
+    return (q if n > 0 else -q), e - cut
+
+
+# rows over one power of two: exact zeros, values of at most 160 bits and
+# values far past them, side by side
+rows = st.tuples(
+    st.lists(st.one_of(st.just(0), st.integers(-2 ** 160, 2 ** 160),
+                       st.integers(-BIG, BIG)), max_size=8),
+    st.integers(-60, 2200))
+
+
+@given(rows)
+def test_row_rounding_is_each_entry_rounded_then_aligned(row):
+    # _rounded rounds every entry on its own and puts the row over the
+    # power of two _align takes, the zeros' 2**0 included
+    ns, e = row
+    assert _rounded(ns, e) == _align(round_to_odd(n, e) for n in ns)
+
+
+@given(st.one_of(rows, cases.map(lambda c: ([c[0]], c[1]))))
+def test_row_doubles_are_each_entry_correctly_rounded(row):
+    ns, e = row
+    want = [reference(n, e) for n in ns]
+    if OverflowError in want:
+        with pytest.raises(OverflowError):
+            _doubles(ns, e)
+    else:
+        assert _doubles(ns, e) == want

@@ -174,12 +174,14 @@ def complex_refined_solve(A: np.ndarray, b: np.ndarray,
 
 def quadratic_mean_row(model: rw.RiskModel) -> list:
     """The mean row as it was built before the running sums: one
-    generator sum over j > i per column, over the same exact integers."""
+    generator sum over j > i per column, over the same exact integers,
+    each entry rounded on its own, as a one-entry row: (n, e) pairs."""
     m = model.max_drop
     fn, h = iv._over(model.f(-j) for j in range(1, m + 1))
-    return [iv._round(sum((j - i) * fn[j - 1] for j in range(i + 1, m + 1)),
-                      h)
-            for i in range(m)]
+    entries = [iv._rounded([sum((j - i) * fn[j - 1]
+                                for j in range(i + 1, m + 1))], h)
+               for i in range(m)]
+    return [(ns[0], e) for ns, e in entries]
 
 
 def complex_system(model: rw.RiskModel, roots: rw.RootSet) -> tuple:
@@ -198,7 +200,8 @@ def complex_system(model: rw.RiskModel, roots: rw.RootSet) -> tuple:
     for z, mult in zip(roots.roots, roots.multiplicities):
         twin = done.get((complex(z).conjugate(), mult))
         if twin is None:
-            own = [[(*p, *q) for p, q in zip(re, im)] for re, im
+            own = [[(mr, er, mi, ei) for mr, mi in zip(rs, is_)]
+                   for (rs, er), (is_, ei)
                    in zip(*iv._root_rows(complex(z), mult, N, g))]
             own_d = [doubles(row) for row in own]
         else:
@@ -321,7 +324,8 @@ class TestBuildSystem:
         assert sys_.row_kinds[1].order == 1
 
     @pytest.mark.parametrize("case", ["example3", "triple_fake_root",
-                                      "random", "m70"])
+                                      "complex_double_pair", "random",
+                                      "m70"])
     def test_exact_entries_match_entrywise_horner(self, case):
         if case == "example3":
             model = make_example3(0.5)
@@ -331,6 +335,21 @@ class TestBuildSystem:
             cases = [(make_example2(), rw.RootSet(
                 roots=(0.3 + 0j,), multiplicities=(3,),
                 residuals=(0.0,)))]
+        elif case == "complex_double_pair":
+            # a non-real double root and its conjugate, in either order:
+            # the derivative row of the first is a twin like its root row
+            model = make_example4(5).build()
+            assert model.max_drop == 5
+            z = 0.3 + 0.4j
+            cases = [(model, rw.RootSet(roots=zs, multiplicities=(2, 2),
+                                        residuals=(0.0, 0.0)))
+                     for zs in ((z, z.conjugate()), (z.conjugate(), z))]
+            for _, roots in cases:
+                sys_ = rw.build_system(model, roots)
+                assert sys_.twins == ((0, 2), (1, 3))
+                assert sys_.row_kinds[:4] == tuple(
+                    rw.RowKind(kind, zz, n) for zz in roots.roots
+                    for kind, n in (("root", 0), ("derivative", 1)))
         elif case == "random":
             rng = np.random.default_rng(2024)
             models = [random_admissible_model(rng) for _ in range(10)]
@@ -429,6 +448,24 @@ class TestBuildSystem:
             assert list(sys_.exact) == rows
             assert sys_.twins == tuple(twins)
             assert paper_rows(sys_) == [aligned(row) for row in entries]
+
+    def test_root_row_does_not_depend_on_the_multiplicity(self,
+                                                          route_cases):
+        # the rows of a root with its series cut at mult terms are the
+        # first rows of a longer cut: row 0 of a simple root is row 0 of
+        # the same root taken as double or triple, bit for bit
+        case, cases = route_cases
+        assert len(cases) == ROUTE_CASES[case]
+        for model, roots in cases:
+            m = model.max_drop
+            N, g = iv._over(model.F(np.arange(-m, 0)).tolist())
+            for z in roots.roots:
+                re1, im1 = iv._root_rows(complex(z), 1, N, g)
+                re2, im2 = iv._root_rows(complex(z), 2, N, g)
+                re3, im3 = iv._root_rows(complex(z), 3, N, g)
+                assert (len(re1), len(re2), len(re3)) == (1, 2, 3)
+                assert (re2[:1], im2[:1]) == (re1, im1)
+                assert (re3[:2], im3[:2]) == (re2, im2)
 
     def test_net_profit_guard(self):
         model = rw.build_model(rw.Pmf.point(1), rw.Pmf.point(1))

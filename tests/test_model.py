@@ -153,6 +153,16 @@ class TestRun:
         lo, w = rw.ParametricDist.binomial(4, 1.0).run
         assert (lo, w) == (4, [1.0])
 
+    def test_poisson_run_ends_where_the_weights_underflow(self):
+        # the span is tightened by Newton steps on lam h(k/lam) = 746 from
+        # above: no weight past the run's last positive one reaches a
+        # subnormal, log 2^-1074 = -744.4
+        for lam in [*np.geomspace(1e-3, 1e4, 36).tolist(), 1.01, 6.0, 45.0]:
+            lo, w = rw.ParametricDist.poisson(lam).run
+            k = lo + len(w)
+            assert w[-1] > 0.0
+            assert k * math.log(lam) - math.lgamma(k + 1) - lam < -744.4
+
     @pytest.mark.parametrize("family, args", [
         ("poisson", (1e3,)), ("poisson", (1e4,)), ("poisson", (1e6,)),
         ("binomial", (1030, 0.5)), ("binomial", (10 ** 5, 0.3))],
