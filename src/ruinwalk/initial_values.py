@@ -33,7 +33,7 @@ from .model import RiskModel
 from .pgf import RootSet
 
 SINGULAR_TOL = 1e-13    # 1 / (largest row sum of the equilibrated inverse)
-_REFINE_STEPS = 2
+_REFINE_STEPS = 4       # exact residuals per solve, at most
 _BITS = 160             # mantissa bits of a stored system entry
 
 
@@ -69,12 +69,12 @@ class InitSystem:
     build_system computes every entry exactly from the double roots and
     cdf values and rounds it once, to odd, to _BITS mantissa bits, in the
     same pass that puts its row over one power of two, so A holds the
-    correctly rounded double of each exact entry. Iterative refinement
-    runs against residuals from exact: the columns scale like
-    f(-m) alpha^(m-1), so the trailing solution components amplify even
-    the entry rounding of A by 1/f(-m)-sized factors, and agreement
-    between the two solution routes is only achievable against
-    exact-input residuals."""
+    correctly rounded double of each exact entry. solve_linear refines pi
+    against residuals from exact, each summed exactly and rounded once:
+    the columns scale like f(-m) alpha^(m-1), so the trailing solution
+    components amplify even the entry rounding of A by 1/f(-m)-sized
+    factors, and agreement between the two solution routes is only
+    achievable against exact-input residuals."""
 
     A: np.ndarray
     b: np.ndarray
@@ -330,13 +330,6 @@ def _vector(v: np.ndarray) -> tuple:
     return _over(v.tolist())
 
 
-def _add(u: tuple, v: tuple) -> tuple:
-    """The exact sum of two vectors of _vector's form."""
-    (us, eu), (vs, ev) = u, v
-    e = max(eu, ev)
-    return [(p << e - eu) + (q << e - ev) for p, q in zip(us, vs)], e
-
-
 def _residual(rows: tuple, b: tuple, x: tuple) -> np.ndarray:
     """b - A x over the exact rows of A (InitSystem.exact), each component
     summed exactly and rounded once to double; b and x are of _vector's
@@ -350,24 +343,37 @@ def _residual(rows: tuple, b: tuple, x: tuple) -> np.ndarray:
     return np.array(out)
 
 
-def _residual_max(sys: InitSystem, pi: np.ndarray) -> float:
-    """The largest modulus of the paper's complex residual b - A pi over
-    the exact rows, a conjugate pair's being the modulus of its two real
-    ones."""
-    r = _residual(sys.exact, _vector(sys.b), _vector(pi)).astype(complex)
+def _paired_max(sys: InitSystem, r: np.ndarray) -> float:
+    """The largest modulus of the paper's complex residual, given the
+    real form's residual r: a conjugate pair's is the modulus of its two
+    real ones."""
+    r = r.astype(complex)
     for j, k in sys.twins:
         r[j] = r[k] = complex(r[j].real, r[k].real)
     return float(np.max(np.abs(r)))
 
 
+def _residual_max(sys: InitSystem, pi: np.ndarray) -> float:
+    """_paired_max of the exact residual b - A pi over the exact rows."""
+    return _paired_max(sys, _residual(sys.exact, _vector(sys.b),
+                                      _vector(pi)))
+
+
 def solve_linear(sys: InitSystem) -> InitialValues:
     """One LAPACK inverse of the equilibrated real system, plus iterative
-    refinement against exact-input residuals. x is kept as the exact sum
-    of the double corrections, and each residual is summed exactly.
+    refinement against exact-input residuals. pi is a double vector: each
+    step sums the residual of the current pi exactly and rounds it once,
+    then adds its solve to pi in double, and refinement stops at the
+    first correction that leaves pi unchanged. With the residual exact,
+    refinement settles at working accuracy (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 12): the goldens take
+    two residuals. At most _REFINE_STEPS are taken; a solve that reaches
+    that cap returns the pi of its last residual.
 
     The system is solved in the real form it is stored in, so each entry
     of a residual is one product of integers. The reported residual is
-    _residual_max's, as the closed form's is.
+    the last step's, the residual of the returned pi, paired by
+    _paired_max as the closed form's is.
 
     Rows and columns are equilibrated first: a root of small modulus
     produces a uniformly tiny row (entries scale with F(-m) ... F(-1)
@@ -407,11 +413,16 @@ def solve_linear(sys: InitSystem) -> InitialValues:
         return inv @ (rhs / rowmax) / colmax
 
     bx = _vector(b)
-    xs = _vector(scaled_solve(b))
-    for _ in range(_REFINE_STEPS + 1):
-        xs = _add(xs, _vector(scaled_solve(_residual(sys.exact, bx, xs))))
-    pi = np.array(_doubles(*xs))
-    return _finalize_pi(pi, _residual_max(sys, pi))
+    pi = scaled_solve(b)
+    for step in range(_REFINE_STEPS):
+        r = _residual(sys.exact, bx, _vector(pi))
+        if step == _REFINE_STEPS - 1:
+            break
+        x = pi + scaled_solve(r)
+        if np.array_equal(x, pi):
+            break
+        pi = x
+    return _finalize_pi(pi, _paired_max(sys, r))
 
 
 def solve_closed_form(model: RiskModel, roots: RootSet,

@@ -641,6 +641,68 @@ class TestSolveLinear:
             assert np.float64(init.residual).tobytes() == \
                 np.float64(want.residual).tobytes()
 
+    @staticmethod
+    def counted_residual(monkeypatch) -> list:
+        """Wrap iv._residual; the list holds the x of every call."""
+        seen, residual = [], iv._residual
+
+        def counted(rows, b, x):
+            seen.append(x)
+            return residual(rows, b, x)
+
+        monkeypatch.setattr(iv, "_residual", counted)
+        return seen
+
+    def test_two_exact_residuals_on_goldens(self, ex1, ex2, ex3, ex4,
+                                            monkeypatch):
+        # the first correction moves pi, the second leaves it where it is
+        systems = [rw.build_system(s.model, s.roots)
+                   for s in (ex1, ex2, *ex3.values(), *ex4.values())]
+        for cap in range(10, 21):
+            model = make_example4(cap).build()
+            systems.append(rw.build_system(model, rw.unit_disk_roots(model)))
+        seen = self.counted_residual(monkeypatch)
+        for sys_ in systems:
+            seen.clear()
+            rw.solve_linear(sys_)
+            assert len(seen) == 2
+
+    def test_residual_is_the_last_steps(self, route_cases, monkeypatch):
+        # at most _REFINE_STEPS exact residuals, the last of them at the
+        # returned pi: the reported residual is _residual_max's, bit for bit
+        case, cases = route_cases
+        systems = [rw.build_system(model, roots) for model, roots in cases]
+        seen = self.counted_residual(monkeypatch)
+        for sys_ in systems:
+            seen.clear()
+            init = rw.solve_linear(sys_)
+            assert 1 <= len(seen) <= iv._REFINE_STEPS == 4
+            assert seen[-1] == iv._vector(init.pi)
+            assert np.float64(init.residual).tobytes() == \
+                np.float64(iv._residual_max(sys_, init.pi)).tobytes()
+
+    def test_cap_returns_the_last_residuals_pi(self, ex4, monkeypatch):
+        # a residual that flips sign each step never lets pi settle: the
+        # solve stops at the fourth exact residual and returns the pi it
+        # was taken at, with that residual paired over the twins; the k-th
+        # is A times (-1)^k k 1e-6 in every component, so pi stays >= 0
+        sys_ = rw.build_system(ex4[10].model, ex4[10].roots)
+        assert sys_.twins
+        seen = []
+
+        def flipping(k: int) -> np.ndarray:
+            return (-1.0) ** k * 1e-6 * k * sys_.A.sum(axis=1)
+
+        def residual(rows, b, x):
+            seen.append(x)
+            return flipping(len(seen))
+
+        monkeypatch.setattr(iv, "_residual", residual)
+        init = rw.solve_linear(sys_)
+        assert len(seen) == 4 and len(set(map(str, seen))) == 4
+        assert iv._vector(init.pi) == seen[-1]
+        assert init.residual == iv._paired_max(sys_, flipping(4))
+
 
 class TestClosedForm:
     def test_example1_exact(self, ex1):
