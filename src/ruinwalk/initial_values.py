@@ -414,14 +414,14 @@ def solve_linear(sys: InitSystem) -> InitialValues:
 
     bx = _vector(b)
     pi = scaled_solve(b)
-    for step in range(_REFINE_STEPS):
+    for _ in range(_REFINE_STEPS - 1):
         r = _residual(sys.exact, bx, _vector(pi))
-        if step == _REFINE_STEPS - 1:
-            break
         x = pi + scaled_solve(r)
         if np.array_equal(x, pi):
             break
         pi = x
+    else:
+        r = _residual(sys.exact, bx, _vector(pi))
     return _finalize_pi(pi, _paired_max(sys, r))
 
 

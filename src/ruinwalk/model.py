@@ -159,10 +159,13 @@ class ParametricDist:
         return self.family in ("binomial", "explicit") or \
             (self.family == "geometric" and self.p == 1.0)
 
-    def _walk(self) -> tuple:
-        """(lo, hi): a named law's run is walked over k = lo .. hi - 2, past
-        which every weight underflows; ModelError if its span passes _RUN_MAX."""
+    @functools.cached_property
+    def run(self) -> tuple:
+        """(lo, w) with w[i] = P(V = lo + i): an explicit pmf's weights, or a
+        named law's products of P(k+1)/P(k) from its mode, scaled to fsum(w) == 1."""
         fam, p, lam, n = self.family, self.p, self.lam, self.n
+        if fam == "explicit":
+            return self.pmf.offset, self.pmf.weights.tolist()
         lo, hi = 0, n + 1 if fam == "binomial" else 0
         if fam == "geometric":
             # (1-p)^k p < 2^-1075 once -k log(1-p) > 745.2
@@ -177,22 +180,13 @@ class ParametricDist:
             raise ModelError(f"{fam} law spans more than {_RUN_MAX} weights; the limit admits"
                              " poisson lambda <= 2.8e9, geometric p >= 1.8e-4, binomial n < 2^22")
         if fam == "poisson":
-            # Newton on lam h(k/lam) = 746, past the span check (hi is inf at lambda 1e308):
-            # lam h(k/lam) is convex in k, so from k = hi - 2 above the upper root k stays
-            # above it, and from lo below the lower root k stays below it; log k needs lo >= 1
-            hi = _poisson_edge(lam, hi - 2.0) + 2.0
-            if lo >= 1:
-                lo = math.floor(_poisson_edge(lam, float(lo)))
-        return lo, hi
-
-    @functools.cached_property
-    def run(self) -> tuple:
-        """(lo, w) with w[i] = P(V = lo + i): an explicit pmf's weights, or a
-        named law's products of P(k+1)/P(k) from its mode, scaled to fsum(w) == 1."""
-        fam, p, lam, n = self.family, self.p, self.lam, self.n
-        if fam == "explicit":
-            return self.pmf.offset, self.pmf.weights.tolist()
-        lo, hi = self._walk()
+            # Newton on lam h(k/lam) = 746, past the span check (hi is inf at lambda 1e308),
+            # from k = hi - 2 above the root: lam h(k/lam) is convex in k, so k stays above
+            k = hi - 2.0
+            for _ in range(3):
+                log_r = math.log(k) - math.log(lam)
+                k -= (k * log_r - k + lam - 746.0) / log_r
+            hi = k + 2.0
         k = np.arange(lo, int(hi) - 1, dtype=float)   # P(k+1)/P(k) = a/b
         if fam == "geometric":
             a, b = np.full_like(k, 1.0 - p), np.ones_like(k)
@@ -218,14 +212,6 @@ class ParametricDist:
     def pmf_at(self, k: int) -> float:
         lo, w = self.run
         return w[k - lo] if lo <= k < lo + len(w) else 0.0
-
-
-def _poisson_edge(lam: float, k: float) -> float:
-    """Three Newton steps on lam h(k/lam) = 746 from k."""
-    for _ in range(3):
-        log_r = math.log(k) - math.log(lam)
-        k -= (k * log_r - k + lam - 746.0) / log_r
-    return k
 
 
 def materialize(dist: ParametricDist | Pmf, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
