@@ -492,6 +492,23 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args,env", [
+        (["--seed", "-1"], None), ([], "-1")], ids=["flag", "env"])
+    def test_negative_seed_exits_2_without_a_traceback(self, tmp_path,
+                                                       monkeypatch, args,
+                                                       env):
+        # a negative seed parses as an int, and SimConfig refuses it
+        if env is None:
+            monkeypatch.delenv("RUINWALK_SEED", raising=False)
+        else:
+            monkeypatch.setenv("RUINWALK_SEED", env)
+        out = tmp_path / "sim.csv"
+        got = run_cli(tmp_path, EX1_DOC, "simulate", "--paths", "10",
+                      *args, "--out", str(out))
+        assert got.returncode == 2
+        assert got.stderr == "error: seed must be >= 0\n"
+        assert not out.exists()
+
 
 class TestTruncate:
     @pytest.mark.parametrize("doc", [EX4_10_DOC, POIS6_GEOM_30_DOC,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ruinwalk as rw
-from ruinwalk.oracle import _HARD, _StepSampler
+from ruinwalk.oracle import _HARD, _StepSampler, _retire
 
 from conftest import (make_example1, make_example2, make_example4,
                       random_admissible_model)
@@ -59,7 +59,10 @@ def _reference_simulate(model, cfg):
     j = 0, 1, 2, 3, in that order; a draw x stands for k = x 2^37 + r. A
     draw whose interval [x 2^37, x 2^37 + 2^37 - 1] gives two steps takes
     r as the top 37 bits of one more word, drawn after the step's words
-    in draw order. The walk is int64, and paths retire as in simulate.
+    in draw order. The walk is int64. A path retires once its maximum
+    reaches max(u): with `keep` paths left, the survivors in slots `keep`
+    on fill the retired slots below `keep`, both in slot order, and draw
+    i of the next step goes to slot i.
     """
     cum, lo = _step_table(model)
     u = np.array(cfg.u_values, dtype=np.int64)
@@ -88,8 +91,12 @@ def _reference_simulate(model, cfg):
             steps[split] = _step_53(cum, lo, k[split] + r.astype(np.int64))
             running += steps
             maxes = np.maximum(maxes, running)
-            alive = maxes < u.max()
-            running, maxes = running[alive], maxes[alive]
+            gone = np.flatnonzero(maxes >= u.max())
+            keep = n - gone.size
+            holes = gone[gone < keep]
+            tail = keep + np.flatnonzero(maxes[keep:] < u.max())
+            running[holes], maxes[holes] = running[tail], maxes[tail]
+            running, maxes = running[:keep], maxes[:keep]
         survived += [np.count_nonzero(maxes < v) for v in u]
     return survived
 
@@ -189,15 +196,37 @@ class TestStepSampler:
                     got, _step_53(cum, lo, (draws << 37) + r))
 
 
+class TestRetire:
+    # u_big = 10: a path retires where its position is 10 or more; each
+    # max is 100 + its position, so a moved pair shows as one
+    @pytest.mark.parametrize("running, want", [
+        ([3, 1, 4, 1, 5], [3, 1, 4, 1, 5]),
+        ([10, 12, 99, 10], []),
+        ([3, 1, 4, 10, 11], [3, 1, 4]),
+        ([12, 1, 10, 2, 3, 4, 15, 5, 11], [4, 1, 5, 2, 3]),
+        ([1, 10, 2, 11, 3, 12, 4, 5, 13, 6], [1, 4, 2, 5, 3, 6]),
+    ], ids=["none", "all", "only_past_keep", "holes_in_slot_order",
+            "interleaved"])
+    def test_survivors_fill_the_holes_in_slot_order(self, running, want):
+        running = np.array(running, dtype=np.int32)
+        maxes = 100 + running
+        got_running, got_maxes = _retire(running, maxes, 10)
+        np.testing.assert_array_equal(got_running, want)
+        np.testing.assert_array_equal(got_maxes, 100 + got_running)
+        # views of the inputs: nothing is reallocated
+        for got, given in ((got_running, running), (got_maxes, maxes)):
+            assert got is given or got.base is given
+
+
 class TestSimulate:
     @pytest.mark.parametrize("make, n_paths, horizon_T, counts", [
-        (make_example2, 70_000, 60, [37474, 48758, 56271, 66076, 69541]),
+        (make_example2, 70_000, 60, [37505, 48682, 56148, 66103, 69509]),
         (lambda: make_example4(10).build(), 70_000, 60,
-         [3769, 8031, 12932, 27599, 47272]),
+         [3694, 7906, 12874, 27653, 47232]),
         (make_example2, 200_000, 30,
-         [106907, 139383, 160702, 189039, 198752]),
+         [107108, 139493, 160575, 189058, 198670]),
         (lambda: make_example4(10).build(), 200_000, 30,
-         [14849, 31291, 50626, 105294, 165766]),
+         [14665, 31208, 50791, 105244, 165647]),
     ], ids=["example2", "example4_cap10", "example2_4_blocks",
             "example4_cap10_4_blocks"])
     def test_pinned_stream(self, make, n_paths, horizon_T, counts):
@@ -272,6 +301,18 @@ class TestSimulate:
         for u, est, se in zip(res.u_values, res.estimates, res.std_errors):
             assert abs(est - exact[u]) <= 3.0 * max(se, 1e-12)
 
+    def test_matches_exact_finite_horizon_at_drift_near_zero(self):
+        # Example 4 at cap 10 has drift -0.01 and loses about 90% of its
+        # paths over T = 200, so most steps retire some; the seed is fixed
+        model = make_example4(10).build()
+        u_values = (0, 1, 2, 5, 10)
+        res = rw.simulate(model, rw.SimConfig(
+            n_paths=200_000, horizon_T=200, seed=20231018,
+            u_values=u_values))
+        exact = rw.finite_survival(model, 10, 200).phis[list(u_values)]
+        se = np.sqrt(exact * (1.0 - exact) / 200_000)
+        assert np.all(np.abs(res.estimates - exact) <= 5.0 * se)
+
     def test_estimates_are_probabilities(self, ex2):
         res = rw.simulate(ex2.model, rw.SimConfig(
             n_paths=50_000, horizon_T=40, seed=5, u_values=(0, 1, 2, 3)))
@@ -286,3 +327,5 @@ class TestSimulate:
             rw.SimConfig(n_paths=5, horizon_T=0, seed=1, u_values=(1,))
         with pytest.raises(rw.ModelError):
             rw.SimConfig(n_paths=5, horizon_T=5, seed=1, u_values=())
+        with pytest.raises(rw.ModelError, match="seed must be >= 0"):
+            rw.SimConfig(n_paths=5, horizon_T=5, seed=-1, u_values=(1,))
