@@ -2,9 +2,11 @@
 
 Two checks that share no code with the solver: Monte Carlo simulation of
 the walk's running maximum (PCG64 streams, reproducible bit-for-bit from
-the seed; an int32 walk fed four steps per 64-bit word, one from each
-16-bit lane, each step one table lookup and rarely 37 more bits; paths
-retired in place, the tail's survivors filling the freed slots)
+the seed; an int16 walk, or int32 where its reach needs it, fed four
+steps per 64-bit word, one from each 16-bit lane, each step one table
+lookup and rarely 37 more bits; every 8 steps the paths whose maximum
+reached max(u) are retired in place, the tail's survivors filling the
+freed slots)
 and exact small-instance enumeration of the survival probability by
 dynamic programming over partial-sum distributions.
 """
@@ -27,11 +29,22 @@ _BLOCK = 1 << 16
 # needed
 _DRAW_BITS = 16
 _LOW_BITS = 53 - _DRAW_BITS
-# step_of of a draw whose interval splits a cdf value, and the bound on
-# the int32 walk's reach
-_HARD = np.iinfo(np.int32).max
+# steps between two retirement passes: a pass scans every live path, and
+# a path that crossed max(u) fails every u whenever it is dropped
+_RETIRE_EVERY = 8
 
 ENUM_CELL_BUDGET = 10 ** 7
+
+
+def _integer(name: str, value) -> int:
+    """`value` as a Python int, if it is an int or a numpy integer.
+
+    A float is refused, integral or not: at u = 0.5 the integer walk's
+    P(max < u) is phi(1), which int() would silently turn into phi(0).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ModelError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -42,6 +55,9 @@ class SimConfig:
     u_values: tuple
 
     def __post_init__(self):
+        for name in ("n_paths", "horizon_T", "seed"):
+            object.__setattr__(self, name,
+                               _integer(name, getattr(self, name)))
         if self.n_paths < 1:
             raise ModelError("n_paths must be >= 1")
         if self.horizon_T < 1:
@@ -51,7 +67,7 @@ class SimConfig:
         if len(self.u_values) == 0:
             raise ModelError("at least one u value is required")
         object.__setattr__(self, "u_values",
-                           tuple(int(u) for u in self.u_values))
+                           tuple(_integer("u", u) for u in self.u_values))
 
 
 @dataclass(frozen=True)
@@ -77,20 +93,24 @@ class _StepSampler:
     draw x stands for the 53-bit value k = x 2^37 + r, whose low 37 bits r
     are drawn only where the step depends on them.
 
-    `step_of` has one entry per draw. It holds the step of every k in the
-    draw's interval [x 2^37, x 2^37 + 2^37 - 1], or the sentinel `_HARD`
-    where the clipped steps at the interval's two ends differ: there a
-    cdf value splits the interval, which happens with probability at most
-    (number of cdf values) * 2^-16 per draw. A hard draw takes r as the
-    top 37 bits of one extra word, drawn after the step's words in draw
-    order, and its step from one binary search. The cdf is held scaled by
-    2^53, which is exact, and k is formed in float64, where every k below
-    2^53 is exact, so the search compares the same pairs of values as on
-    k 2^-53. The buffers hold up to `size` draws and are reused from call
-    to call.
+    `step_of` has one entry per draw, in the walk's dtype `walk` (int16
+    or int32, as `simulate` picks it from the reach). It holds the step of
+    every k in the draw's interval [x 2^37, x 2^37 + 2^37 - 1], or the
+    sentinel `hard`, the dtype's maximum, where the clipped steps at the
+    interval's two ends differ; no step is that large, as the walk's reach
+    stays below it. There a cdf value splits the interval, which happens
+    with probability at most (number of cdf values) * 2^-16 per draw. A
+    hard draw takes r as the top 37 bits of one extra word, drawn after
+    the step's words in draw order, and its step from one binary search.
+    The cdf is held scaled by 2^53, which is exact, and k is formed in
+    float64, where every k below 2^53 is exact, so the search compares the
+    same pairs of values as on k 2^-53. Either dtype gives the same steps
+    on the same words. The buffers hold up to `size` draws and are reused
+    from call to call.
     """
 
-    def __init__(self, cum: np.ndarray, lo: int, size: int):
+    def __init__(self, cum: np.ndarray, lo: int, size: int, walk):
+        self.hard = int(np.iinfo(walk).max)
         self.cum_k = cum * 2.0 ** 53
         self.lo = lo
         self.top = lo + len(cum) - 1
@@ -99,21 +119,21 @@ class _StepSampler:
         at = self.cum_k / 2.0 ** _LOW_BITS
         # draws from ceil(at[i]) on start at or past cdf value i, so the
         # count #{cum <= x 2^37} steps up there; each run of draws gets
-        # its clipped step, and the int32 table is the only large array
+        # its clipped step, and the walk-dtype table is the only large array
         n_draws = 1 << _DRAW_BITS
         first = np.minimum(np.ceil(at), n_draws).astype(np.intp)
         runs = np.diff(first, prepend=0, append=n_draws)
         step = np.minimum(np.arange(lo, lo + len(cum) + 1), self.top)
-        self.step_of = np.repeat(step.astype(np.int32), runs)
+        self.step_of = np.repeat(step.astype(walk), runs)
         # a cdf value inside a draw's interval, past its start, splits it;
         # the last cdf value only moves steps the clip already caps
         head = at[:-1]
         inside = head[(head != np.floor(head)) & (head < n_draws)]
-        self.step_of[inside.astype(np.intp)] = _HARD
+        self.step_of[inside.astype(np.intp)] = self.hard
         self._words = np.empty((size + 3) // 4, dtype="<u8")
         self._draw = np.empty(size, dtype=np.intp)
         self._flag = np.empty(size, dtype=bool)
-        self._steps = np.empty(size, dtype=np.int32)
+        self._steps = np.empty(size, dtype=walk)
 
     def steps(self, bitgen, n: int) -> np.ndarray:
         """The next `n` steps drawn from the bit generator `bitgen`; a view
@@ -132,7 +152,7 @@ class _StepSampler:
         # every 16-bit draw is an entry, so no index wraps; "wrap" is the
         # cheapest mode that writes into `out`
         np.take(self.step_of, draw, out=steps, mode="wrap")
-        hard = np.flatnonzero(np.equal(steps, _HARD, out=flag))
+        hard = np.flatnonzero(np.equal(steps, self.hard, out=flag))
         if hard.size:
             # k = x 2^37 + r is below 2^53, so it is exact in float64; the
             # explicit cast keeps numpy 1.x's value-based casting from
@@ -145,24 +165,24 @@ class _StepSampler:
 
 
 def _retire(running: np.ndarray, maxes: np.ndarray, u_big: int):
-    """Drop the paths whose running position reaches `u_big` in place.
+    """Drop the paths whose maximum has reached `u_big`, in place.
 
     With `keep` paths left, the survivors in slots `keep` on fill the
     retired slots below `keep`, both in slot order, and the two arrays
-    come back as views of their first `keep` entries. A live path's
-    maximum is below `u_big`, so it reaches `u_big` exactly when the
-    position does. Only O(retired) entries move; neither array is
-    copied.
+    come back as views of their first `keep` entries. The decision is on
+    the maxima, not on the positions: a path that crossed `u_big` since
+    the last pass and fell back below it is dropped too. Only O(retired)
+    entries move; neither array is copied.
     """
-    gone = np.flatnonzero(running >= u_big)
-    # where few paths reach max(u), most steps retire none: 701 of the
-    # 800 block steps of Example 2 at 200 000 paths, T = 200, u <= 10
+    gone = np.flatnonzero(maxes >= u_big)
+    # where few paths reach max(u), most passes retire none: 80 of the 100
+    # of Example 2 at 200 000 paths, T = 200, u <= 10
     if gone.size == 0:
         return running, maxes
-    keep = running.size - gone.size
+    keep = maxes.size - gone.size
     holes = gone[:np.searchsorted(gone, keep)]
     # as many survivors sit in slots keep on as there are holes below it
-    tail = keep + np.flatnonzero(running[keep:] < u_big)
+    tail = keep + np.flatnonzero(maxes[keep:] < u_big)
     running[holes] = running[tail]
     maxes[holes] = maxes[tail]
     return running[:keep], maxes[:keep]
@@ -174,27 +194,31 @@ def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
     Steps are drawn by inverse-cdf lookup, four per PCG64 word: each
     16-bit draw indexes a table of 2^16 steps, and each maps to the step a
     binary search of the cumulative step table would give its 53-bit value
-    (see `_StepSampler`). The walk is int32: a reach T * max|step| >=
-    2^31 - 1 raises `ResourceError` before any draw. One pass serves
-    every requested u: each path records its running maximum, and paths
-    whose maximum already reaches max(u) are retired since they fail
-    every requested threshold. Retirement is in place (`_retire`): the
-    survivors past the live count fill the retired slots below it, both
-    in slot order, and draw i of the next step goes to live slot i. Each
-    step is a fresh draw whatever slot a path sits in, so the law of the
-    estimates does not depend on the slot order, though the counts a seed
-    gives do.
+    (see `_StepSampler`). The walk's dtype comes from its reach
+    T * max|step|: int16 below 2^15 - 1, else int32, and a reach of
+    2^31 - 1 or more raises `ResourceError` before any draw. Either dtype
+    gives the same counts. One pass serves every requested u: each path
+    records its running maximum, and every `_RETIRE_EVERY` steps the
+    paths whose maximum has reached max(u) are retired, as they fail
+    every requested threshold; until then such a path walks on, and its
+    maximum only grows. Retirement is in place (`_retire`): the survivors
+    past the live count fill the retired slots below it, both in slot
+    order, and draw i of the next step goes to live slot i. Each step is
+    a fresh draw whatever slot a path sits in, so the law of the
+    estimates depends neither on the slot order nor on when paths retire,
+    though the counts a seed gives do.
     """
     reach = cfg.horizon_T * max(model.max_drop, model.step.support_max)
-    if reach >= _HARD:
+    if reach >= np.iinfo(np.int32).max:
         raise ResourceError(f"walk reach {reach} must stay below 2^31 - 1")
+    walk = np.int16 if reach < np.iinfo(np.int16).max else np.int32
     cum = model.F(np.arange(model.step.support_min,
                             model.step.support_max + 1))
-    u_sorted = np.array(sorted(set(cfg.u_values)), dtype=np.int64)
-    u_big = int(u_sorted[-1])
+    u_sorted = sorted(set(cfg.u_values))
+    u_big = u_sorted[-1]
 
     sampler = _StepSampler(cum, model.step.support_min,
-                           min(_BLOCK, cfg.n_paths))
+                           min(_BLOCK, cfg.n_paths), walk)
     survived = np.zeros(len(u_sorted), dtype=np.int64)
     n_blocks = (cfg.n_paths + _BLOCK - 1) // _BLOCK
     streams = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
@@ -203,19 +227,20 @@ def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
         size = min(_BLOCK, cfg.n_paths - done)
         done += size
         bitgen = np.random.PCG64(streams[b])
-        running = np.zeros(size, dtype=np.int32)
-        maxes = np.full(size, np.iinfo(np.int32).min, dtype=np.int32)
-        for _ in range(cfg.horizon_T):
+        running = np.zeros(size, dtype=walk)
+        maxes = np.full(size, np.iinfo(walk).min, dtype=walk)
+        for t in range(1, cfg.horizon_T + 1):
             if running.size == 0:
                 break
             running += sampler.steps(bitgen, running.size)
             np.maximum(maxes, running, out=maxes)
-            running, maxes = _retire(running, maxes, u_big)
+            if t % _RETIRE_EVERY == 0:
+                running, maxes = _retire(running, maxes, u_big)
         survived += [np.count_nonzero(maxes < u) for u in u_sorted]
 
     est = survived / cfg.n_paths
     se = np.sqrt(est * (1.0 - est) / cfg.n_paths)
-    order = {u: i for i, u in enumerate(u_sorted.tolist())}
+    order = {u: i for i, u in enumerate(u_sorted)}
     idx = [order[u] for u in cfg.u_values]
     return SimResult(u_values=cfg.u_values, estimates=est[idx],
                      std_errors=se[idx], n_paths=cfg.n_paths,

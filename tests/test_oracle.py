@@ -1,10 +1,12 @@
 """Simulation and enumeration oracles, and their agreement with the solver."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import ruinwalk as rw
-from ruinwalk.oracle import _HARD, _StepSampler, _retire
+from ruinwalk.oracle import _StepSampler, _retire
 
 from conftest import (make_example1, make_example2, make_example4,
                       random_admissible_model)
@@ -59,10 +61,10 @@ def _reference_simulate(model, cfg):
     j = 0, 1, 2, 3, in that order; a draw x stands for k = x 2^37 + r. A
     draw whose interval [x 2^37, x 2^37 + 2^37 - 1] gives two steps takes
     r as the top 37 bits of one more word, drawn after the step's words
-    in draw order. The walk is int64. A path retires once its maximum
-    reaches max(u): with `keep` paths left, the survivors in slots `keep`
-    on fill the retired slots below `keep`, both in slot order, and draw
-    i of the next step goes to slot i.
+    in draw order. The walk is int64. After every 8th step the paths
+    whose maximum has reached max(u) retire: with `keep` paths left, the
+    survivors in slots `keep` on fill the retired slots below `keep`, both
+    in slot order, and draw i of the next step goes to slot i.
     """
     cum, lo = _step_table(model)
     u = np.array(cfg.u_values, dtype=np.int64)
@@ -75,7 +77,7 @@ def _reference_simulate(model, cfg):
         size = min(block, cfg.n_paths - b * block)
         running = np.zeros(size, dtype=np.int64)
         maxes = np.full(size, np.iinfo(np.int64).min)
-        for _ in range(cfg.horizon_T):
+        for t in range(1, cfg.horizon_T + 1):
             n = running.size
             if n == 0:
                 break
@@ -91,6 +93,8 @@ def _reference_simulate(model, cfg):
             steps[split] = _step_53(cum, lo, k[split] + r.astype(np.int64))
             running += steps
             maxes = np.maximum(maxes, running)
+            if t % 8:
+                continue
             gone = np.flatnonzero(maxes >= u.max())
             keep = n - gone.size
             holes = gone[gone < keep]
@@ -146,18 +150,28 @@ def _split_draws(cum, lo, draws):
     return _step_53(cum, lo, k) != _step_53(cum, lo, k + 2 ** 37 - 1)
 
 
+# the two walk dtypes simulate picks from; each sampler test holds both to
+# the same expected steps, so the dtype moves no count
+WALKS = (np.int16, np.int32)
+
+
 class TestStepSampler:
     @pytest.mark.parametrize("law", list(STEP_TABLES))
     def test_step_table(self, law):
         # every one of the 2^16 entries is the step at both ends of its
-        # draw's interval, or _HARD exactly where those two differ
+        # draw's interval, or the walk dtype's maximum exactly where those
+        # two differ
         cum, lo = STEP_TABLES[law]()
         draws = np.arange(1 << 16, dtype=np.int64)
         split = _split_draws(cum, lo, draws)
-        want = np.where(split, _HARD, _step_53(cum, lo, draws << 37))
-        got = _StepSampler(cum, lo, 1).step_of
-        assert got.dtype == np.int32
-        np.testing.assert_array_equal(got, want)
+        steps = _step_53(cum, lo, draws << 37)
+        for walk in WALKS:
+            sampler = _StepSampler(cum, lo, 1, walk)
+            assert sampler.hard == np.iinfo(walk).max
+            got = sampler.step_of
+            assert got.dtype == walk
+            np.testing.assert_array_equal(got, np.where(split, sampler.hard,
+                                                        steps))
         # a cdf value of at most 16 bits starts a draw's interval and
         # splits none, nor does one past 1 or the last one
         assert split.any() or law in ("zero_interior", "point_mass",
@@ -184,35 +198,38 @@ class TestStepSampler:
             words = (lanes[0::4] | lanes[1::4] << np.uint64(16)
                      | lanes[2::4] << np.uint64(32)
                      | lanes[3::4] << np.uint64(48))
-            for r in (0, 2 ** 37 - 1, 0x15A5A5A5A5):
+            for r, walk in itertools.product(
+                    (0, 2 ** 37 - 1, 0x15A5A5A5A5), WALKS):
                 extra = np.full(split.size, r << 27 | 0x5A5A5A5,
                                 dtype=np.uint64)
                 stub = _Words(np.concatenate([words, extra]))
-                got = _StepSampler(cum, lo, draws.size).steps(stub,
-                                                              draws.size)
-                assert got.dtype == np.int32    # the walk's dtype
+                got = _StepSampler(cum, lo, draws.size, walk).steps(
+                    stub, draws.size)
+                assert got.dtype == walk
                 assert stub.used == words.size + split.size
                 np.testing.assert_array_equal(
                     got, _step_53(cum, lo, (draws << 37) + r))
 
 
 class TestRetire:
-    # u_big = 10: a path retires where its position is 10 or more; each
-    # max is 100 + its position, so a moved pair shows as one
-    @pytest.mark.parametrize("running, want", [
+    # u_big = 10: a path retires where its maximum is 10 or more; each
+    # position is its max less 3, so a moved pair shows as one, and a path
+    # with a max of 10 to 12 has crossed u_big and fallen back below it
+    @pytest.mark.parametrize("maxes, want", [
         ([3, 1, 4, 1, 5], [3, 1, 4, 1, 5]),
         ([10, 12, 99, 10], []),
         ([3, 1, 4, 10, 11], [3, 1, 4]),
         ([12, 1, 10, 2, 3, 4, 15, 5, 11], [4, 1, 5, 2, 3]),
         ([1, 10, 2, 11, 3, 12, 4, 5, 13, 6], [1, 4, 2, 5, 3, 6]),
+        ([10, 3, 11, 4], [4, 3]),
     ], ids=["none", "all", "only_past_keep", "holes_in_slot_order",
-            "interleaved"])
-    def test_survivors_fill_the_holes_in_slot_order(self, running, want):
-        running = np.array(running, dtype=np.int32)
-        maxes = 100 + running
+            "interleaved", "fell_back"])
+    def test_survivors_fill_the_holes_in_slot_order(self, maxes, want):
+        maxes = np.array(maxes, dtype=np.int16)
+        running = maxes - 3
         got_running, got_maxes = _retire(running, maxes, 10)
-        np.testing.assert_array_equal(got_running, want)
-        np.testing.assert_array_equal(got_maxes, 100 + got_running)
+        np.testing.assert_array_equal(got_maxes, want)
+        np.testing.assert_array_equal(got_running, got_maxes - 3)
         # views of the inputs: nothing is reallocated
         for got, given in ((got_running, running), (got_maxes, maxes)):
             assert got is given or got.base is given
@@ -220,19 +237,22 @@ class TestRetire:
 
 class TestSimulate:
     @pytest.mark.parametrize("make, n_paths, horizon_T, counts", [
-        (make_example2, 70_000, 60, [37505, 48682, 56148, 66103, 69509]),
+        (make_example2, 70_000, 60, [37512, 48729, 56161, 66143, 69558]),
         (lambda: make_example4(10).build(), 70_000, 60,
-         [3694, 7906, 12874, 27653, 47232]),
+         [3808, 8041, 12983, 27636, 47242]),
         (make_example2, 200_000, 30,
-         [107108, 139493, 160575, 189058, 198670]),
+         [107208, 139475, 160602, 189021, 198722]),
         (lambda: make_example4(10).build(), 200_000, 30,
-         [14665, 31208, 50791, 105244, 165647]),
+         [14684, 31261, 50744, 105197, 165651]),
+        # reach 2000 * 17 = 34 000, past int16: the int32 walk
+        (lambda: make_example4(10).build(), 5_000, 2_000,
+         [71, 146, 231, 501, 885]),
     ], ids=["example2", "example4_cap10", "example2_4_blocks",
-            "example4_cap10_4_blocks"])
+            "example4_cap10_4_blocks", "example4_cap10_int32"])
     def test_pinned_stream(self, make, n_paths, horizon_T, counts):
-        # one full block and one partial, or three full blocks and one
-        # partial; the survivor counts are those of the reference walk
-        # above, and simulate must match it bit for bit
+        # one full block and one partial, three full blocks and one
+        # partial, or one partial block; the survivor counts are those of
+        # the reference walk above, and simulate must match it bit for bit
         model = make()
         cfg = rw.SimConfig(n_paths=n_paths, horizon_T=horizon_T,
                            seed=20231018, u_values=(0, 1, 2, 5, 10))
@@ -263,7 +283,27 @@ class TestSimulate:
         with pytest.raises(rw.ResourceError if raises else Built):
             rw.simulate(make(), cfg)
 
+    @pytest.mark.parametrize("horizon_T, walk", [
+        (2 ** 15 - 2, np.int16), (2 ** 15 - 1, np.int32)],
+        ids=["int16_below_limit", "int32_at_limit"])
+    def test_walk_dtype_from_reach(self, monkeypatch, horizon_T, walk):
+        # steps -1 and 0: the reach is the horizon itself
+        class Built(Exception):
+            pass
+
+        def sampler(cum, lo, size, dtype):
+            raise Built(dtype)
+        monkeypatch.setattr("ruinwalk.oracle._StepSampler", sampler)
+        model = rw.build_model(rw.Pmf.from_weights(0, [0.5, 0.5]),
+                               rw.Pmf.point(1))
+        cfg = rw.SimConfig(n_paths=1, horizon_T=horizon_T, seed=1,
+                           u_values=(0,))
+        with pytest.raises(Built) as built:
+            rw.simulate(model, cfg)
+        assert built.value.args == (walk,)
+
     def test_thresholds_past_int32(self, ex2):
+        # reach 30 * 49: the int16 walk against Python-int thresholds
         res = rw.simulate(ex2.model, rw.SimConfig(
             n_paths=1_000, horizon_T=30, seed=3,
             u_values=(2 ** 40, -2 ** 40)))
@@ -329,3 +369,24 @@ class TestSimulate:
             rw.SimConfig(n_paths=5, horizon_T=5, seed=1, u_values=())
         with pytest.raises(rw.ModelError, match="seed must be >= 0"):
             rw.SimConfig(n_paths=5, horizon_T=5, seed=-1, u_values=(1,))
+        # int() would take u = 0.5 to 0, where the walk's P(max < 0.5) is
+        # phi(1); a float or a bool is refused, integral or not
+        for field, value in [("u", 0.5), ("u", 2.0), ("u", True),
+                             ("n_paths", 250.0), ("n_paths", True),
+                             ("horizon_T", 5.0), ("seed", 7.0),
+                             ("seed", np.float64(7))]:
+            kwargs = dict(n_paths=5, horizon_T=5, seed=1, u_values=(1,))
+            if field == "u":
+                kwargs["u_values"] = (1, value)
+            else:
+                kwargs[field] = value
+            with pytest.raises(rw.ModelError,
+                               match=f"{field} must be an integer"):
+                rw.SimConfig(**kwargs)
+        # numpy integers are taken, and stored as Python ints
+        cfg = rw.SimConfig(n_paths=np.int64(5), horizon_T=np.int32(5),
+                           seed=np.uint64(1), u_values=(np.int16(1), 2))
+        for value in (cfg.n_paths, cfg.horizon_T, cfg.seed, *cfg.u_values):
+            assert type(value) is int
+        assert (cfg.n_paths, cfg.horizon_T, cfg.seed, cfg.u_values) == \
+            (5, 5, 1, (1, 2))
