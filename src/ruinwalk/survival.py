@@ -6,9 +6,11 @@ and s = 1 out of P leaves 1 - H(s), where H is the generating function of
 the strict ascending ladder height (Feller, Vol. II, ch. XII). The ruin
 tail psi(u) = 1 - phi(u) then follows the defective renewal equation
 psi(u) = sum_k h_k psi(u - k) from psi = 1 below zero (ch. XI), a
-recurrence of nonnegative terms that is forward-stable for every u.
-phi(0) is the one-step balance. Bounds and monotonicity are checked,
-never clamped.
+recurrence of nonnegative terms that is forward-stable for every u. It
+stops once K terms in a row, K the largest ladder height, lie below
+_PSI_FLOOR: every later psi does too, so phi = 1 - psi is exactly 1.0
+there. phi(0) is the one-step balance. Bounds and monotonicity are
+checked, never clamped.
 
 Finite-horizon tables step the ruin tail too: the first-step map
 `_first_step`, (T psi)(u) = sum_k f(k) psi(u - k) with psi = 1 below
@@ -36,11 +38,13 @@ if TYPE_CHECKING:              # the paper's system loads only when asked for
 
 MONOTONE_TOL = 1e-9       # tolerated [0,1] / monotonicity slack
 _BLOCK = 512              # ladder-recurrence terms per matrix product
+_BLOCK_CELLS = 2**14      # entries of one block matrix past K = 32
 _PSI_FLOOR = 2.0**-600
-"""A level of psi ends at its first entry past u = 0 below this floor:
-the products of an underflowing tail with the step weights are subnormal
-and slow in `np.convolve`. The floor sits some 550 binades below the
-half ulp of 1 at which 1 - psi rounds, so it moves no bit of phi."""
+"""The first-step map reads psi as 0 from its first entry past u = 0
+below this floor, and the ladder tail ends at the first block whose K
+input terms all lie below it: the products of an underflowing tail are
+subnormal and slow. The floor sits some 550 binades below the half ulp
+of 1 at which 1 - psi rounds, so it moves no bit of phi."""
 
 
 @dataclass(frozen=True)
@@ -75,9 +79,11 @@ def _first_step(model: RiskModel, psi: np.ndarray, n: int) -> np.ndarray:
 
 
 def _finite_table(model: RiskModel, u_max: int, T: int):
-    """Yield phi(0..u_max, t) for t = 1..T from one pass of the first-step
-    map on the ruin tail: psi(., 0) = 0 on u >= 1, one convolution per
-    level, and phi = 1 - psi, exactly 1 past the stored level.
+    """An iterator over phi(0..u_max, t) for t = 1..T from one pass of the
+    first-step map on the ruin tail: psi(., 0) = 0 on u >= 1, one
+    convolution per level, and phi = 1 - psi, exactly 1 past the stored
+    level. u_max and T are checked when it is called, not at the first
+    `next`.
 
     Level t is asked for up to u_max + (T - t)m, m clipped at 0, as later
     levels read at most m past their own width; so every level is exact
@@ -92,12 +98,15 @@ def _finite_table(model: RiskModel, u_max: int, T: int):
     if u_max < 0:
         raise ModelError(f"u_max={u_max} must be >= 0")
     m = max(model.max_drop, 0)
-    psi = np.zeros(1)              # psi(u, 0) = 0: nothing has happened yet
-    for t in range(1, T + 1):
-        psi = _first_step(model, psi, u_max + (T - t) * m)
-        out = np.ones(u_max + 1)
-        out[: len(psi)] -= psi[: u_max + 1]
-        yield out
+
+    def levels():
+        psi = np.zeros(1)          # psi(u, 0) = 0: nothing has happened yet
+        for t in range(1, T + 1):
+            psi = _first_step(model, psi, u_max + (T - t) * m)
+            out = np.ones(u_max + 1)
+            out[: len(psi)] -= psi[: u_max + 1]
+            yield out
+    return levels()
 
 
 def finite_survival(model: RiskModel, u_max: int, T: int) -> SurvivalTable:
@@ -112,10 +121,11 @@ def finite_survival(model: RiskModel, u_max: int, T: int) -> SurvivalTable:
 
 
 def finite_grid(model: RiskModel, u_max: int, t_max: int):
-    """Yield (t, phi(0..u_max, t)) for t = 1..t_max from one DP pass to
-    horizon t_max: t_max levels, one convolution each, so the number of
-    convolutions is linear in t_max."""
-    yield from enumerate(_finite_table(model, u_max, t_max), start=1)
+    """An iterator over (t, phi(0..u_max, t)) for t = 1..t_max from one DP
+    pass to horizon t_max: t_max levels, one convolution each, so the
+    number of convolutions is linear in t_max. A u_max below 0 or a t_max
+    below 1 raises ModelError here, before any level is made."""
+    return enumerate(_finite_table(model, u_max, t_max), start=1)
 
 
 def _check_length(init: InitialValues | None, m: int) -> None:
@@ -169,36 +179,46 @@ def _ladder_factor(model: RiskModel, roots: RootSet) -> np.ndarray:
     return a / a[0]
 
 
-def _ladder_tail(h: np.ndarray, n: int) -> np.ndarray:
-    """psi(0) .. psi(n) of the defective renewal equation
-    psi(u) = sum_k h_k psi(u - k) for u >= 1, with psi = 1 on u <= 0.
+def _ladder_tail(h: np.ndarray, n: int, m: int) -> np.ndarray:
+    """A level psi(0) .. psi(e), m <= e <= n, of the defective renewal
+    equation psi(u) = sum_k h_k psi(u - k) for u >= 1, with psi = 1 on
+    u <= 0.
 
-    Blocks of up to _BLOCK terms come from one product with the matrix
-    that maps the last K = len(h) terms to the next block. Its rows are
-    the recurrence run on the K unit states, built by doubling: rows
-    L..2L-1 are rows 0..L-1 applied to the state L terms in. With h >= 0
-    every entry and every product is a sum of nonnegative terms.
+    Blocks of terms come from one product with the matrix that maps the
+    last K = len(h) terms to the next block. Its rows are the recurrence
+    run on the K unit states, built by doubling: rows L..2L-1 are rows
+    0..L-1 applied to the state L terms in. With h >= 0 every entry and
+    every product is a sum of nonnegative terms. A block has _BLOCK rows
+    while K <= 32, else the largest power of two <= _BLOCK_CELLS / K, and
+    at least 16. So the doubling's B K^2 products, B the block's rows,
+    stay within _BLOCK_CELLS K up to K = 1 024, and a term costs K.
 
-    Once the K terms a block reads are exact zeros, so is every later
-    term, whatever the signs in h: the recurrence stops there and the
-    rest of psi stays 0.0, so the cost is O(min(n, z) K), z the first
-    exact zero, plus one allocation of n + 1 entries. The stop is exact;
-    unlike _PSI_FLOOR, it drops no nonzero psi. With K = 0 no block runs.
+    The level ends at n, or at the first block start e >= m whose K terms
+    psi(e-K+1..e) all lie below _PSI_FLOOR. As h >= 0 and sum h < 1, every
+    later psi lies below the floor too, so 1 - psi rounds to 1.0 there.
+    The cost is O(min(n, L) K), L the floor index. With K = 0 no block
+    runs, and the level is psi(0..m).
     """
     k = len(h)
-    psi = np.zeros(k + 1 + n)      # psi[k + u] = psi(u)
-    psi[: k + 1] = 1.0             # psi(-k..0) = 1
     if k == 0:                     # no up-step: psi = 0 above zero
-        return psi
-    block = min(_BLOCK, n)
-    rows = np.vstack([np.eye(k), h[::-1]])
-    while len(rows) - k < block:
-        rows = np.vstack([rows, rows[k:] @ rows[len(rows) - k :]])
+        return np.concatenate([[1.0], np.zeros(m)])
+    psi = np.empty(k + 1 + n)      # psi[k + u] = psi(u)
+    psi[: k + 1] = 1.0             # psi(-k..0) = 1
+    fit = 1 << (_BLOCK_CELLS // k).bit_length() >> 1   # 2^i <= cells/K, or 0
+    block = min(_BLOCK, n, max(16, fit))
+    rows = np.zeros((k + (1 << (block - 1).bit_length()), k))
+    np.fill_diagonal(rows, 1.0)    # rows 0..K-1: the K unit states
+    rows[k] = h[::-1]
+    size = 1
+    while size < block:
+        np.matmul(rows[k : k + size], rows[size : size + k],
+                  out=rows[k + size : k + 2 * size])
+        size *= 2
     step = rows[k : k + block]
     for j in range(0, n, block):
         window = psi[j + 1 : j + 1 + k]
-        if not window.any():       # K exact zeros: so is every later term
-            break
+        if j >= m and window.max() < _PSI_FLOOR:
+            return psi[k : k + 1 + j]
         e = min(j + block, n)
         np.matmul(step[: e - j], window, out=psi[k + 1 + j : k + 1 + e])
     return psi[k:]
@@ -223,14 +243,14 @@ def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
     [0, 1] or out of order beyond tolerance raises at its u; nothing is
     clamped.
 
-    Past psi's first K exact zeros, K the largest ladder height, psi is
-    exactly 0, so phi is exactly 1.0 there and is not computed: the table
-    is allocated as ones, and 1 - psi, the checks and the residual run on
-    psi's nonzero prefix and its first exact zero. The cost is
-    O(min(u_max, z) K), z the first exact zero of psi, plus one fill of
-    u_max + 1 entries. The stop is exact, not a floor like the
-    finite-horizon DP's _PSI_FLOOR: every value is the one the full
-    recurrence gives, bit for bit.
+    The recurrence runs to the level `_ladder_tail` returns, which covers
+    u = m and ends where K terms of psi in a row lie below _PSI_FLOOR, K
+    the largest ladder height. Past it psi is below the floor, so phi is
+    exactly 1.0 there, as the full recurrence gives it, and is not
+    computed: the table is allocated as ones, and 1 - psi, the checks and
+    the residual run on the level, which `_first_step` reads as it reads
+    every psi. The cost is O(min(u_max, L) K), L the floor index of psi,
+    plus one fill of u_max + 1 entries.
     """
     if u_max is None or u_max < 0:
         raise ModelError(f"u_max={u_max} must be >= 0")
@@ -239,18 +259,15 @@ def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
     _check_length(init, m)
     if roots is None:
         roots = unit_disk_roots(model)
-    psi = _ladder_tail(-_ladder_factor(model, roots)[1:], max(u_max, m))
-    # psi's nonzero prefix and its first exact zero: phi is 1.0 past them
-    end = min(int(np.flatnonzero(psi != 0.0)[-1]) + 2, len(psi))
-    phi = np.ones(len(psi))
+    psi = _ladder_tail(-_ladder_factor(model, roots)[1:], max(u_max, m), m)
+    end = min(len(psi), u_max + 1)
+    phi = np.ones(u_max + 1)
     np.subtract(1.0, psi[:end], out=phi[:end])
-    phi[0] = math.fsum(phi[i] * model.f(-i) for i in range(1, m + 1))
-    phi = phi[: u_max + 1]
-    end = min(end, u_max + 1)
+    phi[0] = math.fsum((1.0 - psi[i]) * model.f(-i) for i in range(1, m + 1))
     _check_table(phi[:end])
     n = max(u_max + 1 - m, 0)      # below n, T psi reads no psi past u_max
     tpsi = _first_step(model, psi[:end], n - 1)
-    # past the prefix phi - 1 is 0, and past len(tpsi) so is T psi
+    # past the level phi - 1 is 0, and past len(tpsi) so is T psi
     gap = phi[: max(min(end, n), len(tpsi))] - 1.0
     gap[: len(tpsi)] += tpsi
     residual = float(np.max(np.abs(gap), initial=0.0))

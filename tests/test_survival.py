@@ -114,6 +114,41 @@ def first_zero(h, n):
     return int(zeros[0]) if zeros.size else None
 
 
+def floor_index(h, n):
+    """The floor index: the first u in 1..n with psi(u) below _PSI_FLOOR,
+    or None."""
+    below = np.flatnonzero(ladder_tail_every_block(h, n)[1:]
+                           < survival._PSI_FLOOR)
+    return int(below[0]) + 1 if below.size else None
+
+
+def block_rows(k: int) -> int:
+    """The rows of one ladder-tail block at K = k: 512 up to K = 32, then
+    the largest power of two <= 2^14 / K, and at least 16."""
+    return 512 if k <= 32 else max(16, 2 ** math.floor(math.log2(2**14 / k)))
+
+
+def level_end(psi, k: int, m: int, n: int) -> int:
+    """Where the ladder tail's level ends for the reference psi(0..n): the
+    first block start e >= m whose K terms psi(e-K+1..e) all lie below
+    _PSI_FLOOR, else n."""
+    if k == 0:
+        return m
+    b = block_rows(k)
+    return next((e for e in range(0, n, b) if e >= max(m, k) and np.all(
+        psi[e - k + 1 : e + 1] < survival._PSI_FLOOR)), n)
+
+
+def geometric_claims_model(p: float = 0.05, c: int = 20) -> rw.RiskModel:
+    """Geometric(p) claims against a premium of c per period (interarrival
+    time c): at p = 0.05 and c = 20 the default claim cut leaves K = 653
+    ladder heights."""
+    return rw.ModelConfig(
+        claim_dist=rw.ParametricDist.geometric(p),
+        interarrival_dist=rw.ParametricDist.explicit(rw.Pmf.point(c)),
+    ).build()
+
+
 @pytest.fixture(scope="module", params=["goldens", "example4_caps", "random"])
 def deflation_cases(request, ex1, ex2, ex3, ex4):
     """(case, [(model, roots, init)]): the goldens, Example 4 at caps
@@ -292,6 +327,28 @@ class TestRuinTail:
             assert 1.005 < ref < 1.05
             assert abs(got - ref) <= 1e-15 * ref
 
+    def test_geometric_claims_match_closed_form(self):
+        # a geometric(p) claim's overshoot over any level is geometric, so
+        # psi(u) = (1 - (1 - p)R)/p R^(-u) for u >= 1, R > 1 the root of
+        # p / (1 - (1 - p)s) s^-20 = 1, found here by bisection at 40
+        # digits; the default claim cut leaves K = 653, so the table runs
+        # 16-row blocks, and it reads 4.8e-12 off the closed form
+        p = 0.05
+        table = rw.ultimate_survival(geometric_claims_model(p, 20),
+                                     u_max=2000)
+        with mp.workdps(40):
+            q = 1 - mp.mpf(p)
+            lo, hi = mp.mpf(1), 1 / q
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if mp.log(p) - mp.log(1 - q * mid) - 20 * mp.log(mid) > 0:
+                    hi = mid
+                else:
+                    lo = mid
+            ref = [float((1 - q * lo) / p * lo ** -u) for u in range(1, 2001)]
+        np.testing.assert_allclose(1.0 - table.phis[1:], ref, rtol=1e-11,
+                                   atol=0)
+
     @pytest.mark.parametrize("name", GOLDENS)
     def test_goldens_never_exceed_one(self, name):
         model = rw.load_model_config(GOLDEN_DIR / f"{name}.json").build()
@@ -317,29 +374,38 @@ class TestDeflation:
                               "random": 220}[case]
 
     def test_ladder_tail_matches_fsum_loop(self, deflation_cases):
-        # n on both sides of the _BLOCK edge: one block, a full block, a
-        # block and one term, and three blocks of the doubled matrix; and
-        # on both sides of the stop, the last of psi's first K exact zeros,
-        # z + K - 1, and a block past it. Example 4 has no stop before
+        # n on both sides of the block edge B: one block, a full block, a
+        # block and one term, and three blocks of the doubled matrix; on
+        # both sides of the floor index L, the first u with psi below
+        # _PSI_FLOOR, and of the block start the level ends at, and a
+        # block past it. Each level covers u = min(m, n), matches the loop
+        # within 4e-15 and ends where the reference says; every psi past
+        # it, to n, lies below the floor. Example 4 has no stop before
         # u = 20 000
         assert survival._BLOCK == 512
+        floor = survival._PSI_FLOOR
         _, cases = deflation_cases
         for model, roots, _ in cases:
             h = -survival._ladder_factor(model, roots)[1:]
-            ns = [1, 511, 512, 513, 1500]
-            z = first_zero(h, 20_000)
-            if z is not None:
-                stop = z + len(h) - 1
-                ns += [n for n in (stop - 1, stop, stop + 1,
-                                   stop + survival._BLOCK + 1) if n >= 1]
+            k, m, b = len(h), model.max_drop, block_rows(len(h))
+            ns = [1, b - 1, b, b + 1, 1500]
+            low = floor_index(h, 20_000)
+            if low is not None:
+                stop = level_end(ladder_tail_every_block(h, 20_000), k, m,
+                                 20_000)
+                ns += [n for n in (low - 1, low, low + 1, stop - 1, stop,
+                                   stop + 1, stop + b + 1) if n >= 1]
             ref = ladder_tail_loop(h, max(ns))
             for n in ns:
-                psi = survival._ladder_tail(h, n)
-                assert len(psi) == n + 1
-                np.testing.assert_allclose(psi, ref[: n + 1], rtol=0,
+                lo = min(m, n)
+                psi = survival._ladder_tail(h, n, lo)
+                assert len(psi) - 1 == level_end(ref, k, lo, n)
+                assert len(psi) >= lo + 1
+                np.testing.assert_allclose(psi, ref[: len(psi)], rtol=0,
                                            atol=4e-15)
-                if z is not None:
-                    assert not psi[z : z + len(h)].any()
+                assert np.all(ref[len(psi) : n + 1] < floor)
+                if k and len(psi) <= n:
+                    assert np.all(psi[-k:] < floor)
 
     def test_xi_of_the_tables_own_pi_is_the_table(self, deflation_cases):
         _, cases = deflation_cases
@@ -380,20 +446,28 @@ class TestDeflation:
 
 
 class TestTailStop:
-    """Past psi's first K = len(h) exact zeros every term is 0.0, so the
-    tail stops there and the table reads 1.0 without computing it."""
+    """Past K = len(h) terms of psi in a row below _PSI_FLOOR every later
+    term is below it too, so the tail stops there and the table reads 1.0
+    without computing it."""
 
     def test_bit_identical_to_every_block(self, deflation_cases):
         # phis, q and residual byte for byte against the full-length path,
-        # at u_max on both sides of m and of psi's first exact zero z
+        # at u_max on both sides of m, of psi's first exact zero z, of the
+        # floor index L, of the block edge and of the level's end
         _, cases = deflation_cases
         for model, roots, _ in cases:
             m = model.max_drop
             h = -survival._ladder_factor(model, roots)[1:]
+            b = block_rows(len(h))
             z = first_zero(h, 20_000)
-            u_maxes = {0, 1, m - 1, m, m + 1, 2000, 20_000}
+            low = floor_index(h, 20_000)
+            u_maxes = {0, 1, m - 1, m, m + 1, b - 1, b, b + 1, 2000, 20_000}
             if z is not None:
                 u_maxes |= {z - 1, z, z + 1}
+            if low is not None:
+                stop = level_end(ladder_tail_every_block(h, 20_000), len(h),
+                                 m, 20_000)
+                u_maxes |= {low - 1, low, low + 1, stop - 1, stop, stop + 1}
             for u_max in sorted(u for u in u_maxes if u >= 0):
                 table = rw.ultimate_survival(model, u_max=u_max, roots=roots)
                 phis, q, residual = ultimate_full_length(model, u_max, roots)
@@ -402,35 +476,49 @@ class TestTailStop:
                 assert table.residual == residual, u_max
 
     def test_example4_cap10_runs_to_20000(self):
-        # psi(20 000) = 3.7e-87: no K zeros, so every block runs (the
-        # table itself is in the bit-identity test's example4_caps case)
+        # psi(20 000) = 3.7e-87 is above the floor, so every block runs
+        # (the table itself is in the bit-identity test's example4_caps
+        # case)
         model = make_example4(10).build()
         h = -survival._ladder_factor(model, rw.unit_disk_roots(model))[1:]
-        psi = survival._ladder_tail(h, 20_000)
+        psi = survival._ladder_tail(h, 20_000, model.max_drop)
+        assert len(psi) == 20_001
         assert psi[-1] == pytest.approx(3.7e-87, rel=0.01)
         assert psi.tobytes() == ladder_tail_every_block(h, 20_000).tobytes()
 
-    @pytest.mark.parametrize("make, count", [
-        (make_example1, 2), (lambda: make_example3(0.5), 0),
-    ], ids=["ex1", "ex3_p05"])
-    def test_blocks_run(self, make, count, monkeypatch):
-        # Example 1's psi = (sqrt 2 - 1)^u underflows at u = 846, so the
-        # block at 1 024 sees one zero and stops; Example 3 has K = 0
+    @pytest.mark.parametrize("make, n, count, rows, length", [
+        (make_example1, 20_000, 1, 512, 513),
+        (lambda: make_example3(0.5), 20_000, 0, None, 4),
+        (geometric_claims_model, 2000, 125, 16, 2001),
+    ], ids=["ex1", "ex3_p05", "geometric_k653"])
+    def test_blocks_run(self, make, n, count, rows, length, monkeypatch):
+        # Example 1's psi = (sqrt 2 - 1)^u falls below the floor at
+        # u = 472, so the block at 512 reads K = 1 term below it and
+        # stops; Example 3 has K = 0, runs no block, and its level is
+        # psi(0..m); at K = 653 a block has 16 rows
         blocks = []
         matmul = np.matmul
 
-        def counted(*args, **kwargs):
-            blocks.append(args[0].shape)
-            return matmul(*args, **kwargs)
+        def counted(a, b, **kwargs):
+            if b.ndim == 1:            # a block; the doubling is matrix-matrix
+                blocks.append(a.shape)
+            return matmul(a, b, **kwargs)
 
         model = make()
         h = -survival._ladder_factor(model, rw.unit_disk_roots(model))[1:]
         monkeypatch.setattr(np, "matmul", counted)
-        psi = survival._ladder_tail(h, 20_000)
-        assert len(psi) == 20_001
+        psi = survival._ladder_tail(h, n, model.max_drop)
+        assert len(psi) == length
         assert len(blocks) == count
-        assert all(rows == survival._BLOCK for rows, _ in blocks)
+        assert all(r == rows for r, _ in blocks)
 
+    def test_level_covers_m(self):
+        # psi(1) = 1e-200 is below the floor at once, yet the level runs
+        # to the first block start past m = 600: two blocks of 512
+        h = np.array([1e-200])
+        psi = survival._ladder_tail(h, 20_000, 600)
+        assert len(psi) == 1025
+        np.testing.assert_array_equal(psi, ladder_tail_every_block(h, 1024))
 
 class TestRecurrenceResidual:
     @pytest.mark.parametrize("make", [
@@ -581,6 +669,15 @@ class TestFiniteHorizon:
             rw.finite_survival(ex1.model, 5, 0)
         with pytest.raises(rw.ModelError):
             rw.finite_survival(ex1.model, -1, 3)
+
+    @pytest.mark.parametrize("u_max, t_max, message", [
+        (-1, 5, "u_max=-1 must be >= 0"), (5, 0, "horizon T=0 must be >= 1"),
+    ])
+    def test_grid_checks_its_arguments_when_called(self, ex1, u_max, t_max,
+                                                   message):
+        # the ModelError comes from the call, not from the first next()
+        with pytest.raises(rw.ModelError, match=message):
+            rw.finite_grid(ex1.model, u_max, t_max)
 
 
 class TestXiCoefficients:
