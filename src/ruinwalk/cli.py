@@ -259,6 +259,9 @@ def _cmd_simulate(args) -> int:
     for u, e, s in zip(res.u_values, res.estimates, res.std_errors):
         print(f"u={u}: {e:.6f} +- {s:.6f}")
     print(f"seed {args.seed}, {res.n_paths} paths, horizon {res.horizon_T}")
+    floor = "none" if res.floor is None else res.floor
+    print(f"floor {floor}: {res.floored} paths retired there as survivors, "
+          f"total variation <= {res.floored * 2.0 ** -64:.1e}")
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -6,7 +6,8 @@ the seed; an int16 walk, or int32 where its reach needs it, fed four
 steps per 64-bit word, one from each 16-bit lane, each step one table
 lookup and rarely 37 more bits; every 8 steps the paths whose maximum
 reached max(u) are retired in place, the tail's survivors filling the
-freed slots)
+freed slots, and so are the paths that Lundberg's bound on the sampled
+step law puts out of reach of every u, as survivors)
 and exact small-instance enumeration of the survival probability by
 dynamic programming over partial-sum distributions.
 """
@@ -32,6 +33,13 @@ _LOW_BITS = 53 - _DRAW_BITS
 # steps between two retirement passes: a pass scans every live path, and
 # a path that crossed max(u) fails every u whenever it is dropped
 _RETIRE_EVERY = 8
+# a path retires as a survivor where the chance that it would still have
+# changed a count is at most 2^-_EPS_BITS
+_EPS_BITS = 64
+# Lundberg's gamma keeps the step law's mgf this far below 1, far above
+# the few ulps by which the summed mgf can be off
+_MGF_SLACK = 1e-12
+_BISECTIONS = 40
 
 ENUM_CELL_BUDGET = 10 ** 7
 
@@ -80,6 +88,8 @@ class SimResult:
     n_paths: int
     horizon_T: int
     seed: int
+    floor: int | None     # paths at or below it retired as survivors
+    floored: int          # paths so retired, not counting failed ones
 
 
 class _StepSampler:
@@ -163,29 +173,100 @@ class _StepSampler:
             steps[hard] = np.minimum(self.lo + found, self.top)
         return steps
 
+    def law(self) -> np.ndarray:
+        """P(step = lo + i) for i = 0..top - lo under a uniform 53-bit k.
 
-def _retire(running: np.ndarray, maxes: np.ndarray, u_big: int):
-    """Drop the paths whose maximum has reached `u_big`, in place.
+        The count #{cum_k <= k} is i for the k from ceil(cum_k[i-1]) up to
+        ceil(cum_k[i]) - 1, and the clip puts every k from ceil(cum_k[-2])
+        on onto the top step. Each entry is an integer count below 2^53 over
+        2^53, so the law is exact in float64.
+        """
+        edges = np.minimum(np.ceil(self.cum_k[:-1]), 2.0 ** 53)
+        return np.diff(edges, prepend=0.0, append=2.0 ** 53) / 2.0 ** 53
 
-    With `keep` paths left, the survivors in slots `keep` on fill the
-    retired slots below `keep`, both in slot order, and the two arrays
-    come back as views of their first `keep` entries. The decision is on
-    the maxima, not on the positions: a path that crossed `u_big` since
-    the last pass and fell back below it is dropped too. Only O(retired)
-    entries move; neither array is copied.
+
+def _lundberg(p: np.ndarray, lo: int) -> float | None:
+    """The largest gamma > 0 with sum_j p_j e^(gamma j) <= 1 - _MGF_SLACK
+    for the step law p on lo, lo + 1, ..., found by bisection, or None.
+
+    The mgf is convex and 1 at gamma = 0, so these gamma form an
+    interval, empty where the drift is >= 0 or there is no up-step. A
+    point below 1 - _MGF_SLACK or where the mgf falls lies at or left of
+    the interval's right end. It starts from log(1/p_top)/top, where the
+    top up-step alone gives the mgf 1, so no term exceeds 1/p_top <= 2^53.
+    None comes back where the bisection ends outside the interval: at a
+    drift >= 0, or where the interval is narrower than its last step.
+    The sums are `math.fsum`s of terms each a few ulps off, so the mgf
+    the returned gamma gives is below 1 in exact arithmetic. With
+    e^(gamma S_n) then a supermartingale, a walk from x reaches u with
+    probability at most e^(-gamma (u - x)) over any horizon (Ville).
     """
-    gone = np.flatnonzero(maxes >= u_big)
-    # where few paths reach max(u), most passes retire none: 80 of the 100
-    # of Example 2 at 200 000 paths, T = 200, u <= 10
-    if gone.size == 0:
-        return running, maxes
-    keep = maxes.size - gone.size
-    holes = gone[:np.searchsorted(gone, keep)]
-    # as many survivors sit in slots keep on as there are holes below it
-    tail = keep + np.flatnonzero(maxes[keep:] < u_big)
-    running[holes] = running[tail]
-    maxes[holes] = maxes[tail]
-    return running[:keep], maxes[:keep]
+    # plain floats: a numpy exp here would map its vector code into the
+    # process, about 0.25 MB of resident pages for some 30 terms
+    law = [(lo + i, x) for i, x in enumerate(p.tolist()) if x > 0.0]
+    if not law or law[-1][0] <= 0:
+        return None
+    top, p_top = law[-1]
+
+    def terms(gamma):
+        return [x * math.exp(gamma * j) for j, x in law]
+
+    below, above = 0.0, math.log(1.0 / p_top) / top
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (below + above)
+        at_mid = terms(mid)
+        if (math.fsum(at_mid) <= 1.0 - _MGF_SLACK
+                or math.fsum(j * t for (j, _), t in zip(law, at_mid)) < 0.0):
+            below = mid
+        else:
+            above = mid
+    if math.fsum(terms(below)) > 1.0 - _MGF_SLACK:
+        return None                # never inside: empty, or too thin
+    return below
+
+
+def _retire(running: np.ndarray, maxes: np.ndarray, u_sorted: list,
+            survived: np.ndarray, floor: int | None,
+            flag: np.ndarray) -> tuple:
+    """Drop the paths whose maximum has reached max(u), and those at or
+    below `floor`, in place; return the two arrays and the number of
+    paths retired at the floor whose maximum is below max(u).
+
+    A path at or below the floor retires as a survivor of every u above
+    its maximum: its maximum is tallied into `survived`, one count per u
+    in `u_sorted` it lies below. A path past max(u) fails every u
+    wherever it stands. With `keep` paths left, the survivors in slots
+    `keep` on fill the retired slots below `keep`, both in slot order,
+    and the two arrays come back as views of their first `keep` entries.
+    The decision is on the maxima, not on the positions: a path that
+    crossed max(u) since the last pass and fell back below it is dropped
+    too. The retirement mask is built in `flag`, a bool buffer at least
+    as long as the arrays; only O(retired) entries move, and neither
+    array is copied.
+    """
+    u_big = u_sorted[-1]
+    out = flag[:maxes.size]
+    floored = 0
+    np.greater_equal(maxes, u_big, out=out)
+    if floor is not None:
+        # a path past max(u) is moved below the floor, where it retires
+        # with the low paths and, its maximum past every u, adds no count
+        running[out] = np.iinfo(running.dtype).min
+        low_max = maxes[np.less_equal(running, floor, out=out)]
+        below = [np.count_nonzero(low_max < u) for u in u_sorted]
+        survived += below
+        floored = int(below[-1])
+    keep = maxes.size - int(np.count_nonzero(out))
+    # where few paths reach max(u) or the floor, most passes retire none
+    if keep == maxes.size:
+        return running, maxes, floored
+    # as many survivors sit in slots keep on as there are holes below it;
+    # boolean indexing moves them in slot order with no index arrays
+    holes, rest = out[:keep], out[keep:]
+    np.logical_not(rest, out=rest)
+    running[:keep][holes] = running[keep:][rest]
+    maxes[:keep][holes] = maxes[keep:][rest]
+    return running[:keep], maxes[:keep], floored
 
 
 def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
@@ -201,12 +282,25 @@ def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
     records its running maximum, and every `_RETIRE_EVERY` steps the
     paths whose maximum has reached max(u) are retired, as they fail
     every requested threshold; until then such a path walks on, and its
-    maximum only grows. Retirement is in place (`_retire`): the survivors
-    past the live count fill the retired slots below it, both in slot
-    order, and draw i of the next step goes to live slot i. Each step is
-    a fresh draw whatever slot a path sits in, so the law of the
-    estimates depends neither on the slot order nor on when paths retire,
-    though the counts a seed gives do.
+    maximum only grows.
+
+    The same passes retire the paths at or below the floor
+    min(u) - ceil(64 ln 2 / gamma), gamma from `_lundberg` on the law the
+    sampler draws (`_StepSampler.law`), as survivors of every u above
+    their maximum. From there a path reaches min(u), and so any u, with
+    probability at most 2^-64 over any horizon, so the law of the
+    estimates is within total variation floored * 2^-64 of the walk's
+    without the floor (at most 1.1e-14 at 200 000 paths). There is no
+    floor (`floor` None) without a gamma, that is at a drift >= 0 or with
+    no up-step, nor where it lies below -T * max_drop, out of every
+    path's reach; the counts are then the walk's own.
+
+    Retirement is in place (`_retire`): the survivors past the live count
+    fill the retired slots below it, both in slot order, and draw i of
+    the next step goes to live slot i. Each step is a fresh draw whatever
+    slot a path sits in, so the law of the estimates depends neither on
+    the slot order nor on when paths retire, though the counts a seed
+    gives do.
     """
     reach = cfg.horizon_T * max(model.max_drop, model.step.support_max)
     if reach >= np.iinfo(np.int32).max:
@@ -215,11 +309,19 @@ def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
     cum = model.F(np.arange(model.step.support_min,
                             model.step.support_max + 1))
     u_sorted = sorted(set(cfg.u_values))
-    u_big = u_sorted[-1]
 
     sampler = _StepSampler(cum, model.step.support_min,
                            min(_BLOCK, cfg.n_paths), walk)
+    gamma = _lundberg(sampler.law(), sampler.lo)
+    floor = None
+    if gamma is not None:
+        # ceil rounding can cost gamma * drop a few ulps of 64 ln 2; the
+        # mgf slack leaves the true Lundberg exponent far more above gamma
+        floor = u_sorted[0] - math.ceil(_EPS_BITS * math.log(2.0) / gamma)
+        if floor < -cfg.horizon_T * model.max_drop:
+            floor = None
     survived = np.zeros(len(u_sorted), dtype=np.int64)
+    floored = 0
     n_blocks = (cfg.n_paths + _BLOCK - 1) // _BLOCK
     streams = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
     done = 0
@@ -235,7 +337,9 @@ def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
             running += sampler.steps(bitgen, running.size)
             np.maximum(maxes, running, out=maxes)
             if t % _RETIRE_EVERY == 0:
-                running, maxes = _retire(running, maxes, u_big)
+                running, maxes, at_floor = _retire(
+                    running, maxes, u_sorted, survived, floor, sampler._flag)
+                floored += at_floor
         survived += [np.count_nonzero(maxes < u) for u in u_sorted]
 
     est = survived / cfg.n_paths
@@ -244,7 +348,8 @@ def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
     idx = [order[u] for u in cfg.u_values]
     return SimResult(u_values=cfg.u_values, estimates=est[idx],
                      std_errors=se[idx], n_paths=cfg.n_paths,
-                     horizon_T=cfg.horizon_T, seed=cfg.seed)
+                     horizon_T=cfg.horizon_T, seed=cfg.seed, floor=floor,
+                     floored=floored)
 
 
 def enumerate_finite(model: RiskModel, u: int, T: int) -> float:

@@ -179,6 +179,23 @@ def _ladder_factor(model: RiskModel, roots: RootSet) -> np.ndarray:
     return a / a[0]
 
 
+def _check_heights(h: np.ndarray) -> None:
+    """Raise unless every ladder height h_k is at least -K 2^-53 max h,
+    K = len(h): the rounding a deflation of K terms may leave on an exact
+    0. Below that the roots factor lost digits, as on a lattice law whose
+    unit-disk roots crowd the circle, and the recurrence would run on a
+    negative weight. A detector, not a proof that the factor is good."""
+    if h.size == 0:
+        return
+    bound = h.size * 2.0**-53 * h.max()
+    if h.min() < -bound:
+        k = int(np.argmin(h)) + 1
+        raise NumericalBlowupError(
+            f"ladder height h_{k} = {float(h[k - 1])!r} lies below "
+            f"-{bound:.1e}, the rounding bound; the roots factor lost "
+            "digits")
+
+
 def _ladder_tail(h: np.ndarray, n: int, m: int) -> np.ndarray:
     """A level psi(0) .. psi(e), m <= e <= n, of the defective renewal
     equation psi(u) = sum_k h_k psi(u - k) for u >= 1, with psi = 1 on
@@ -239,9 +256,10 @@ def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
     is the one-step balance sum_{i<=m} phi(i) f(-i), and `residual` is
     max |phi + T psi - 1|, T the first-step map, over u <= u_max - m. An
     `init`, if given, is checked for its length only; its partial sums are
-    the paper's route to phi(1..m) and verify this one. A value escaping
-    [0, 1] or out of order beyond tolerance raises at its u; nothing is
-    clamped.
+    the paper's route to phi(1..m) and verify this one. A ladder height
+    below -K 2^-53 max h raises NumericalBlowupError before any term is
+    run (`_check_heights`), and a value escaping [0, 1] or out of order
+    beyond tolerance raises at its u; nothing is clamped.
 
     The recurrence runs to the level `_ladder_tail` returns, which covers
     u = m and ends where K terms of psi in a row lie below _PSI_FLOOR, K
@@ -259,7 +277,9 @@ def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
     _check_length(init, m)
     if roots is None:
         roots = unit_disk_roots(model)
-    psi = _ladder_tail(-_ladder_factor(model, roots)[1:], max(u_max, m), m)
+    h = -_ladder_factor(model, roots)[1:]
+    _check_heights(h)
+    psi = _ladder_tail(h, max(u_max, m), m)
     end = min(len(psi), u_max + 1)
     phi = np.ones(u_max + 1)
     np.subtract(1.0, psi[:end], out=phi[:end])

@@ -459,6 +459,25 @@ class TestSimulate:
         _, rows = read_csv(c)
         assert float(rows[0][1]) == expected.estimates[0]
 
+    @pytest.mark.parametrize("name, floor", [
+        ("ex2", "-104"), ("ex4_cap10", "none")])
+    def test_floor_line(self, tmp_path, capsys, name, floor):
+        # one line names the floor, the paths retired there and the total
+        # variation bound they leave on the estimates' law
+        model = str(GOLDEN_DIR / f"{name}.json")
+        args = ["--paths", "20000", "--horizon", "200", "--u", "0,1,2,5,10",
+                "--seed", "7"]
+        assert main(["simulate", model, *args,
+                     "--out", str(tmp_path / "sim.csv")]) == 0
+        lines = [x for x in capsys.readouterr().out.splitlines()
+                 if x.startswith("floor ")]
+        res = rw.simulate(rw.load_model_config(model).build(), rw.SimConfig(
+            n_paths=20000, horizon_T=200, seed=7, u_values=(0, 1, 2, 5, 10)))
+        assert lines == [f"floor {floor}: {res.floored} paths retired there "
+                         "as survivors, total variation <= "
+                         f"{res.floored * 2.0 ** -64:.1e}"]
+        assert (res.floored > 0) == (floor != "none")
+
     def test_horizon_past_int32_reach_exits_2(self, tmp_path, capsys,
                                               monkeypatch):
         # Example 1 steps from -2 to 1: 2^30 steps could reach -2^31; the

@@ -1,12 +1,17 @@
 """Simulation and enumeration oracles, and their agreement with the solver."""
 
+import ast
 import itertools
+import math
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import ruinwalk as rw
-from ruinwalk.oracle import _StepSampler, _retire
+from ruinwalk import oracle
+from ruinwalk.oracle import _lundberg, _retire, _StepSampler
 
 from conftest import (make_example1, make_example2, make_example4,
                       random_admissible_model)
@@ -42,6 +47,15 @@ class TestEnumerate:
             assert a == pytest.approx(b, abs=1e-12)
 
 
+def make_plunge():
+    """Claims 0, 49 or 51 with probabilities 0.02, 0.49 and 0.49 against a
+    premium of 50: a +-1 walk that plunges by 50 now and then, so some
+    paths fall past the floor while others still hover near u = 0."""
+    return rw.build_model(
+        rw.Pmf.from_weights(0, [0.02] + [0.0] * 48 + [0.49, 0.0, 0.49]),
+        rw.Pmf.point(50))
+
+
 def _step_table(model):
     return np.cumsum(model.step.weights), model.step.support_min
 
@@ -53,7 +67,7 @@ def _step_53(cum, lo, k):
     return np.minimum(lo + found, lo + len(cum) - 1)
 
 
-def _reference_simulate(model, cfg):
+def _reference_simulate(model, cfg, floor=None):
     """simulate's survivor counts from a plain walk with no step table.
 
     Each step of n live paths reads ceil(n/4) PCG64 words and splits each
@@ -62,9 +76,11 @@ def _reference_simulate(model, cfg):
     draw whose interval [x 2^37, x 2^37 + 2^37 - 1] gives two steps takes
     r as the top 37 bits of one more word, drawn after the step's words
     in draw order. The walk is int64. After every 8th step the paths
-    whose maximum has reached max(u) retire: with `keep` paths left, the
-    survivors in slots `keep` on fill the retired slots below `keep`, both
-    in slot order, and draw i of the next step goes to slot i.
+    whose maximum has reached max(u) retire, and so do the paths at or
+    below `floor`, if one is given, each counted as a survivor of every u
+    above its maximum: with `keep` paths left, the survivors in slots
+    `keep` on fill the retired slots below `keep`, both in slot order,
+    and draw i of the next step goes to slot i.
     """
     cum, lo = _step_table(model)
     u = np.array(cfg.u_values, dtype=np.int64)
@@ -95,10 +111,14 @@ def _reference_simulate(model, cfg):
             maxes = np.maximum(maxes, running)
             if t % 8:
                 continue
-            gone = np.flatnonzero(maxes >= u.max())
+            low = np.zeros(n, dtype=bool) if floor is None else \
+                running <= floor
+            survived += [np.count_nonzero(maxes[low] < v) for v in u]
+            out = (maxes >= u.max()) | low
+            gone = np.flatnonzero(out)
             keep = n - gone.size
             holes = gone[gone < keep]
-            tail = keep + np.flatnonzero(maxes[keep:] < u.max())
+            tail = keep + np.flatnonzero(~out[keep:])
             running[holes], maxes[holes] = running[tail], maxes[tail]
             running, maxes = running[:keep], maxes[:keep]
         survived += [np.count_nonzero(maxes < v) for v in u]
@@ -211,6 +231,115 @@ class TestStepSampler:
                     got, _step_53(cum, lo, (draws << 37) + r))
 
 
+    @pytest.mark.parametrize("law", list(STEP_TABLES))
+    def test_law_is_the_step_map(self, law):
+        # the law gives step lo + i to a run of p_i 2^53 values of k, the
+        # runs in order from k = 0; the binary search gives that step at
+        # both ends of each run, so to every k in it
+        cum, lo = STEP_TABLES[law]()
+        p = _StepSampler(cum, lo, 1, np.int16).law()
+        assert len(p) == len(cum) and np.all(p >= 0.0)
+        counts = p * 2.0 ** 53
+        np.testing.assert_array_equal(counts, np.round(counts))
+        assert math.fsum(counts) == 2.0 ** 53
+        start = np.concatenate([[0.0], np.cumsum(counts)[:-1]])
+        full = np.flatnonzero(counts)
+        for ends in (start[full], start[full] + counts[full] - 1):
+            np.testing.assert_array_equal(
+                _step_53(cum, lo, ends.astype(np.int64)), lo + full)
+
+
+def _pm1_walk(p_up):
+    """Claims 0 or 2 against a premium of 1: steps -1 and +1."""
+    return rw.build_model(rw.Pmf.from_weights(0, [1.0 - p_up, 0.0, p_up]),
+                          rw.Pmf.point(1))
+
+
+def _gamma(model):
+    """gamma, and the law and lowest step it was found on."""
+    cum, lo = _step_table(model)
+    p = _StepSampler(cum, lo, 1, np.int16).law()
+    return _lundberg(p, lo), p, lo
+
+
+class TestLundberg:
+    @pytest.mark.parametrize("make, gamma", [
+        (lambda: _pm1_walk(0.3), math.log(0.7 / 0.3)),
+        (lambda: _pm1_walk(0.1), math.log(9.0)),
+        (make_example2, 0.42866),
+        (lambda: make_example4(10).build(), 0.00995),
+        (make_plunge, 0.2017),
+    ], ids=["pm1_0.3", "pm1_0.1", "example2", "example4_cap10", "plunge"])
+    def test_mgf_at_gamma_is_below_one(self, make, gamma):
+        # on the +-1 walk gamma is ln(q/p), where the mgf is 1; elsewhere
+        # the value is quoted to its digits. A 50-digit sum on the law the
+        # sampler draws puts the mgf at gamma at or below 1 - 1e-12 + 1e-15
+        got, p, lo = _gamma(make())
+        digits = len(f"{gamma}".split(".")[1])
+        assert got == pytest.approx(gamma, rel=1e-9, abs=0.6 * 10 ** -digits)
+        with mp.workdps(50):
+            mgf = mp.fsum(mp.mpf(float(pj)) * mp.exp(mp.mpf(got) * (lo + i))
+                          for i, pj in enumerate(p))
+            assert mgf <= 1 - mp.mpf(1e-12) + mp.mpf(1e-15)
+            # and gamma is the largest such, to the bisection's width
+            above = mp.fsum(mp.mpf(float(pj))
+                            * mp.exp(mp.mpf(got * (1 + 1e-9)) * (lo + i))
+                            for i, pj in enumerate(p))
+            assert above > 1 - mp.mpf(1e-12)
+
+    @pytest.mark.parametrize("model", [
+        _pm1_walk(0.5),
+        rw.build_model(rw.Pmf.point(0), rw.Pmf.point(1)),
+        rw.build_model(rw.Pmf.from_weights(0, [0.5, 0.5]), rw.Pmf.point(1)),
+    ], ids=["zero_drift", "no_up_step", "steps_minus_1_and_0"])
+    def test_no_gamma(self, model):
+        assert _gamma(model)[0] is None
+        res = rw.simulate(model, rw.SimConfig(n_paths=1_000, horizon_T=200,
+                                              seed=3, u_values=(0, 1)))
+        assert (res.floor, res.floored) == (None, 0)
+
+    @pytest.mark.parametrize("make, horizon_T, floor", [
+        # -T * max_drop is -2000 against a floor of -4459
+        (lambda: make_example4(10).build(), 200, None),
+        # 25 steps of -4 reach -100, 26 reach the floor at -104
+        (make_example2, 25, None),
+        (make_example2, 26, -104),
+    ], ids=["example4_cap10_t200", "example2_t25", "example2_t26"])
+    def test_no_floor_past_the_walks_reach(self, make, horizon_T, floor):
+        res = rw.simulate(make(), rw.SimConfig(
+            n_paths=1_000, horizon_T=horizon_T, seed=3,
+            u_values=(0, 1, 2, 5, 10)))
+        assert res.floor == floor
+        if floor is None:
+            assert res.floored == 0
+
+    def test_floor_from_the_smallest_u(self):
+        # from the floor a path reaches min(u), the likeliest u to change a
+        # count, with probability at most 2^-64: the floor moves with min(u)
+        # and not with max(u)
+        gamma = _gamma(make_example2())[0]
+        drop = math.ceil(64 * math.log(2.0) / gamma)
+        for u_values in ((0, 1, 2, 5, 10), (0, 40), (3, 10)):
+            res = rw.simulate(make_example2(), rw.SimConfig(
+                n_paths=1_000, horizon_T=200, seed=3, u_values=u_values))
+            assert res.floor == min(u_values) - drop
+
+
+class TestOracleIndependence:
+    def test_imports_only_errors_and_model(self):
+        # the oracle must share no numerics with the solver: from the
+        # package it may take the error types and the model alone
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        local, foreign = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                (local if node.level else foreign).add(node.module)
+            elif isinstance(node, ast.Import):
+                foreign.update(a.name.split(".")[0] for a in node.names)
+        assert local == {"errors", "model"}
+        assert foreign <= {"__future__", "math", "dataclasses", "numpy"}
+
+
 class TestRetire:
     # u_big = 10: a path retires where its maximum is 10 or more; each
     # position is its max less 3, so a moved pair shows as one, and a path
@@ -227,37 +356,78 @@ class TestRetire:
     def test_survivors_fill_the_holes_in_slot_order(self, maxes, want):
         maxes = np.array(maxes, dtype=np.int16)
         running = maxes - 3
-        got_running, got_maxes = _retire(running, maxes, 10)
+        survived = np.zeros(1, dtype=np.int64)
+        flag = np.ones(maxes.size + 2, dtype=bool)
+        got_running, got_maxes, floored = _retire(running, maxes, [10],
+                                                  survived, None, flag)
         np.testing.assert_array_equal(got_maxes, want)
         np.testing.assert_array_equal(got_running, got_maxes - 3)
+        assert floored == 0 and survived[0] == 0
         # views of the inputs: nothing is reallocated
         for got, given in ((got_running, running), (got_maxes, maxes)):
             assert got is given or got.base is given
 
+    # u = 0, 5, 10 and a floor of -5: a path at or below -5 retires as a
+    # survivor of each u above its maximum, unless its maximum has reached
+    # 10, where it fails every u wherever it stands
+    @pytest.mark.parametrize("running, maxes, want, tally, floored", [
+        ([-6, 1, -5, -20, 2], [3, 4, 12, 0, 5], [2, 1], [0, 2, 2], 2),
+        ([-9, -9], [-1, 2], [], [1, 2, 2], 2),
+        ([-4, -5, 0], [-4, 11, 10], [-4], [0, 0, 0], 0),
+        ([-5, 6, -4], [-5, 9, 9], [-4, 6], [1, 1, 1], 1),
+        ([-4, 3, 0], [0, 9, 9], [-4, 3, 0], [0, 0, 0], 0),
+    ], ids=["low_and_failed", "all_low", "low_but_failed",
+            "low_slot_0_filled", "none_low"])
+    def test_low_paths_retire_as_survivors(self, running, maxes, want, tally,
+                                           floored):
+        running = np.array(running, dtype=np.int16)
+        maxes = np.array(maxes, dtype=np.int16)
+        where = {int(r): int(m) for r, m in zip(running, maxes)}
+        survived = np.array([7, 7, 7], dtype=np.int64)
+        flag = np.zeros(running.size, dtype=bool)
+        got_running, got_maxes, low = _retire(running, maxes, [0, 5, 10],
+                                              survived, -5, flag)
+        np.testing.assert_array_equal(got_running, want)
+        # each survivor keeps its own maximum
+        assert [where[r] for r in got_running.tolist()] == \
+            got_maxes.tolist()
+        np.testing.assert_array_equal(survived, np.add(tally, 7))
+        assert low == floored
+
 
 class TestSimulate:
-    @pytest.mark.parametrize("make, n_paths, horizon_T, counts", [
-        (make_example2, 70_000, 60, [37512, 48729, 56161, 66143, 69558]),
-        (lambda: make_example4(10).build(), 70_000, 60,
+    @pytest.mark.parametrize("make, n_paths, horizon_T, floor, floored, "
+                             "counts", [
+        (make_example2, 70_000, 60, -104, 0,
+         [37512, 48729, 56161, 66143, 69558]),
+        (lambda: make_example4(10).build(), 70_000, 60, None, 0,
          [3808, 8041, 12983, 27636, 47242]),
-        (make_example2, 200_000, 30,
+        (make_example2, 200_000, 30, -104, 0,
          [107208, 139475, 160602, 189021, 198722]),
-        (lambda: make_example4(10).build(), 200_000, 30,
+        (lambda: make_example4(10).build(), 200_000, 30, None, 0,
          [14684, 31261, 50744, 105197, 165651]),
         # reach 2000 * 17 = 34 000, past int16: the int32 walk
-        (lambda: make_example4(10).build(), 5_000, 2_000,
+        (lambda: make_example4(10).build(), 5_000, 2_000, -4459, 0,
          [71, 146, 231, 501, 885]),
+        # without the floor the reference walk gives
+        # [7832, 13134, 24049, 46506, 63187]
+        (make_plunge, 70_000, 60, -220, 396,
+         [7779, 13087, 24006, 46439, 63192]),
     ], ids=["example2", "example4_cap10", "example2_4_blocks",
-            "example4_cap10_4_blocks", "example4_cap10_int32"])
-    def test_pinned_stream(self, make, n_paths, horizon_T, counts):
+            "example4_cap10_4_blocks", "example4_cap10_int32", "plunge"])
+    def test_pinned_stream(self, make, n_paths, horizon_T, floor, floored,
+                           counts):
         # one full block and one partial, three full blocks and one
         # partial, or one partial block; the survivor counts are those of
-        # the reference walk above, and simulate must match it bit for bit
+        # the reference walk above at the pinned floor, and simulate must
+        # match it bit for bit
         model = make()
         cfg = rw.SimConfig(n_paths=n_paths, horizon_T=horizon_T,
                            seed=20231018, u_values=(0, 1, 2, 5, 10))
-        np.testing.assert_array_equal(_reference_simulate(model, cfg), counts)
+        np.testing.assert_array_equal(_reference_simulate(model, cfg, floor),
+                                      counts)
         res = rw.simulate(model, cfg)
+        assert (res.floor, res.floored) == (floor, floored)
         np.testing.assert_array_equal(res.estimates,
                                       np.array(counts) / n_paths)
 
@@ -349,6 +519,20 @@ class TestSimulate:
         res = rw.simulate(model, rw.SimConfig(
             n_paths=200_000, horizon_T=200, seed=20231018,
             u_values=u_values))
+        exact = rw.finite_survival(model, 10, 200).phis[list(u_values)]
+        se = np.sqrt(exact * (1.0 - exact) / 200_000)
+        assert np.all(np.abs(res.estimates - exact) <= 5.0 * se)
+
+    def test_example2_floored_matches_exact_finite_horizon(self):
+        # Example 2 at 200 000 paths and T = 200: most paths retire at the
+        # floor, and the estimates still lie within 5 standard errors
+        model = make_example2()
+        u_values = (0, 1, 2, 5, 10)
+        res = rw.simulate(model, rw.SimConfig(
+            n_paths=200_000, horizon_T=200, seed=20231018,
+            u_values=u_values))
+        assert res.floor == -104 and res.floored > 100_000
+        assert type(res.floored) is int
         exact = rw.finite_survival(model, 10, 200).phis[list(u_values)]
         se = np.sqrt(exact * (1.0 - exact) / 200_000)
         assert np.all(np.abs(res.estimates - exact) <= 5.0 * se)

@@ -9,7 +9,8 @@ import pytest
 
 import ruinwalk as rw
 from ruinwalk import survival
-from ruinwalk.survival import _check_table
+from ruinwalk.survival import (_check_heights, _check_table,
+                               _ladder_factor)
 
 from conftest import (make_example1, make_example2, make_example3,
                       make_example4, poisson_geometric_model,
@@ -246,6 +247,51 @@ class TestUltimate:
         init = rw.InitialValues(pi=np.array([1.0]), residual=0.0)
         with pytest.raises(rw.NetProfitError):
             rw.ultimate_survival(model, init, 5)
+
+
+def make_span4_lattice():
+    """Claims 0.1 * 0.9^k on 4k, k = 0..200, the rest of the mass added at
+    800, against a premium of 40: every step is a multiple of 4, and three
+    of the 40 unit-disk roots lie on the circle."""
+    w = np.zeros(801)
+    w[::4] = 0.1 * 0.9 ** np.arange(201)
+    w[800] += 1.0 - w.sum()
+    return rw.build_model(rw.Pmf.from_weights(0, w), rw.Pmf.point(40))
+
+
+class TestLadderHeightGuard:
+    def test_span4_lattice_raises(self):
+        # its ladder heights off the lattice should be 0; the deflation
+        # leaves some of them far below the rounding bound K 2^-53 max h
+        model = make_span4_lattice()
+        roots = rw.unit_disk_roots(model)
+        h = -_ladder_factor(model, roots)[1:]
+        assert h.min() < -1e4 * len(h) * 2.0 ** -53 * h.max()
+        with pytest.raises(rw.NumericalBlowupError,
+                           match=r"ladder height h_\d+ = -.* lies below"):
+            rw.ultimate_survival(model, u_max=10, roots=roots)
+
+    @pytest.mark.parametrize("h2, raises", [
+        (-1e-12, True),
+        (-3 * 2.0 ** -53 * 0.5 * (1 + 2.0 ** -10), True),
+        (-3 * 2.0 ** -53 * 0.5, False),
+        (0.0, False),
+    ], ids=["far_below", "just_below_bound", "at_bound", "zero"])
+    def test_crafted_factor(self, monkeypatch, ex1, h2, raises):
+        # h = (0.5, h2, 0.2): K = 3, so the bound is 3 2^-53 0.5
+        factor = np.array([1.0, -0.5, -h2, -0.2])
+        monkeypatch.setattr(survival, "_ladder_factor",
+                            lambda model, roots: factor)
+        if raises:
+            with pytest.raises(rw.NumericalBlowupError, match="h_2"):
+                rw.ultimate_survival(ex1.model, u_max=10, roots=ex1.roots)
+        else:
+            rw.ultimate_survival(ex1.model, u_max=10, roots=ex1.roots)
+
+    def test_no_route_case_raises(self, route_cases):
+        _, cases = route_cases
+        for model, roots in cases:
+            _check_heights(-_ladder_factor(model, roots)[1:])
 
 
 class TestLadderRoute:
