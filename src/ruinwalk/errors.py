@@ -5,6 +5,8 @@ assumptions (the CLI maps these to exit code 2) and NumericalError for
 failures of the numerical machinery on a valid model (exit code 3).
 """
 
+import numpy as np
+
 
 class RuinwalkError(Exception):
     """Base class for all package errors."""
@@ -67,3 +69,16 @@ class NumericalBlowupError(NumericalError):
 
 class ResourceError(RuinwalkError):
     """Enumeration's lattice budget or the int32 walk's reach exceeded."""
+
+
+def _integer(name: str, value) -> int:
+    """`value` as a Python int, if it is an int or a numpy integer, else
+    ModelError.
+
+    A float is refused, integral or not: at u = 0.5 the integer walk's
+    P(max < u) is phi(1), which int() would silently turn into phi(0).
+    A bool is refused too.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ModelError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -6,8 +6,8 @@ the seed; an int16 walk, or int32 where its reach needs it, fed four
 steps per 64-bit word, one from each 16-bit lane, each step one table
 lookup and rarely 37 more bits; every 8 steps the paths whose maximum
 reached max(u) are retired in place, the tail's survivors filling the
-freed slots, and so are the paths that Lundberg's bound on the sampled
-step law puts out of reach of every u, as survivors)
+freed slots by index, and so are the paths that Lundberg's bound on the
+sampled step law puts out of reach of every u, as survivors)
 and exact small-instance enumeration of the survival probability by
 dynamic programming over partial-sum distributions.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, ResourceError
+from .errors import ModelError, ResourceError, _integer
 from .model import RiskModel
 
 # Paths are simulated in fixed-size blocks, one spawned PCG64 substream
@@ -44,17 +44,6 @@ _BISECTIONS = 40
 ENUM_CELL_BUDGET = 10 ** 7
 
 
-def _integer(name: str, value) -> int:
-    """`value` as a Python int, if it is an int or a numpy integer.
-
-    A float is refused, integral or not: at u = 0.5 the integer walk's
-    P(max < u) is phi(1), which int() would silently turn into phi(0).
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ModelError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     n_paths: int
@@ -72,10 +61,15 @@ class SimConfig:
             raise ModelError("horizon_T must be >= 1")
         if self.seed < 0:
             raise ModelError("seed must be >= 0")
-        if len(self.u_values) == 0:
+        try:
+            u_values = tuple(self.u_values)
+        except TypeError:
+            raise ModelError("u_values must be a sequence of integers, got "
+                             f"{self.u_values!r}") from None
+        if len(u_values) == 0:
             raise ModelError("at least one u value is required")
         object.__setattr__(self, "u_values",
-                           tuple(_integer("u", u) for u in self.u_values))
+                           tuple(_integer("u", u) for u in u_values))
 
 
 @dataclass(frozen=True)
@@ -241,31 +235,41 @@ def _retire(running: np.ndarray, maxes: np.ndarray, u_sorted: list,
     The decision is on the maxima, not on the positions: a path that
     crossed max(u) since the last pass and fell back below it is dropped
     too. The retirement mask is built in `flag`, a bool buffer at least
-    as long as the arrays; only O(retired) entries move, and neither
-    array is copied.
+    as long as the arrays, and the retired slots are read from it with
+    `np.flatnonzero`: the floor's tally takes their maxima by index, and
+    the survivors move by index from slots `keep` on into the holes below
+    `keep`. Only O(retired) entries move, and neither array is copied.
+    `floor`, where given, lies within the walk's dtype: a path past max(u)
+    is set to the dtype's minimum to retire with the low paths.
     """
     u_big = u_sorted[-1]
     out = flag[:maxes.size]
     floored = 0
     np.greater_equal(maxes, u_big, out=out)
-    if floor is not None:
+    if floor is None:
+        gone = np.flatnonzero(out)
+    else:
         # a path past max(u) is moved below the floor, where it retires
         # with the low paths and, its maximum past every u, adds no count
-        running[out] = np.iinfo(running.dtype).min
-        low_max = maxes[np.less_equal(running, floor, out=out)]
+        np.copyto(running, np.iinfo(running.dtype).min, where=out)
+        gone = np.flatnonzero(np.less_equal(running, floor, out=out))
+        low_max = maxes.take(gone)
         below = [np.count_nonzero(low_max < u) for u in u_sorted]
         survived += below
         floored = int(below[-1])
-    keep = maxes.size - int(np.count_nonzero(out))
+    keep = maxes.size - gone.size
     # where few paths reach max(u) or the floor, most passes retire none
     if keep == maxes.size:
         return running, maxes, floored
     # as many survivors sit in slots keep on as there are holes below it;
-    # boolean indexing moves them in slot order with no index arrays
-    holes, rest = out[:keep], out[keep:]
-    np.logical_not(rest, out=rest)
-    running[:keep][holes] = running[keep:][rest]
-    maxes[:keep][holes] = maxes[keep:][rest]
+    # index arrays move them in slot order, several times faster than
+    # boolean indexing on int16
+    holes = gone[:np.searchsorted(gone, keep)]
+    rest = out[keep:]
+    src = np.flatnonzero(np.logical_not(rest, out=rest))
+    src += keep
+    running[holes] = running.take(src)
+    maxes[holes] = maxes.take(src)
     return running[:keep], maxes[:keep], floored
 
 
@@ -359,6 +363,7 @@ def enumerate_finite(model: RiskModel, u: int, T: int) -> float:
     touched [u, inf), one explicit lattice sweep per step. Deliberately
     shares no convolution machinery with the analytic solver.
     """
+    u, T = _integer("u", u), _integer("T", T)
     if T < 1:
         raise ModelError(f"horizon T={T} must be >= 1")
     m = model.max_drop

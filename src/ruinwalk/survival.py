@@ -16,7 +16,8 @@ Finite-horizon tables step the ruin tail too: the first-step map
 `_first_step`, (T psi)(u) = sum_k f(k) psi(u - k) with psi = 1 below
 zero, is a sum of nonnegative terms, so phi(u, t) = 1 - psi(u, t) <= 1.
 One pass to horizon T produces every level t = 1..T exactly, so a grid
-over T = 1..t_max is a single pass of t_max levels, one convolution each.
+over T = 1..t_max is a single pass of t_max levels, one convolution each,
+on one work buffer that each level overwrites with its own psi.
 The same map, applied once to the ladder tail, gives its re-substitution
 residual.
 """
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ModelError, NumericalBlowupError
+from .errors import ModelError, NumericalBlowupError, _integer
 from .model import RiskModel
 from .pgf import RootSet, _divide, char_poly, unit_disk_roots
 
@@ -64,18 +65,24 @@ class SurvivalTable:
         return float(self.phis[u])
 
 
-def _first_step(model: RiskModel, psi: np.ndarray, n: int) -> np.ndarray:
-    """(T psi)(u) = sum_k f(k) psi(u - k) for u = 0..n, psi read as 1 on
-    v <= 0 and as 0 from its first entry past u = 0 below _PSI_FLOOR, or
-    past its end; psi(0) is never read. The ones stand for v = -max_up..0,
-    so the map is one slice of one convolution with step.weights[j] =
-    f(j - m). The slice ends early where T psi is 0 for every larger u."""
-    pad = max(model.step.support_max, 0) + 1
+def _pad(model: RiskModel) -> int:
+    """The ones in front of psi(1) in the first-step map's input, one for
+    each v = -max_up..0."""
+    return max(model.step.support_max, 0) + 1
+
+
+def _first_step(model: RiskModel, x: np.ndarray, n: int) -> np.ndarray:
+    """(T psi)(u) = sum_k f(k) psi(u - k) for u = 0..n from `x`, which
+    holds `_pad` ones for v = -max_up..0 and then psi(1), psi(2), ...;
+    psi is read as 0 from its first entry below _PSI_FLOOR, or past the
+    end of `x`. So the map is one slice of one convolution of a prefix of
+    `x` with step.weights[j] = f(j - m). The slice ends early where T psi
+    is 0 for every larger u. The result is a fresh array."""
+    pad = _pad(model)
     lo = model.max_drop + pad - 1
-    below = np.flatnonzero(psi[1:] < _PSI_FLOOR)
-    end = below[0] + 1 if below.size else len(psi)
-    x = np.concatenate([np.ones(pad), psi[1:end]])
-    return np.convolve(x, model.step.weights)[lo : lo + n + 1]
+    below = np.flatnonzero(x[pad:] < _PSI_FLOOR)
+    end = pad + below[0] if below.size else len(x)
+    return np.convolve(x[:end], model.step.weights)[lo : lo + n + 1]
 
 
 def _finite_table(model: RiskModel, u_max: int, T: int):
@@ -87,12 +94,20 @@ def _finite_table(model: RiskModel, u_max: int, T: int):
 
     Level t is asked for up to u_max + (T - t)m, m clipped at 0, as later
     levels read at most m past their own width; so every level is exact
-    for u <= u_max, not only the last. The next level reads it up to its
-    first entry below _PSI_FLOOR, which also drops the exact zeros past t
-    times the largest up-step, so the width stops growing once psi has
-    decayed. Each yielded level is a fresh array of length u_max + 1, so a
-    caller that keeps it does not keep the working level alive.
+    for u <= u_max, not only the last. The pass keeps one work buffer,
+    `_pad` ones and then psi(1..) of the latest level: each level is
+    `_first_step` on a prefix of it and writes its own psi(1..) back in
+    place, so no level is copied into a fresh padded array. A level is at
+    most max_up < `_pad` entries wider than the last, so where one does
+    not fit, one doubling of the buffer makes room. The next level reads
+    it up to its first entry below _PSI_FLOOR, which also drops the exact
+    zeros past t times the largest up-step, so the width, and the buffer,
+    stop growing once psi has decayed. Each yielded level is a fresh array
+    of length u_max + 1, so a caller that keeps it does not keep the work
+    buffer alive.
     """
+    T = _integer("T", T)
+    u_max = _integer("u_max", u_max)
     if T < 1:
         raise ModelError(f"horizon T={T} must be >= 1")
     if u_max < 0:
@@ -100,9 +115,17 @@ def _finite_table(model: RiskModel, u_max: int, T: int):
     m = max(model.max_drop, 0)
 
     def levels():
-        psi = np.zeros(1)          # psi(u, 0) = 0: nothing has happened yet
+        pad = _pad(model)
+        work = np.ones(2 * pad)
+        width = 0                  # psi(u, 0) = 0: nothing has happened yet
         for t in range(1, T + 1):
-            psi = _first_step(model, psi, u_max + (T - t) * m)
+            psi = _first_step(model, work[: pad + width],
+                              u_max + (T - t) * m)
+            head = psi[1:]
+            width = head.size
+            if pad + width > work.size:
+                work = np.concatenate([work, np.empty(work.size)])
+            work[pad : pad + width] = head
             out = np.ones(u_max + 1)
             out[: len(psi)] -= psi[: u_max + 1]
             yield out
@@ -123,8 +146,9 @@ def finite_survival(model: RiskModel, u_max: int, T: int) -> SurvivalTable:
 def finite_grid(model: RiskModel, u_max: int, t_max: int):
     """An iterator over (t, phi(0..u_max, t)) for t = 1..t_max from one DP
     pass to horizon t_max: t_max levels, one convolution each, so the
-    number of convolutions is linear in t_max. A u_max below 0 or a t_max
-    below 1 raises ModelError here, before any level is made."""
+    number of convolutions is linear in t_max. A u_max below 0, a t_max
+    below 1 or either not an integer raises ModelError here, before any
+    level is made."""
     return enumerate(_finite_table(model, u_max, t_max), start=1)
 
 
@@ -270,7 +294,8 @@ def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
     every psi. The cost is O(min(u_max, L) K), L the floor index of psi,
     plus one fill of u_max + 1 entries.
     """
-    if u_max is None or u_max < 0:
+    u_max = _integer("u_max", u_max)
+    if u_max < 0:
         raise ModelError(f"u_max={u_max} must be >= 0")
     model.require_net_profit()
     m = model.max_drop
@@ -286,7 +311,8 @@ def ultimate_survival(model: RiskModel, init: InitialValues | None = None,
     phi[0] = math.fsum((1.0 - psi[i]) * model.f(-i) for i in range(1, m + 1))
     _check_table(phi[:end])
     n = max(u_max + 1 - m, 0)      # below n, T psi reads no psi past u_max
-    tpsi = _first_step(model, psi[:end], n - 1)
+    tpsi = _first_step(model, np.concatenate([np.ones(_pad(model)),
+                                              psi[1:end]]), n - 1)
     # past the level phi - 1 is 0, and past len(tpsi) so is T psi
     gap = phi[: max(min(end, n), len(tpsi))] - 1.0
     gap[: len(tpsi)] += tpsi
@@ -310,6 +336,7 @@ def xi_coeffs(model: RiskModel, init: InitialValues, n: int,
     top(pi) / top(q). It sees pi only through that one sum; the check
     that sees every pi is `solve --verify`'s "vs ladder table" line.
     """
+    n = _integer("n", n)
     m = model.max_drop
     _check_length(init, m)
     if n <= 0:

@@ -32,6 +32,21 @@ class TestEnumerate:
         for u in (1, 2, 5):
             assert rw.enumerate_finite(model, u, 8) == 1.0
 
+    @pytest.mark.parametrize("value", [3.0, 0.5, True, "3", None],
+                             ids=["float_3", "float_half", "bool", "str",
+                                  "none"])
+    @pytest.mark.parametrize("field", ["u", "T"])
+    def test_integer_arguments(self, ex1, field, value):
+        # a numpy integer gives the int result; anything else that is not
+        # an int raises ModelError: truncating u = 0.5 would give phi(1, 3)
+        args = {"u": np.int64(2), "T": np.int32(3)}
+        assert rw.enumerate_finite(ex1.model, **args) == \
+            rw.enumerate_finite(ex1.model, 2, 3)
+        args[field] = value
+        with pytest.raises(rw.ModelError,
+                           match=f"{field} must be an integer"):
+            rw.enumerate_finite(ex1.model, **args)
+
     def test_lattice_budget(self, ex1):
         with pytest.raises(rw.ResourceError):
             rw.enumerate_finite(ex1.model, 100, 100_000)
@@ -543,6 +558,18 @@ class TestSimulate:
         assert np.all(res.estimates >= 0) and np.all(res.estimates <= 1)
         assert np.all(np.diff(res.estimates) >= 0)   # monotone in u
         assert res.n_paths == 50_000
+
+    @pytest.mark.parametrize("value, message", [
+        (3, "u_values must be a sequence"),
+        (2.0, "u_values must be a sequence"),
+        (None, "u_values must be a sequence"),
+        ("12", "u must be an integer"),
+        ([1, 2.0], "u must be an integer"),
+    ], ids=["int", "float", "none", "str", "float_inside"])
+    def test_u_values_must_be_a_sequence_of_integers(self, value, message):
+        # a bare int or a float is not a sequence: ModelError, not TypeError
+        with pytest.raises(rw.ModelError, match=message):
+            rw.SimConfig(n_paths=5, horizon_T=5, seed=1, u_values=value)
 
     def test_config_validation(self):
         with pytest.raises(rw.ModelError):

@@ -87,7 +87,8 @@ def ultimate_full_length(model, u_max, roots) -> tuple:
     _check_table(phi)
     n = max(len(phi) - m, 0)
     gap = phi[:n] - 1.0
-    tpsi = survival._first_step(model, psi[: u_max + 1], n - 1)
+    x = np.concatenate([np.ones(survival._pad(model)), psi[1 : u_max + 1]])
+    tpsi = survival._first_step(model, x, n - 1)
     gap[: len(tpsi)] += tpsi
     residual = float(np.max(np.abs(gap), initial=0.0))
     return phi, psi[:m] - psi[1 : m + 1], residual
@@ -615,21 +616,25 @@ class TestFiniteHorizon:
             np.testing.assert_allclose(
                 rows[t], rw.finite_survival(ex1.model, 5, t).phis, atol=0)
 
-    @pytest.mark.parametrize("make", [
-        make_example2, lambda: make_example4(10).build(),
-    ], ids=["ex2", "ex4_cap10"])
-    def test_grid_levels_match_single_horizons(self, make):
-        model = make()
-        u_max, t_max = 10, 60
-        grid = list(rw.finite_grid(model, u_max, t_max))
-        assert [t for t, _ in grid] == list(range(1, t_max + 1))
+    @pytest.mark.parametrize("name", GOLDENS)
+    def test_grid_levels_match_single_horizons(self, name):
+        # every level is exact for u <= u_max whatever the pass's horizon:
+        # the same bytes from a grid to 100, one to 200 and a single
+        # horizon, so a DP change that moves one bit fails here
+        model = rw.load_model_config(GOLDEN_DIR / f"{name}.json").build()
+        u_max = 10
+        short = list(rw.finite_grid(model, u_max, 100))
+        grid = list(rw.finite_grid(model, u_max, 200))
+        assert [t for t, _ in grid] == list(range(1, 201))
         for t, lvl in grid:
             assert len(lvl) == u_max + 1
-            # an owned array: a kept level must not pin the wide DP level
+            # an owned array: a kept level must not pin the work buffer
             assert lvl.base is None
-            np.testing.assert_allclose(
-                lvl, rw.finite_survival(model, u_max, t).phis, rtol=0,
-                atol=1e-15)
+        for (t, lvl), (_, long_lvl) in zip(short, grid):
+            assert lvl.tobytes() == long_lvl.tobytes(), t
+        for t, lvl in grid:
+            assert lvl.tobytes() == \
+                rw.finite_survival(model, u_max, t).phis.tobytes(), t
 
     @pytest.mark.parametrize("make, T", [
         (make_example2, 400), (make_example2, 1600),
@@ -668,23 +673,32 @@ class TestFiniteHorizon:
 
     def test_floor_moves_no_phi_bit(self, monkeypatch):
         # reading psi as 0 below _PSI_FLOOR changes neither a finite table
-        # nor a residual, and these models do have positive psi below it
+        # nor a residual, and these models do have positive psi below it,
+        # in the DP's own levels as well as in the ladder tail
         models = [rw.load_model_config(GOLDEN_DIR / f"{name}.json").build()
                   for name in GOLDENS]
-        floor, step, cut = survival._PSI_FLOOR, survival._first_step, []
+        floor, step = survival._PSI_FLOOR, survival._first_step
+        cut = {"finite": [], "ultimate": []}
+        route = []
 
-        def watched(model, psi, n):
-            cut.append(bool(np.any((0.0 < psi[1:]) & (psi[1:] < floor))))
-            return step(model, psi, n)
+        def watched(model, x, n):
+            psi = x[survival._pad(model):]
+            cut[route[-1]].append(bool(np.any((0.0 < psi) & (psi < floor))))
+            return step(model, x, n)
 
         def run():
-            return [(rw.finite_survival(model, 60, 400).phis.tobytes(),
-                     rw.ultimate_survival(model, u_max=2000).residual)
-                    for model in models]
+            out = []
+            for model in models:
+                route.append("finite")
+                phis = rw.finite_survival(model, 60, 400).phis.tobytes()
+                route.append("ultimate")
+                out.append((phis,
+                            rw.ultimate_survival(model, u_max=2000).residual))
+            return out
 
         monkeypatch.setattr(survival, "_first_step", watched)
         floored = run()
-        assert any(cut)
+        assert any(cut["finite"]) and any(cut["ultimate"])
         monkeypatch.setattr(survival, "_PSI_FLOOR", 0.0)
         assert run() == floored
 
@@ -724,6 +738,57 @@ class TestFiniteHorizon:
         # the ModelError comes from the call, not from the first next()
         with pytest.raises(rw.ModelError, match=message):
             rw.finite_grid(ex1.model, u_max, t_max)
+
+
+class TestIntegerArguments:
+    # a numpy integer gives the int result; a float, a bool, a string or
+    # None raises ModelError, never a stray AttributeError or TypeError
+    # (u_max 10 on Example 1 is below the ladder tail's block, whose
+    # sizing calls int.bit_length)
+    REFUSED = pytest.mark.parametrize(
+        "value", [10.0, 0.5, True, "10", None],
+        ids=["float_10", "float_half", "bool", "str", "none"])
+
+    @REFUSED
+    def test_ultimate_survival(self, ex1, value):
+        want = rw.ultimate_survival(ex1.model, u_max=10)
+        got = rw.ultimate_survival(ex1.model, u_max=np.int64(10))
+        assert got.phis.tobytes() == want.phis.tobytes()
+        with pytest.raises(rw.ModelError, match="u_max must be an integer"):
+            rw.ultimate_survival(ex1.model, u_max=value)
+
+    @REFUSED
+    def test_xi_coeffs(self, ex1, value):
+        want = rw.xi_coeffs(ex1.model, ex1.init, 10)
+        got = rw.xi_coeffs(ex1.model, ex1.init, np.int32(10))
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(rw.ModelError, match="n must be an integer"):
+            rw.xi_coeffs(ex1.model, ex1.init, value)
+
+    @REFUSED
+    @pytest.mark.parametrize("field", ["u_max", "t_max"])
+    def test_finite_grid(self, ex1, field, value):
+        want = [lvl.tobytes() for _, lvl in rw.finite_grid(ex1.model, 10, 5)]
+        args = {"u_max": 10, "t_max": 5}
+        args[field] = np.int64(args[field])
+        got = rw.finite_grid(ex1.model, args["u_max"], args["t_max"])
+        assert [lvl.tobytes() for _, lvl in got] == want
+        args[field] = value
+        name = "T" if field == "t_max" else field
+        with pytest.raises(rw.ModelError, match=f"{name} must be an integer"):
+            rw.finite_grid(ex1.model, args["u_max"], args["t_max"])
+
+    @REFUSED
+    @pytest.mark.parametrize("field", ["u_max", "T"])
+    def test_finite_survival(self, ex1, field, value):
+        want = rw.finite_survival(ex1.model, 10, 5).phis
+        args = {"u_max": 10, "T": 5}
+        args[field] = np.int64(args[field])
+        got = rw.finite_survival(ex1.model, args["u_max"], args["T"]).phis
+        assert got.tobytes() == want.tobytes()
+        args[field] = value
+        with pytest.raises(rw.ModelError, match=f"{field} must be an integer"):
+            rw.finite_survival(ex1.model, args["u_max"], args["T"])
 
 
 class TestXiCoefficients:
