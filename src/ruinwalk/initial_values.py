@@ -63,7 +63,8 @@ class InitSystem:
     rows: A[j] holds the real parts of row j's entries and A[k] their
     imaginary parts, and the paper's row k is the conjugate of its row j.
     The paper's complex form is thus A[j] + i A[k] in row j and
-    A[j] - i A[k] in row k; only the CLI's --dump-system writes it.
+    A[j] - i A[k] in row k; complex_form makes it, for the CLI's
+    --dump-system.
 
     exact holds each row of A as (ns, e): entry j is ns[j] / 2**e.
     build_system computes every entry exactly from the double roots and
@@ -85,6 +86,19 @@ class InitSystem:
     @property
     def size(self) -> int:
         return len(self.b)
+
+
+def complex_form(system: InitSystem) -> list:
+    """The paper's complex matrix and rhs: row j of a twin pair (j, k) is
+    A[j] + i A[k], row k A[j] - i A[k] with 0.0 - x, so a zero stays +0.0."""
+    j, k = np.array(system.twins, dtype=int).reshape(-1, 2).T
+    out = []
+    for v in (system.A, system.b):
+        z = v.astype(complex)
+        z[k] = v[j]
+        z.imag[j], z.imag[k] = v[k], 0.0 - v[k]
+        out.append(z)
+    return out
 
 
 @dataclass(frozen=True)
@@ -473,34 +487,31 @@ def solve_closed_form(model: RiskModel, roots: RootSet,
 
 def determinant_identity(model: RiskModel, roots: RootSet,
                          system: InitSystem | None = None) -> tuple:
-    """Both sides of the Vandermonde-style determinant identity.
+    """Both sides of the Vandermonde-style determinant identity, each as
+    a complex natural logarithm log|side| + i arg(side), so that neither
+    leaves the double range; the sides agree when exp(lhs - rhs) = 1.
 
     lhs is the paper's complex determinant, (-2i)^p det(A) for the p twin
     pairs of the system of the roots (see _system_of): a pair's rows
     (Re r, Im r) are (r, conj r) times a 2 x 2 matrix of determinant i/2.
+    It is slogdet(A) plus p ln 2, with the phase of (-i)^p sign(det A).
     rhs is (-1)^(m-1) f(-m)^m prod_j (alpha_j - 1)
-    prod_{i<j} (alpha_j - alpha_i) with roots in system-row order.
-    Returned for external comparison.
+    prod_{i<j} (alpha_j - alpha_i) with roots in system-row order: m ln
+    f(-m), plus the fsums of the log moduli and of the arguments of the
+    factors, plus pi (m - 1).
     """
     if not roots.all_simple:
         raise NumericalError("determinant identity requires simple roots")
     m = model.max_drop
     system = _system_of(model, roots, system)
     p = len(system.twins)
-    lhs = complex(np.linalg.det(system.A) * 2.0 ** p * (-1j) ** (p % 4))
-    alphas = roots.expanded()
-    rhs = (-1.0) ** (m - 1) * model.f(-m) ** m
-    for z in alphas:
-        rhs *= z - 1.0
-    for i in range(len(alphas)):
-        for j in range(i + 1, len(alphas)):
-            rhs *= alphas[j] - alphas[i]
-    return lhs, complex(rhs)
-
-
-def log10_abs_det(system: InitSystem) -> float:
-    """log10 of the modulus of the paper's complex determinant,
-    |(-2i)^p det(A)| = 2^p |det(A)| as determinant_identity's lhs reads it,
-    from slogdet: finite where det(A) leaves the double range."""
-    return float((np.linalg.slogdet(system.A)[1]
-                  + len(system.twins) * np.log(2)) / np.log(10))
+    sign, logdet = np.linalg.slogdet(system.A)
+    lhs = complex(logdet + p * math.log(2.0),
+                  np.angle((-1j) ** (p % 4) * sign))
+    alphas = np.array(roots.expanded(), dtype=complex)
+    i, j = np.triu_indices(len(alphas), 1)
+    factors = np.concatenate([alphas - 1.0, alphas[j] - alphas[i]])
+    rhs = complex(m * math.log(model.f(-m))
+                  + math.fsum(np.log(np.abs(factors)).tolist()),
+                  math.fsum(np.angle(factors).tolist()) + math.pi * (m - 1))
+    return lhs, rhs

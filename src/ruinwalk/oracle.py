@@ -239,8 +239,9 @@ def _retire(running: np.ndarray, maxes: np.ndarray, u_sorted: list,
     `np.flatnonzero`: the floor's tally takes their maxima by index, and
     the survivors move by index from slots `keep` on into the holes below
     `keep`. Only O(retired) entries move, and neither array is copied.
-    `floor`, where given, lies within the walk's dtype: a path past max(u)
-    is set to the dtype's minimum to retire with the low paths.
+    `floor`, where given, is at or above the walk dtype's minimum: a path
+    past max(u) is set to that minimum to retire with the low paths. A
+    floor past the dtype's maximum retires every path.
     """
     u_big = u_sorted[-1]
     out = flag[:maxes.size]

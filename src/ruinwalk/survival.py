@@ -54,7 +54,7 @@ class SurvivalTable:
 
     phis: np.ndarray
     residual: float = 0.0          # max recurrence re-substitution residual
-    warnings: tuple = ()           # free-text notes; the ladder route adds none
+    warnings = ()                  # free-text notes; the ladder route adds none
     q: np.ndarray | None = None    # ultimate: P(M = i), i = 0..m-1
 
     @property

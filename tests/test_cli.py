@@ -100,7 +100,11 @@ class TestSolve:
         shown = capsys.readouterr().out
         assert "closed form vs linear solve" in shown
         assert "determinant identity" in shown
-        assert "linear solve vs ladder table" in shown
+        # each route that returned pi gets its own ladder-table line
+        for route in ("linear solve", "closed form"):
+            assert f"  {route} vs ladder table: max |cumsum(pi) - " \
+                   f"phi(1..2)| = " in shown
+            assert f"({route} residual " in shown
 
     def test_verify_reports_a_failed_paper_route(self, tmp_path, capsys):
         model = write_model(tmp_path, P2_20_DOC)
@@ -114,24 +118,30 @@ class TestSolve:
         _, rows = read_csv(out)
         assert len(rows) == 41
 
-    def test_determinant_identity_out_of_double_range(self, tmp_path,
-                                                      capsys):
-        # det is about 1e-382 at cap 20: both sides underflow to 0, and a
-        # gap between them would read 0.00e+00
+    def test_determinant_identity_past_the_double_range(self, tmp_path,
+                                                        capsys):
+        # det is about 1e-382 at cap 20: both sides compare as logarithms,
+        # where a quotient of doubles would read 0 / 0
         model = write_model(tmp_path, P2_20_DOC)
         assert main(["solve", model, "--out", str(tmp_path / "phi.csv"),
                      "--verify"]) == 0
-        shown = capsys.readouterr().out
-        assert ("determinant identity: out of double range "
-                "(log10|det| = -382.2)") in shown
-        assert "0.00e+00" not in shown.split("verification:")[1]
-        # at cap 15 det is about 6e-270, inside the normal range
-        model = write_model(tmp_path, EX4_15_DOC, "cap15.json")
+        shown = capsys.readouterr().out.split("verification:")[1]
+        assert float(shown.split("determinant identity: relative gap ")[1]
+                     .split()[0]) < 1e-8
+        assert "out of double range" not in shown
+        assert "0.00e+00" not in shown
+
+    @pytest.mark.parametrize("cap", range(10, 21))
+    def test_determinant_identity_on_example4_caps(self, tmp_path, capsys,
+                                                   cap):
+        # log10|det| falls to -314.7 at caps 16..20, past the double range
+        model = write_model(tmp_path, dict(EX4_10_DOC, truncate_m=cap))
         assert main(["solve", model, "--out", str(tmp_path / "phi.csv"),
                      "--verify"]) == 0
-        line = next(ln for ln in capsys.readouterr().out.splitlines()
-                    if "determinant identity" in ln)
-        assert float(line.split("relative gap ")[1]) < 1e-8
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if "determinant identity" in ln]
+        assert len(lines) == 1
+        assert float(lines[0].split("relative gap ")[1]) <= 1e-12
 
     def test_verify_skips_closed_form_on_a_double_root(self, tmp_path,
                                                        capsys):

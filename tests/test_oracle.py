@@ -495,6 +495,18 @@ class TestSimulate:
         np.testing.assert_array_equal(res.estimates, [1.0, 0.0])
         np.testing.assert_array_equal(res.std_errors, [0.0, 0.0])
 
+    @pytest.mark.parametrize("u", [40_000, 2 ** 40],
+                             ids=["past_int16", "past_int32"])
+    def test_floor_past_the_walk_dtype(self, ex2, u):
+        # reach 30 * 49 walks in int16, yet the floor u - 104 lies past
+        # the dtype's maximum: every path starts below it and retires
+        # there as a survivor at the first pass
+        res = rw.simulate(ex2.model, rw.SimConfig(
+            n_paths=1_000, horizon_T=30, seed=3, u_values=(u,)))
+        assert (res.floor, res.floored) == (u - 104, 1_000)
+        np.testing.assert_array_equal(res.estimates, [1.0])
+        np.testing.assert_array_equal(res.std_errors, [0.0])
+
     def test_bit_for_bit_reproducible(self, ex1):
         cfg = rw.SimConfig(n_paths=40_000, horizon_T=30, seed=777,
                            u_values=(0, 1, 3))

@@ -44,8 +44,8 @@ def reference(running, maxes, u_sorted, floor):
 def passes(draw):
     """(walk dtype, running, maxes, u_sorted, floor): positions and maxima
     near the u, some at the dtype's minimum, and a floor that is None,
-    below every path that is not at the minimum, above every path, or
-    anywhere between."""
+    below every path that is not at the minimum, above every path,
+    anywhere between, or 2**40, past the dtype's maximum."""
     walk = draw(st.sampled_from(WALKS))
     low = int(np.iinfo(walk).min)
     value = st.one_of(st.integers(-12, 12), st.just(low))
@@ -59,7 +59,8 @@ def passes(draw):
         st.none(),
         st.just(max(min(running, default=0) - 1, low)),
         st.just(max(running, default=0)),
-        st.integers(-12, 12)))
+        st.integers(-12, 12),
+        st.just(2 ** 40)))
     return walk, running, maxes, u_sorted, floor
 
 
@@ -72,6 +73,8 @@ def passes(draw):
 @example((np.int16, [-9, -9, -40], [-1, 2, 9], [0, 5, 10], 0))
 # every hole lies at or past keep, so nothing moves
 @example((np.int16, [1, 2, 3, 4, -6], [1, 2, 3, 10, -6], [5, 10], -6))
+# a floor past the dtype's maximum: every path retires, failed or not
+@example((np.int16, [3, -2, 7], [5, 1, 12], [0, 10], 2 ** 40))
 def test_retire_matches_the_reference(case):
     walk, running, maxes, u_sorted, floor = case
     want_running, want_maxes, want_tally, want_floored = reference(
