@@ -87,8 +87,13 @@ class SimResult:
 
 
 class _StepSampler:
-    """The inverse-cdf step map k -> clip(lo + #{cum <= k 2^-53}, lo, top)
-    over 53-bit values k, fed four draws per 64-bit PCG64 word.
+    """The inverse-cdf step map k -> lo + #{edges <= k} over 53-bit values
+    k, fed four draws per 64-bit PCG64 word.
+
+    `edges`, the one cdf array, holds ceil(2^53 c) as int64 for every cdf
+    value c but the last, capped at 2^53. For an integer k,
+    ceil(2^53 c) <= k exactly where c <= k 2^-53, and leaving the last
+    value out clips the step at the top of the support.
 
     Each step of n paths reads ceil(n/4) words from `random_raw`, taken as
     little-endian 64-bit words and then as their 16-bit lanes, so draw
@@ -100,40 +105,33 @@ class _StepSampler:
     `step_of` has one entry per draw, in the walk's dtype `walk` (int16
     or int32, as `simulate` picks it from the reach). It holds the step of
     every k in the draw's interval [x 2^37, x 2^37 + 2^37 - 1], or the
-    sentinel `hard`, the dtype's maximum, where the clipped steps at the
-    interval's two ends differ; no step is that large, as the walk's reach
-    stays below it. There a cdf value splits the interval, which happens
+    sentinel `hard`, the dtype's maximum, where an edge lies inside the
+    interval past its start, so that the steps at its two ends differ; no
+    step is that large, as the walk's reach stays below it. That happens
     with probability at most (number of cdf values) * 2^-16 per draw. A
     hard draw takes r as the top 37 bits of one extra word, drawn after
-    the step's words in draw order, and its step from one binary search.
-    The cdf is held scaled by 2^53, which is exact, and k is formed in
-    float64, where every k below 2^53 is exact, so the search compares the
-    same pairs of values as on k 2^-53. Either dtype gives the same steps
-    on the same words. The buffers hold up to `size` draws and are reused
-    from call to call.
+    the step's words in draw order, and its step from one binary search
+    of `edges`. Either dtype gives the same steps on the same words. The
+    buffers hold up to `size` draws and are reused from call to call.
     """
 
     def __init__(self, cum: np.ndarray, lo: int, size: int, walk):
         self.hard = int(np.iinfo(walk).max)
-        self.cum_k = cum * 2.0 ** 53
         self.lo = lo
-        self.top = lo + len(cum) - 1
-        # each cdf value in units of a draw's interval: exact, as the
-        # scaling is by a power of 2
-        at = self.cum_k / 2.0 ** _LOW_BITS
-        # draws from ceil(at[i]) on start at or past cdf value i, so the
-        # count #{cum <= x 2^37} steps up there; each run of draws gets
-        # its clipped step, and the walk-dtype table is the only large array
-        n_draws = 1 << _DRAW_BITS
-        first = np.minimum(np.ceil(at), n_draws).astype(np.intp)
-        runs = np.diff(first, prepend=0, append=n_draws)
-        step = np.minimum(np.arange(lo, lo + len(cum) + 1), self.top)
-        self.step_of = np.repeat(step.astype(walk), runs)
-        # a cdf value inside a draw's interval, past its start, splits it;
-        # the last cdf value only moves steps the clip already caps
-        head = at[:-1]
-        inside = head[(head != np.floor(head)) & (head < n_draws)]
-        self.step_of[inside.astype(np.intp)] = self.hard
+        # scaling by a power of 2 is exact, and so is the ceil
+        self.edges = np.minimum(np.ceil(cum[:-1] * 2.0 ** 53),
+                                2.0 ** 53).astype(np.int64)
+        # draws from ceil(edge / 2^37) on start at or past the edge, so
+        # the count steps up there; each run of draws gets its step, and
+        # the walk-dtype table is the only large array
+        first = -(-self.edges >> _LOW_BITS)
+        runs = np.diff(first, prepend=0, append=1 << _DRAW_BITS)
+        step = np.arange(lo, lo + len(cum)).astype(walk)
+        self.step_of = np.repeat(step, runs)
+        # an edge that is not a multiple of 2^37 lies past the start of
+        # its draw's interval, and splits it
+        inside = (self.edges & (2 ** _LOW_BITS - 1)) != 0
+        self.step_of[self.edges[inside] >> _LOW_BITS] = self.hard
         self._words = np.empty((size + 3) // 4, dtype="<u8")
         self._draw = np.empty(size, dtype=np.intp)
         self._flag = np.empty(size, dtype=bool)
@@ -158,25 +156,22 @@ class _StepSampler:
         np.take(self.step_of, draw, out=steps, mode="wrap")
         hard = np.flatnonzero(np.equal(steps, self.hard, out=flag))
         if hard.size:
-            # k = x 2^37 + r is below 2^53, so it is exact in float64; the
-            # explicit cast keeps numpy 1.x's value-based casting from
-            # taking uint16 * 2^37 to float32
-            k = lanes[hard].astype(np.float64) * 2.0 ** _LOW_BITS
-            k += bitgen.random_raw(hard.size) >> 64 - _LOW_BITS
-            found = np.searchsorted(self.cum_k, k, side="right")
-            steps[hard] = np.minimum(self.lo + found, self.top)
+            # k = x 2^37 + r; r fills the low bits, so | adds it
+            k = lanes[hard].astype(np.int64) << _LOW_BITS
+            k |= (bitgen.random_raw(hard.size)
+                  >> 64 - _LOW_BITS).astype(np.int64)
+            steps[hard] = self.lo + np.searchsorted(self.edges, k,
+                                                    side="right")
         return steps
 
     def law(self) -> np.ndarray:
-        """P(step = lo + i) for i = 0..top - lo under a uniform 53-bit k.
-
-        The count #{cum_k <= k} is i for the k from ceil(cum_k[i-1]) up to
-        ceil(cum_k[i]) - 1, and the clip puts every k from ceil(cum_k[-2])
-        on onto the top step. Each entry is an integer count below 2^53 over
-        2^53, so the law is exact in float64.
+        """P(step = lo + i) for i = 0..len(cum) - 1 under a uniform 53-bit
+        k: the k from edges[i-1] up to edges[i] - 1 take step lo + i, where
+        edges[-1] reads 0 and edges[len(cum) - 1] reads 2^53. Each entry is
+        an integer count of at most 2^53 over 2^53, so the law is exact in
+        float64.
         """
-        edges = np.minimum(np.ceil(self.cum_k[:-1]), 2.0 ** 53)
-        return np.diff(edges, prepend=0.0, append=2.0 ** 53) / 2.0 ** 53
+        return np.diff(self.edges, prepend=0, append=1 << 53) / 2.0 ** 53
 
 
 def _lundberg(p: np.ndarray, lo: int) -> float | None:
@@ -279,8 +274,8 @@ def simulate(model: RiskModel, cfg: SimConfig) -> SimResult:
 
     Steps are drawn by inverse-cdf lookup, four per PCG64 word: each
     16-bit draw indexes a table of 2^16 steps, and each maps to the step a
-    binary search of the cumulative step table would give its 53-bit value
-    (see `_StepSampler`). The walk's dtype comes from its reach
+    binary search of the int64 cdf edges ceil(2^53 F) gives its 53-bit
+    value (see `_StepSampler`). The walk's dtype comes from its reach
     T * max|step|: int16 below 2^15 - 1, else int32, and a reach of
     2^31 - 1 or more raises `ResourceError` before any draw. Either dtype
     gives the same counts. One pass serves every requested u: each path
@@ -368,8 +363,8 @@ def enumerate_finite(model: RiskModel, u: int, T: int) -> float:
     if T < 1:
         raise ModelError(f"horizon T={T} must be >= 1")
     m = model.max_drop
-    up = max(model.step.support_max, 0)
-    cells = sum(u + m * t + 1 for t in range(1, T + 1))
+    # the sum of u + m t + 1 over t = 1..T
+    cells = T * (u + 1) + m * T * (T + 1) // 2
     if cells > ENUM_CELL_BUDGET:
         raise ResourceError(
             f"enumeration needs {cells} lattice cells "

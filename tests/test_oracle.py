@@ -3,6 +3,7 @@
 import ast
 import itertools
 import math
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -50,6 +51,19 @@ class TestEnumerate:
     def test_lattice_budget(self, ex1):
         with pytest.raises(rw.ResourceError):
             rw.enumerate_finite(ex1.model, 100, 100_000)
+
+    def test_budget_refuses_at_once(self, ex1):
+        # the cell count is the sum of u + m t + 1 over t = 1..T, in closed
+        # form: a summing loop would take about 90 s at T = 10^9
+        m = ex1.model.max_drop
+        cells = sum(100 + m * t + 1 for t in range(1, 10 ** 4 + 1))
+        with pytest.raises(rw.ResourceError,
+                           match=f"enumeration needs {cells} lattice cells"):
+            rw.enumerate_finite(ex1.model, 100, 10 ** 4)
+        start = time.perf_counter()
+        with pytest.raises(rw.ResourceError):
+            rw.enumerate_finite(ex1.model, 100, 10 ** 9)
+        assert time.perf_counter() - start < 1.0
 
     def test_random_model_agreement(self):
         rng = np.random.default_rng(99)
@@ -176,6 +190,11 @@ STEP_TABLES = {
     # rounded sums past 1 before the last cdf value: no draw holds them
     "past_one": lambda: (np.array([0.5, 1.0 + 2.0 ** -52,
                                    1.0 + 2.0 ** -51]), 0),
+    # a cdf value less than 2^-53 below the start of draw 64's interval:
+    # every k of draw 63 lies below it and every k of draw 64 above, so
+    # it splits neither
+    "below_a_boundary": lambda: (np.array([2.0 ** -10 - 2.0 ** -60, 1.0]),
+                                 0),
 }
 
 
@@ -185,33 +204,83 @@ def _split_draws(cum, lo, draws):
     return _step_53(cum, lo, k) != _step_53(cum, lo, k + 2 ** 37 - 1)
 
 
+def _random_laws(n_laws):
+    """Seeded step cdfs with 2 to 60 values from Dirichlet draws, sparse
+    or flat. Every other one has some values moved onto j 2^-16 for a j
+    up to 2^9, the start of draw j's interval, or 2^-60 below it; both
+    floats are exact, and 2^53 times the lower one lies within 1 below
+    that start."""
+    rng = np.random.default_rng(20231101)
+    for i in range(n_laws):
+        size = int(rng.integers(2, 61))
+        alpha = rng.choice([0.05, 1.0, 20.0])
+        cum = np.cumsum(rng.dirichlet(np.full(size, alpha)))
+        if i % 2:
+            at = rng.choice(size - 1, size=int(rng.integers(1, size)),
+                            replace=False)
+            cum[at] = (rng.integers(1, 2 ** 9 + 1, at.size) * 2.0 ** -16
+                       - rng.integers(0, 2, at.size) * 2.0 ** -60)
+            cum.sort()
+        yield cum, int(rng.integers(-40, 10))
+
+
+def _lane_words(draws):
+    """The 64-bit words whose 16-bit lanes, lowest first, are `draws`;
+    the lanes past the last draw hold 2^16 - 1."""
+    lanes = np.append(draws, [2 ** 16 - 1] * (-len(draws) % 4))
+    lanes = lanes.astype(np.uint64)
+    return (lanes[0::4] | lanes[1::4] << np.uint64(16)
+            | lanes[2::4] << np.uint64(32) | lanes[3::4] << np.uint64(48))
+
+
 # the two walk dtypes simulate picks from; each sampler test holds both to
 # the same expected steps, so the dtype moves no count
 WALKS = (np.int16, np.int32)
 
 
+def _assert_step_table(cum, lo):
+    """Every one of the 2^16 entries is the step at both ends of its
+    draw's interval, or the walk dtype's maximum exactly where those two
+    differ; return whether any draw is split."""
+    draws = np.arange(1 << 16, dtype=np.int64)
+    split = _split_draws(cum, lo, draws)
+    steps = _step_53(cum, lo, draws << 37)
+    for walk in WALKS:
+        sampler = _StepSampler(cum, lo, 1, walk)
+        assert sampler.hard == np.iinfo(walk).max
+        got = sampler.step_of
+        assert got.dtype == walk
+        np.testing.assert_array_equal(got, np.where(split, sampler.hard,
+                                                    steps))
+    return split.any()
+
+
+def _assert_law(cum, lo):
+    """The law gives step lo + i to a run of p_i 2^53 values of k, the
+    runs in order from k = 0; the binary search gives that step at both
+    ends of each run, so to every k in it."""
+    p = _StepSampler(cum, lo, 1, np.int16).law()
+    assert len(p) == len(cum) and np.all(p >= 0.0)
+    counts = p * 2.0 ** 53
+    np.testing.assert_array_equal(counts, np.round(counts))
+    assert math.fsum(counts) == 2.0 ** 53
+    start = np.concatenate([[0.0], np.cumsum(counts)[:-1]])
+    full = np.flatnonzero(counts)
+    for ends in (start[full], start[full] + counts[full] - 1):
+        np.testing.assert_array_equal(
+            _step_53(cum, lo, ends.astype(np.int64)), lo + full)
+
+
 class TestStepSampler:
     @pytest.mark.parametrize("law", list(STEP_TABLES))
     def test_step_table(self, law):
-        # every one of the 2^16 entries is the step at both ends of its
-        # draw's interval, or the walk dtype's maximum exactly where those
-        # two differ
         cum, lo = STEP_TABLES[law]()
-        draws = np.arange(1 << 16, dtype=np.int64)
-        split = _split_draws(cum, lo, draws)
-        steps = _step_53(cum, lo, draws << 37)
-        for walk in WALKS:
-            sampler = _StepSampler(cum, lo, 1, walk)
-            assert sampler.hard == np.iinfo(walk).max
-            got = sampler.step_of
-            assert got.dtype == walk
-            np.testing.assert_array_equal(got, np.where(split, sampler.hard,
-                                                        steps))
         # a cdf value of at most 16 bits starts a draw's interval and
-        # splits none, nor does one past 1 or the last one
-        assert split.any() or law in ("zero_interior", "point_mass",
-                                      "short_table", "ends_inside",
-                                      "past_one")
+        # splits none, nor does one less than 2^-53 below such a start,
+        # one past 1 or the last one
+        assert _assert_step_table(cum, lo) or law in (
+            "zero_interior", "point_mass", "short_table", "ends_inside",
+            "past_one", "below_a_boundary")
 
     @pytest.mark.parametrize("law", list(STEP_TABLES))
     def test_matches_binary_search(self, law):
@@ -229,10 +298,7 @@ class TestStepSampler:
             split = np.flatnonzero(_split_draws(cum, lo, draws))
             # the unused lanes hold 2^16 - 1, which splits on some laws:
             # they must take no extra word
-            lanes = np.append(draws, [2 ** 16 - 1] * spare).astype(np.uint64)
-            words = (lanes[0::4] | lanes[1::4] << np.uint64(16)
-                     | lanes[2::4] << np.uint64(32)
-                     | lanes[3::4] << np.uint64(48))
+            words = _lane_words(draws)
             for r, walk in itertools.product(
                     (0, 2 ** 37 - 1, 0x15A5A5A5A5), WALKS):
                 extra = np.full(split.size, r << 27 | 0x5A5A5A5,
@@ -248,20 +314,27 @@ class TestStepSampler:
 
     @pytest.mark.parametrize("law", list(STEP_TABLES))
     def test_law_is_the_step_map(self, law):
-        # the law gives step lo + i to a run of p_i 2^53 values of k, the
-        # runs in order from k = 0; the binary search gives that step at
-        # both ends of each run, so to every k in it
-        cum, lo = STEP_TABLES[law]()
-        p = _StepSampler(cum, lo, 1, np.int16).law()
-        assert len(p) == len(cum) and np.all(p >= 0.0)
-        counts = p * 2.0 ** 53
-        np.testing.assert_array_equal(counts, np.round(counts))
-        assert math.fsum(counts) == 2.0 ** 53
-        start = np.concatenate([[0.0], np.cumsum(counts)[:-1]])
-        full = np.flatnonzero(counts)
-        for ends in (start[full], start[full] + counts[full] - 1):
-            np.testing.assert_array_equal(
-                _step_53(cum, lo, ends.astype(np.int64)), lo + full)
+        _assert_law(*STEP_TABLES[law]())
+
+    def test_random_laws(self):
+        # the table, the hard draws and the law on 200 seeded cdfs; a hard
+        # draw at each cdf value's first k and the k before it, which the
+        # binary search puts on the two sides of that value
+        for cum, lo in _random_laws(200):
+            _assert_step_table(cum, lo)
+            _assert_law(cum, lo)
+            k = np.ceil(cum * 2.0 ** 53).astype(np.int64)
+            k = np.concatenate([k, k - 1])
+            k = k[(k >= 0) & (k < 2 ** 53)]
+            split = _split_draws(cum, lo, k >> 37)
+            r = (k[split] & (2 ** 37 - 1)).astype(np.uint64)
+            stub = _Words(np.concatenate([_lane_words(k >> 37),
+                                          r << np.uint64(27)]))
+            for walk in WALKS:
+                stub.used = 0
+                got = _StepSampler(cum, lo, k.size, walk).steps(stub, k.size)
+                assert stub.used == stub.words.size
+                np.testing.assert_array_equal(got, _step_53(cum, lo, k))
 
 
 def _pm1_walk(p_up):
